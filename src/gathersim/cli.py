@@ -171,6 +171,11 @@ def parse_config(argv=None):
             raise UsageError(f"bad --sweep list: {args.sweep!r}") from None
         if not sweep:
             raise UsageError("--sweep list is empty")
+        try:
+            for range_m in sweep:
+                replace(config, range_m=range_m).validate()
+        except ValueError as exc:
+            raise UsageError(f"bad --sweep range: {exc}") from None
     if args.per_round and (sweep or args.compare):
         raise UsageError("--per-round applies only to a single experiment")
     if args.workers < 1:

@@ -54,16 +54,19 @@ def construct_tree(graph: NetworkSnapshot, energies, tie_seed: int) -> GatherTre
 
     Ties on the weight (compared exactly, no epsilon) are broken uniformly
     at random, deterministically per ``tie_seed``. A covered node with zero
-    energy still qualifies as a candidate: its weight is simply 0.
+    energy still qualifies as a candidate: its weight is simply 0. Energies
+    must be finite and non-negative.
     """
     n = graph.node_count
     energies = np.asarray(energies, dtype=float)
     if energies.shape != (n,):
         raise ValueError(f"expected {n} energies, got array of shape {energies.shape}")
+    if not np.isfinite(energies).all():
+        raise ValueError("energies must be finite (got NaN or inf)")
     if (energies < 0).any():
         raise ValueError("energies must be >= 0")
     alive = graph.alive
-    n_alive = int(alive.sum())
+    n_alive = int(np.count_nonzero(alive))
     if n_alive == 0:
         raise ValueError("graph has no alive node")
 
@@ -73,70 +76,87 @@ def construct_tree(graph: NetworkSnapshot, energies, tie_seed: int) -> GatherTre
     uncovered_count = graph.degrees.copy()
     rng = None  # tie-break generator, built only when a tie shows up
 
-    covered = np.zeros(n, dtype=bool)
-    intermediate = np.zeros(n, dtype=bool)
     parent = np.full(n, -1, dtype=np.int64)
-    level = np.full(n, -1, dtype=np.int64)
-    children: list[tuple[int, ...]] = [() for _ in range(n)]
+    level = np.full(n, -1, dtype=np.int64)  # >= 0 exactly for covered nodes
+    candidate = alive.copy()  # for the root pick; then covered and not intermediate
+    children: list[tuple[int, ...]] = [()] * n
     levels: list[list[int]] = []
     intermediate_ids: list[int] = []
 
-    def pick_max(candidate_ids: np.ndarray) -> int:
+    def pick_max(root_pick: bool = False) -> int:
+        """Max-weight candidate (lowest id first), or -1 if there is none.
+
+        A candidate's weight is >= 0, so the -1 given to the others never
+        wins, and tied ids come out ascending, as a scan over the candidates
+        gives. After the root pick a candidate needs an uncovered neighbor;
+        one without weighs 0, so it can only tie the top when the top is 0,
+        and only then is it masked out.
+        """
         nonlocal rng
-        weights = uncovered_count[candidate_ids] * energies[candidate_ids]
-        best = int(np.argmax(weights))
-        tied = np.flatnonzero(weights == weights[best])
-        if tied.size == 1:
-            return int(candidate_ids[best])
-        if rng is None:
-            rng = make_rng(tie_seed)
-        return int(candidate_ids[tied[rng.integers(tied.size)]])
+        weights = np.where(candidate, uncovered_count * energies, -1.0)
+        best = int(weights.argmax())
+        top = weights.item(best)
+        if top == 0 and not root_pick:
+            weights[uncovered_count == 0] = -1.0
+            best = int(weights.argmax())
+            top = weights.item(best)
+        if top < 0:
+            return -1
+        is_best = weights == top
+        if np.count_nonzero(is_best) > 1:
+            tied = np.flatnonzero(is_best)
+            if rng is None:
+                rng = make_rng(tie_seed)
+            best = int(tied[rng.integers(tied.size)])
+        return best
 
-    def cover(ids: np.ndarray) -> None:
-        covered[ids] = True
-        hit = np.concatenate([neighbors[int(v)] for v in ids])
-        np.subtract(uncovered_count, np.bincount(hit, minlength=n), out=uncovered_count)
+    def promote(u: int, hit: list[np.ndarray]) -> int:
+        """Make ``u`` intermediate and adopt its uncovered neighbors one level down.
 
-    def attach_uncovered_neighbors(u: int) -> int:
+        ``hit`` holds the neighbor lists of nodes covered just before, whose
+        uncovered counts are debited together with those of the adopted nodes.
+        Returns how many nodes were adopted.
+        """
+        intermediate_ids.append(u)
+        candidate[u] = False
         nb = neighbors[u]
-        new = nb[~covered[nb]]
-        if new.size:
-            cover(new)
+        new = nb[level[nb] < 0]
+        ids = new.tolist()
+        if ids:
+            candidate[new] = True
             parent[new] = u
-            depth = int(level[u]) + 1
+            depth = level.item(u) + 1
             level[new] = depth
-            children[u] = tuple(int(v) for v in new)
-            while len(levels) <= depth:
+            children[u] = tuple(ids)
+            if len(levels) == depth:
                 levels.append([])
-            levels[depth].extend(children[u])
-        return int(new.size)
+            levels[depth].extend(ids)
+            hit = hit + [neighbors[v] for v in ids]
+        if hit:
+            np.subtract(uncovered_count, np.bincount(np.concatenate(hit), minlength=n),
+                        out=uncovered_count)
+        return len(ids)
 
-    root = pick_max(np.flatnonzero(alive))
-    cover(np.array([root], dtype=np.int64))
-    intermediate[root] = True
-    intermediate_ids.append(root)
+    root = pick_max(root_pick=True)
+    candidate[:] = False
     level[root] = 0
     levels.append([root])
-    n_covered = 1 + attach_uncovered_neighbors(root)
+    n_covered = 1 + promote(root, [neighbors[root]])
 
     while n_covered < n_alive:
-        candidates = np.flatnonzero(covered & ~intermediate & (uncovered_count > 0))
-        if candidates.size == 0:
+        node = pick_max()
+        if node < 0:
             return None
-        node = pick_max(candidates)
-        intermediate[node] = True
-        intermediate_ids.append(node)
-        n_covered += attach_uncovered_neighbors(node)
+        n_covered += promote(node, [])
 
     inter_set = frozenset(intermediate_ids)
-    leaf_set = frozenset(np.flatnonzero(covered & ~intermediate).tolist())
     return GatherTree(
         root=root,
         parent=parent,
         level=level,
         children=tuple(children),
         intermediate_set=inter_set,
-        leaf_set=leaf_set,
+        leaf_set=frozenset(np.flatnonzero(level >= 0).tolist()) - inter_set,
         nodes_at_level=tuple(tuple(sorted(members)) for members in levels),
         height=len(levels) - 1,
     )
@@ -151,20 +171,17 @@ def compute_delay(tree: GatherTree) -> int:
     order of their own delay, folding t = max(t + 1, child_delay + 1); for
     sorted child delays d_1 <= ... <= d_m this equals
     max_i (d_i + m - i + 1), and the ascending order minimizes it over all
-    orderings. Levels are processed bottom-up; the root's value is the
-    per-round delay.
+    orderings. Only intermediates have children, so they are the only nodes
+    visited, deepest first; the root's value is the per-round delay.
     """
-    delay = dict.fromkeys(tree.leaf_set, 0)
-    for lvl in range(tree.height - 1, -1, -1):
-        for u in tree.nodes_at_level[lvl]:
-            kids = tree.children[u]
-            if not kids:
-                continue
-            t = 0
-            for d in sorted(delay[v] for v in kids):
-                t = max(t + 1, d + 1)
-            delay[u] = t
-    return int(delay.get(tree.root, 0))
+    delay = [0] * len(tree.children)
+    depth = tree.level.tolist()
+    for u in sorted(tree.intermediate_set, key=depth.__getitem__, reverse=True):
+        t = 0
+        for d in sorted([delay[v] for v in tree.children[u]]):
+            t = t + 1 if t >= d else d + 1  # max(t + 1, d + 1), without the call
+        delay[u] = t
+    return delay[tree.root]
 
 
 def validate_tree(tree: GatherTree, graph: NetworkSnapshot) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field, replace
 
@@ -41,6 +42,8 @@ class SimConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.stop_rule not in STOP_RULES:
             raise ValueError(f"unknown stop rule {self.stop_rule!r}")
+        if not (math.isfinite(self.range_m) and math.isfinite(self.initial_energy)):
+            raise ValueError("range and initial_energy must be finite")
         if self.range_m <= 0:
             raise ValueError("range must be positive")
         if self.initial_energy < 0:
@@ -53,8 +56,14 @@ class SimConfig:
             raise ValueError("rebuild_period must be >= 1")
         if not 0 < self.leach_p <= 1:
             raise ValueError("leach_p must be in (0, 1]")
-        if self.nodes_override is not None and len(self.nodes_override) != self.field.node_count:
-            raise ValueError("nodes_override must match field.node_count")
+        if self.nodes_override is not None:
+            if len(self.nodes_override) != self.field.node_count:
+                raise ValueError("nodes_override must match field.node_count")
+            # ids equal to their index are also free of duplicates
+            for index, node in enumerate(self.nodes_override):
+                if node.id != index:
+                    raise ValueError(f"nodes_override[{index}] has id {node.id}; "
+                                     "node ids must be 0..n-1 in order")
 
 
 @dataclass(frozen=True)
@@ -74,7 +83,7 @@ class SimulationReport:
     The headline means are taken over exactly those rounds. The per-round
     arrays cover all completed rounds, which can extend past the lifetime
     under the energy-exhausted stop rule. ``leaf_per_round`` and
-    ``intermediate_per_round`` are tree-protocol only, None otherwise.
+    ``mean_leaf_count`` are tree-protocol only, None otherwise.
     """
 
     protocol: str
@@ -87,7 +96,6 @@ class SimulationReport:
     initial_total: float
     final_energies: np.ndarray
     leaf_per_round: np.ndarray | None
-    intermediate_per_round: np.ndarray | None
     mean_energy_per_round: float
     mean_delay_per_round: float
     mean_energy_delay: float
@@ -154,7 +162,6 @@ def run_trial(config: SimConfig, trial_seed: int) -> SimulationReport:
     alive_hist: list[int] = []
     residual_hist: list[float] = []
     leaf_hist: list[int] = []
-    inter_hist: list[int] = []
     first_death_at: int | None = None
     completed = 0
     attempt = 0
@@ -216,13 +223,12 @@ def run_trial(config: SimConfig, trial_seed: int) -> SimulationReport:
 
         energies -= debit
         completed += 1
-        energy_hist.append(ledger.total)
+        energy_hist.append(float(debit.sum()))
         delay_hist.append(delay)
         alive_hist.append(n_alive)
         residual_hist.append(float(energies.sum()))
         if emln:
             leaf_hist.append(len(tree.leaf_set))
-            inter_hist.append(len(tree.intermediate_set))
 
     lifetime = first_death_at if first_death_at is not None else completed
     energy_arr = np.asarray(energy_hist, dtype=float)
@@ -239,7 +245,6 @@ def run_trial(config: SimConfig, trial_seed: int) -> SimulationReport:
         initial_total=initial_total,
         final_energies=energies,
         leaf_per_round=leaf_arr,
-        intermediate_per_round=np.asarray(inter_hist, dtype=np.int64) if emln else None,
         mean_energy_per_round=_lifetime_mean(energy_arr, lifetime),
         mean_delay_per_round=_lifetime_mean(delay_arr, lifetime),
         mean_energy_delay=_lifetime_mean(energy_arr * delay_arr, lifetime),

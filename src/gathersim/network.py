@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -21,6 +22,8 @@ class FieldConfig:
     sink_position: tuple[float, float] = (50.0, 300.0)
 
     def validate(self) -> None:
+        if not all(map(math.isfinite, (self.width, self.height, *self.sink_position))):
+            raise ValueError("field dimensions and sink position must be finite")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("field dimensions must be positive")
         if self.node_count < 1:

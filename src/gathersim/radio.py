@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,8 @@ class RadioParams:
     packet_bits: int = PACKET_BITS_DEFAULT
 
     def validate(self) -> None:
+        if not all(map(math.isfinite, (self.e_elec, self.eps_amp, self.e_fuse))):
+            raise ValueError("radio constants must be finite")
         if self.e_elec < 0 or self.eps_amp < 0 or self.e_fuse < 0:
             raise ValueError("radio constants must be >= 0")
         if self.packet_bits < 1:
@@ -88,19 +91,22 @@ def tree_round_energy(tree: GatherTree, positions, sink, params: RadioParams) ->
     if tree.parent.shape != (n,):
         raise ValueError("tree does not match the node set")
     k = params.packet_bits
-    ledger = EnergyLedger.empty(n)
 
-    members = np.flatnonzero(tree.level >= 0)
-    non_root = members[members != tree.root]
+    non_root = np.flatnonzero(tree.parent >= 0)
     parents = tree.parent[non_root]
-    d = np.linalg.norm(positions[non_root] - positions[parents], axis=1)
-    ledger.tx[non_root] = params.e_elec * k + params.eps_amp * k * d * d
-
-    child_count = np.bincount(parents, minlength=n) if non_root.size else np.zeros(n, dtype=int)
-    ledger.rx[:] = child_count * (params.e_elec * k)
-    inter = np.array(sorted(tree.intermediate_set), dtype=int)
-    ledger.fuse[inter] = params.e_fuse * k * (child_count[inter] + 1)
-
+    diff = positions[non_root] - positions[parents]
+    # the expression np.linalg.norm(diff, axis=1) evaluates, without its overhead
+    d = np.sqrt(np.add.reduce(diff * diff, axis=1))
+    tx = np.zeros(n)
+    tx[non_root] = params.e_elec * k + params.eps_amp * k * d * d
+    # the root-to-sink hop keeps norm's 1-D path (a dot product): a hand-written
+    # sum of squares can differ from it in the last bit
     d_sink = float(np.linalg.norm(positions[tree.root] - np.asarray(sink, dtype=float)))
-    ledger.tx[tree.root] = tx_energy(params, k, d_sink)
-    return ledger
+    tx[tree.root] = tx_energy(params, k, d_sink)
+
+    child_count = np.bincount(parents, minlength=n)
+    rx = child_count * (params.e_elec * k)
+    inter = np.fromiter(tree.intermediate_set, dtype=np.int64, count=len(tree.intermediate_set))
+    fuse = np.zeros(n)
+    fuse[inter] = params.e_fuse * k * (child_count[inter] + 1)
+    return EnergyLedger(tx, rx, fuse)

@@ -105,6 +105,13 @@ def test_energy_length_mismatch_rejected():
         construct_tree(snap, [1.0, -1.0, 1.0], 0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_energy_rejected(bad):
+    snap = snapshot_from_adjacency(path_adjacency(3))
+    with pytest.raises(ValueError, match="finite"):
+        construct_tree(snap, [1.0, bad, 1.0], 0)
+
+
 def test_construction_deterministic():
     snap = random_geometric_snapshot(11)
     energies = np.linspace(0.5, 1.5, snap.node_count)

@@ -1,0 +1,119 @@
+"""The EMLN round layers against their loop reference, field for field.
+
+``construct_tree``, ``compute_delay`` and ``tree_round_energy`` must give
+exactly what the loop versions in tests/reference_emln.py give: the same
+tree fields with the same element types, the same delay, and ledgers equal
+byte for byte. The cases cover geometric deployments at three ranges,
+equal energies (ties from round 1 on), random energies with and without
+exact zeros, dead nodes, disconnected graphs, a single node and one
+2,000-node deployment.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import reference_emln as ref
+from conftest import random_geometric_snapshot
+
+from gathersim import (FieldConfig, GatherTree, RadioParams, build_graph, compute_delay,
+                       construct_tree, deploy, derive_seed, tree_round_energy)
+
+SEEDS = range(60)
+SINK = (50.0, 300.0)
+P = RadioParams()
+
+
+def energies_for(mode: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if mode == "equal":
+        return np.full(n, 0.03)
+    energies = rng.random(n) * 0.03
+    if mode == "zeros":
+        energies[rng.random(n) < 0.3] = 0.0
+    return energies
+
+
+def root_pick_is_tied(graph, energies) -> bool:
+    weights = graph.degrees[graph.alive] * energies[graph.alive]
+    return int(np.count_nonzero(weights == weights.max())) > 1
+
+
+def assert_same_round(graph, energies, tie_seed: int, sink=SINK) -> GatherTree | None:
+    """Run both versions of all three layers; return the tree (None if disconnected)."""
+    want = ref.construct_tree(graph, energies, tie_seed)
+    got = construct_tree(graph, energies, tie_seed)
+    if want is None:
+        assert got is None
+        return None
+    assert got.root == want.root and type(got.root) is int
+    for name in ("parent", "level"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    # repr also tells a Python int from a numpy integer
+    for name in ("children", "nodes_at_level"):
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+    for name in ("intermediate_set", "leaf_set"):
+        members = getattr(got, name)
+        assert members == getattr(want, name), name
+        assert type(members) is frozenset and all(type(v) is int for v in members), name
+    assert got.height == want.height and type(got.height) is int
+
+    delay = compute_delay(got)
+    assert delay == ref.compute_delay(want) and type(delay) is int
+
+    positions = graph.positions
+    ledger = tree_round_energy(got, positions, sink, P)
+    expected = ref.tree_round_energy(want, positions, sink, P)
+    for name in ("tx", "rx", "fuse", "per_node"):
+        a, b = getattr(ledger, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert ledger.total == expected.total
+    return got
+
+
+@pytest.mark.parametrize("mode", ["equal", "random", "zeros"])
+@pytest.mark.parametrize("range_m", [15.0, 25.0, 40.0])
+def test_geometric_snapshots_match_reference(range_m, mode):
+    trees = ties = 0
+    for seed in SEEDS:
+        graph = random_geometric_snapshot(seed, range_m=range_m)
+        energies = energies_for(mode, graph.node_count, seed)
+        ties += root_pick_is_tied(graph, energies)
+        trees += assert_same_round(graph, energies, derive_seed(seed, 1)) is not None
+    if range_m == 15.0:
+        assert trees < len(SEEDS)  # some of the sparse graphs are disconnected
+    else:
+        assert trees > 0
+    if mode == "equal":
+        assert ties > 0  # the tie-break draw is exercised
+
+
+@pytest.mark.parametrize("range_m", [15.0, 25.0])
+def test_dead_nodes_match_reference(range_m):
+    field = FieldConfig()
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        nodes = deploy(field, derive_seed(77, seed))
+        dead = rng.random(len(nodes)) < 0.2
+        nodes = [dataclasses.replace(nd, alive=not d) for nd, d in zip(nodes, dead)]
+        graph = build_graph(nodes, range_m)
+        energies = energies_for("zeros" if seed % 2 else "equal", len(nodes), seed)
+        assert_same_round(graph, energies, derive_seed(seed, 1))
+
+
+@pytest.mark.parametrize("energy", [0.0, 0.5])
+def test_single_node_matches_reference(energy):
+    graph = build_graph(deploy(FieldConfig(node_count=1), 3), 25.0)
+    tree = assert_same_round(graph, np.array([energy]), 9)
+    assert tree.intermediate_set == {0} and not tree.leaf_set
+
+
+def test_two_thousand_nodes_match_reference():
+    field = FieldConfig(width=447.2, height=447.2, node_count=2000,
+                        sink_position=(223.6, 647.2))
+    graph = build_graph(deploy(field, derive_seed(5, 0)), 25.0)
+    energies = energies_for("random", field.node_count, 5)
+    tree = assert_same_round(graph, energies, derive_seed(5, 1), sink=field.sink_position)
+    assert tree is not None
