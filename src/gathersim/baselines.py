@@ -47,18 +47,33 @@ def build_chain(positions, sink, alive=None) -> Chain:
     ids = np.flatnonzero(alive)
     if ids.size == 0:
         raise ValueError("need at least one alive node")
+    if not np.isfinite(positions[ids]).all():
+        raise ValueError("alive node positions must be finite")
     sink = np.asarray(sink, dtype=float)
-    start = int(ids[np.argmax(np.linalg.norm(positions[ids] - sink, axis=1))])
+    first = int(np.argmax(np.linalg.norm(positions[ids] - sink, axis=1)))
 
-    unvisited = alive.copy()
-    unvisited[start] = False
-    order = [start]
+    # one entry per alive node in id order, so argmin ties go to the lower id;
+    # a visited node's x is set to inf, which puts it at distance inf
+    x, y = positions[ids, 0].copy(), positions[ids, 1].copy()
+    dx, dy = np.empty_like(x), np.empty_like(y)
+    steps = [first]
     for _ in range(ids.size - 1):
-        rest = np.flatnonzero(unvisited)
-        d = np.linalg.norm(positions[rest] - positions[order[-1]], axis=1)
-        nxt = int(rest[np.argmin(d)])
-        unvisited[nxt] = False
-        order.append(nxt)
+        last = steps[-1]
+        here_x, here_y = x[last], y[last]
+        x[last] = np.inf
+        # sqrt(dx*dx + dy*dy) is what np.linalg.norm(..., axis=1) computes
+        np.subtract(x, here_x, out=dx)
+        np.subtract(y, here_y, out=dy)
+        np.multiply(dx, dx, out=dx)
+        np.multiply(dy, dy, out=dy)
+        np.add(dx, dy, out=dx)
+        np.sqrt(dx, out=dx)
+        nxt = int(dx.argmin())
+        if dx[nxt] == np.inf:
+            # every unvisited distance overflowed: take the lowest unvisited id
+            nxt = int(np.isfinite(x).argmax())
+        steps.append(nxt)
+    order = ids[steps].tolist()
     return Chain(tuple(order))
 
 

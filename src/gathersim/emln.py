@@ -205,14 +205,13 @@ def validate_tree(tree: GatherTree, graph: NetworkSnapshot) -> bool:
     if tree.level[tree.root] != 0 or tree.parent[tree.root] != -1:
         return False
 
-    adjacency = graph.adjacency_matrix
     for v in members:
         if v == tree.root:
             continue
         p = int(tree.parent[v])
         if p < 0 or p not in members:
             return False
-        if not adjacency[v, p]:
+        if p not in graph.adjacency[v]:
             return False
         if tree.level[v] != tree.level[p] + 1:
             return False
@@ -245,11 +244,10 @@ def validate_tree(tree: GatherTree, graph: NetworkSnapshot) -> bool:
         return False
 
     # intermediates dominate the graph and form a connected subtree at the root
-    inter = sorted(tree.intermediate_set)
     for v in member_ids:
-        if v not in tree.intermediate_set and not any(adjacency[v, i] for i in inter):
+        if v not in tree.intermediate_set and tree.intermediate_set.isdisjoint(graph.adjacency[v]):
             return False
-    for u in inter:
+    for u in tree.intermediate_set:
         if u != tree.root and int(tree.parent[u]) not in tree.intermediate_set:
             return False
     return True

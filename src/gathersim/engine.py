@@ -64,6 +64,11 @@ class SimConfig:
                 if node.id != index:
                     raise ValueError(f"nodes_override[{index}] has id {node.id}; "
                                      "node ids must be 0..n-1 in order")
+                if not all(map(math.isfinite, (*node.position, node.energy))):
+                    raise ValueError(f"nodes_override[{index}] has a non-finite "
+                                     "position or energy")
+                if node.energy < 0:
+                    raise ValueError(f"nodes_override[{index}] has negative energy")
 
 
 @dataclass(frozen=True)

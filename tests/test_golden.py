@@ -1,7 +1,10 @@
 """Golden output hashes: the CLI's data output must not change by a byte.
 
-The hashes were recorded before the EMLN round layers were vectorised, from
-the loop implementations kept in tests/reference_emln.py. Criterion 11 only
+The first two hashes were recorded before the EMLN round layers were
+vectorised, from the loop implementations kept in tests/reference_emln.py.
+The third was recorded before the graph and the chain moved from all-pairs
+arrays to a grid of cells, from the dense versions kept in
+tests/reference_network.py. Criterion 11 only
 compares two runs of the same code; these pin the output across versions.
 Change a hash only together with a stated reason for the new output.
 """
@@ -20,6 +23,13 @@ GOLDEN = {
     "compare": (
         ["--compare", "--trials", "4", "--initial-energy", "0.05", "--seed", "1"],
         "17682b0ea1eddf8895ed23865f47e2c4ef985885954a566be12bf17c27cc3d58"),
+    # 400 nodes on 200 x 200 m: many range-25 cells, so a grid-cell graph or
+    # chain that loses a pair across a cell boundary shows here
+    "compare-400": (
+        ["--compare", "--nodes", "400", "--width", "200", "--height", "200",
+         "--sink-x", "100", "--sink-y", "400", "--trials", "2",
+         "--initial-energy", "0.05", "--seed", "1"],
+        "7f73cbf725db2beb0d88d68fb064f77c602d8b2a48301708a6b5bdd127509ebe"),
 }
 
 
