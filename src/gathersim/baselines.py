@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .radio import EnergyLedger, RadioParams, tx_energy
+from .radio import EnergyLedger, RadioParams, hop_lengths, tx_cost, tx_energy
 from .seeding import make_rng
 
 PROTOCOLS = ("emln", "leach", "pegasis-tdma", "pegasis-cdma", "direct")
@@ -21,17 +22,41 @@ PROTOCOLS = ("emln", "leach", "pegasis-tdma", "pegasis-cdma", "direct")
 
 @dataclass(frozen=True)
 class Chain:
-    """Greedy nearest-neighbor ordering of node ids, built once per run."""
+    """Greedy nearest-neighbor ordering of node ids, built once per run.
+
+    The ids must be distinct and non-negative; a round checks that they are
+    below its node count.
+    """
 
     order: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(set(self.order)) != len(self.order) or (self.order and self.ids.min() < 0):
+            raise ValueError("chain ids must be distinct non-negative node ids")
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """``order`` as a read-only int64 array."""
+        ids = np.array(self.order, dtype=np.int64)
+        ids.flags.writeable = False
+        return ids
 
 
 @dataclass(frozen=True)
 class ClusterAssignment:
-    """Cluster heads plus each member's head for one round."""
+    """Cluster heads plus each member's head for one round.
+
+    No head may also be a member, and every member's head must be a head.
+    """
 
     heads: frozenset[int]
     membership: dict[int, int]
+
+    def __post_init__(self):
+        if not self.heads.isdisjoint(self.membership):
+            raise ValueError("a cluster head cannot also be a member")
+        if not self.heads.issuperset(self.membership.values()):
+            raise ValueError("every member's head must be one of the heads")
 
 
 def build_chain(positions, sink, alive=None) -> Chain:
@@ -77,22 +102,33 @@ def build_chain(positions, sink, alive=None) -> Chain:
     return Chain(tuple(order))
 
 
-def _alive_subchain(chain: Chain, alive) -> list[int]:
+def _node_arrays(positions, alive) -> tuple[np.ndarray, np.ndarray]:
+    """``positions`` and ``alive`` as arrays, checked to cover the same nodes."""
+    positions = np.asarray(positions, dtype=float)
+    alive = np.asarray(alive, dtype=bool)
+    if alive.shape != (len(positions),):
+        raise ValueError(f"expected {len(positions)} alive flags, got shape {alive.shape}")
+    return positions, alive
+
+
+def _alive_subchain(chain: Chain, alive: np.ndarray) -> np.ndarray:
     # dead nodes are bridged by skipping to the next alive node in chain order
-    return [u for u in chain.order if alive[u]]
+    try:
+        sub = chain.ids[alive[chain.ids]]
+    except IndexError:
+        raise ValueError("chain ids must be below the node count") from None
+    if sub.size == 0:
+        raise ValueError("need at least one alive node")
+    return sub
 
 
-def _debit_hops(ledger: EnergyLedger, positions, senders, receivers, params: RadioParams) -> None:
-    """One packet from each sender to the paired receiver, with rx + fusion."""
-    senders = np.asarray(senders, dtype=int)
-    receivers = np.asarray(receivers, dtype=int)
-    if senders.size == 0:
-        return
+def _leader_to_sink(ledger: EnergyLedger, leader: int, positions, sink,
+                    params: RadioParams) -> None:
+    """The leader fuses its own reading and sends the aggregate to the sink."""
     k = params.packet_bits
-    d = np.linalg.norm(positions[senders] - positions[receivers], axis=1)
-    np.add.at(ledger.tx, senders, params.e_elec * k + params.eps_amp * k * d * d)
-    np.add.at(ledger.rx, receivers, float(params.e_elec * k))
-    np.add.at(ledger.fuse, receivers, float(params.e_fuse * k))
+    ledger.fuse[leader] += params.e_fuse * k
+    d_sink = float(np.linalg.norm(positions[leader] - np.asarray(sink, dtype=float)))
+    ledger.tx[leader] += tx_energy(params, k, d_sink)
 
 
 def pegasis_tdma_round(chain: Chain, alive, leader_seed: int, positions, sink,
@@ -105,24 +141,23 @@ def pegasis_tdma_round(chain: Chain, alive, leader_seed: int, positions, sink,
     side's length. The leader fuses its own reading and forwards the
     aggregate to the sink.
     """
-    positions = np.asarray(positions, dtype=float)
+    positions, alive = _node_arrays(positions, alive)
     sub = _alive_subchain(chain, alive)
-    if not sub:
-        raise ValueError("need at least one alive node")
-    m = len(sub)
+    m = sub.size
     leader_pos = int(make_rng(leader_seed).integers(m))
-    leader = sub[leader_pos]
     k = params.packet_bits
     ledger = EnergyLedger.empty(len(positions))
 
-    left = sub[:leader_pos + 1]          # relays rightward into the leader
-    right = sub[leader_pos:]             # relays leftward into the leader
-    _debit_hops(ledger, positions, left[:-1], left[1:], params)
-    _debit_hops(ledger, positions, right[:0:-1], right[-2::-1], params)
+    # hop i joins sub[i] and sub[i + 1]; |a - b| == |b - a| exactly
+    hop_tx = tx_cost(params, k, hop_lengths(positions[sub[1:]], positions[sub[:-1]]))
+    ledger.tx[sub[:leader_pos]] = hop_tx[:leader_pos]        # left side sends rightward
+    ledger.tx[sub[leader_pos + 1:]] = hop_tx[leader_pos:]    # right side sends leftward
+    # an interior leader receives from both sides
+    receivers = np.concatenate((sub[1:leader_pos + 1], sub[leader_pos:-1]))
+    np.add.at(ledger.rx, receivers, float(params.e_elec * k))
+    np.add.at(ledger.fuse, receivers, float(params.e_fuse * k))
 
-    ledger.fuse[leader] += params.e_fuse * k
-    d_sink = float(np.linalg.norm(positions[leader] - np.asarray(sink, dtype=float)))
-    ledger.tx[leader] += tx_energy(params, k, d_sink)
+    _leader_to_sink(ledger, int(sub[leader_pos]), positions, sink, params)
     return ledger, max(leader_pos, m - 1 - leader_pos)
 
 
@@ -136,33 +171,43 @@ def pegasis_cdma_round(chain: Chain, alive, leader_seed: int, positions, sink,
     in-network transmissions happen (under distinct codes, one slot per
     level) before the leader tops out and transmits to the sink.
     """
-    positions = np.asarray(positions, dtype=float)
+    positions, alive = _node_arrays(positions, alive)
     sub = _alive_subchain(chain, alive)
-    if not sub:
-        raise ValueError("need at least one alive node")
-    m = len(sub)
-    leader = sub[int(make_rng(leader_seed).integers(m))]
+    leader_pos = int(make_rng(leader_seed).integers(sub.size))
     k = params.packet_bits
     ledger = EnergyLedger.empty(len(positions))
 
-    active = np.asarray(sub, dtype=int)
+    # every node sends at most once and receptions add equal constants, so
+    # the pairs of all levels can be debited together
+    active = sub.tolist()
+    senders: list[int] = []
+    receivers: list[int] = []
     levels = 0
-    while active.size > 1:
-        paired = active[: active.size - (active.size % 2)]
-        first, second = paired[0::2], paired[1::2]
-        receivers = np.where(second == leader, second, first)
-        senders = np.where(second == leader, first, second)
-        _debit_hops(ledger, positions, senders, receivers, params)
-        rising = [receivers]
-        if active.size % 2:
-            rising.append(active[-1:])
-        active = np.concatenate(rising)
+    while len(active) > 1:
+        paired = len(active) & ~1
+        first, second = active[0:paired:2], active[1:paired:2]
+        if leader_pos % 2:
+            # the leader is the second of its pair: it receives instead
+            i = leader_pos // 2
+            first[i], second[i] = second[i], first[i]
+        receivers += first
+        senders += second
+        active = first + active[paired:]
+        leader_pos //= 2
         levels += 1
 
-    ledger.fuse[leader] += params.e_fuse * k
-    d_sink = float(np.linalg.norm(positions[leader] - np.asarray(sink, dtype=float)))
-    ledger.tx[leader] += tx_energy(params, k, d_sink)
+    s, r = np.array(senders, dtype=np.int64), np.array(receivers, dtype=np.int64)
+    ledger.tx[s] = tx_cost(params, k, hop_lengths(positions[s], positions[r]))
+    np.add.at(ledger.rx, r, float(params.e_elec * k))
+    np.add.at(ledger.fuse, r, float(params.e_fuse * k))
+
+    _leader_to_sink(ledger, active[0], positions, sink, params)
     return ledger, levels
+
+
+# members per block of the nearest-head search are chosen so that a block's
+# distance array holds about this many entries, whatever the head count
+NEAREST_HEAD_BLOCK = 1 << 16
 
 
 def leach_elect(positions, alive, round_index: int, p_head: float, seed: int,
@@ -175,15 +220,14 @@ def leach_elect(positions, alive, round_index: int, p_head: float, seed: int,
     the expected head count p_head * n every round and forces the remaining
     eligibles to elect in the epoch's last round. The draw is repeated until
     at least one head exists. Members join their nearest head (ties to the
-    lower head id). Returns the assignment and the updated served set, which
-    the caller carries between rounds.
+    lower head id), searched over blocks of members so that memory stays
+    O(n) beyond a fixed-size block. Returns the assignment and the updated
+    served set, which the caller carries between rounds.
     """
     if not 0 < p_head <= 1:
         raise ValueError("p_head must be in (0, 1]")
-    positions = np.asarray(positions, dtype=float)
-    alive = np.asarray(alive, dtype=bool)
-    alive_ids = np.flatnonzero(alive)
-    if alive_ids.size == 0:
+    positions, alive = _node_arrays(positions, alive)
+    if not alive.any():
         raise ValueError("need at least one alive node")
 
     epoch = math.ceil(1 / p_head)
@@ -192,27 +236,37 @@ def leach_elect(positions, alive, round_index: int, p_head: float, seed: int,
         served = frozenset()
     threshold = p_head / (1 - p_head * r)
 
-    eligible = np.array([u for u in alive_ids if int(u) not in served], dtype=int)
+    served_ids = list(served)
+    if served_ids and (min(served_ids) < 0 or max(served_ids) >= len(alive)):
+        raise ValueError(f"served ids must be node ids below {len(alive)}")
+    pool = alive.copy()
+    pool[served_ids] = False
+    eligible = np.flatnonzero(pool)
     if eligible.size == 0:
         # deaths can exhaust the pool mid-epoch; start a fresh epoch early
         served = frozenset()
-        eligible = alive_ids.astype(int)
+        eligible = np.flatnonzero(alive)
 
     rng = make_rng(seed)
     heads = eligible[rng.random(eligible.size) < threshold]
     while heads.size == 0:
         heads = eligible[rng.random(eligible.size) < threshold]
-    heads = np.sort(heads)
-    served = served | frozenset(int(h) for h in heads)
+    head_list = heads.tolist()
+    served = served.union(head_list)
 
-    head_set = frozenset(int(h) for h in heads)
-    member_ids = np.array([u for u in alive_ids if int(u) not in head_set], dtype=int)
-    membership: dict[int, int] = {}
-    if member_ids.size:
-        diff = positions[member_ids][:, None, :] - positions[heads][None, :, :]
-        nearest = np.argmin((diff * diff).sum(axis=-1), axis=1)
-        membership = {int(u): int(heads[j]) for u, j in zip(member_ids, nearest)}
-    return ClusterAssignment(head_set, membership), served
+    pool = alive.copy()
+    pool[heads] = False
+    member_ids = np.flatnonzero(pool)
+    nearest = np.empty(member_ids.size, dtype=np.int64)
+    hx, hy = positions[heads, 0], positions[heads, 1]
+    mx, my = positions[member_ids, 0], positions[member_ids, 1]
+    rows = max(1, NEAREST_HEAD_BLOCK // heads.size)
+    for lo in range(0, member_ids.size, rows):
+        dx = mx[lo:lo + rows, None] - hx
+        dy = my[lo:lo + rows, None] - hy
+        nearest[lo:lo + rows] = (dx * dx + dy * dy).argmin(axis=1)
+    membership = dict(zip(member_ids.tolist(), heads[nearest].tolist()))
+    return ClusterAssignment(frozenset(head_list), membership), served
 
 
 def leach_round(assignment: ClusterAssignment, positions, sink,
@@ -229,35 +283,38 @@ def leach_round(assignment: ClusterAssignment, positions, sink,
         raise ValueError("assignment must have at least one head")
     positions = np.asarray(positions, dtype=float)
     sink = np.asarray(sink, dtype=float)
+    n = len(positions)
     k = params.packet_bits
-    ledger = EnergyLedger.empty(len(positions))
+    ledger = EnergyLedger.empty(n)
 
-    heads = np.array(sorted(assignment.heads), dtype=int)
-    counts = dict.fromkeys(assignment.heads, 0)
-    if assignment.membership:
-        members = np.array(sorted(assignment.membership), dtype=int)
-        their_heads = np.array([assignment.membership[int(u)] for u in members], dtype=int)
-        d = np.linalg.norm(positions[members] - positions[their_heads], axis=1)
-        ledger.tx[members] = params.e_elec * k + params.eps_amp * k * d * d
+    head_list = sorted(assignment.heads)
+    member_list = sorted(assignment.membership)
+    # every member's head is a head (checked by ClusterAssignment), so the
+    # extremes of both sorted lists bound every id
+    ends = (head_list[0], head_list[-1], *member_list[:1], *member_list[-1:])
+    if min(ends) < 0 or max(ends) >= n:
+        raise ValueError(f"cluster ids must be node ids below {n}")
+    heads = np.array(head_list)
+    count_arr = np.zeros(len(head_list), dtype=np.int64)
+    if member_list:
+        members = np.array(member_list)
+        their_heads = np.array(list(map(assignment.membership.__getitem__, member_list)))
+        ledger.tx[members] = tx_cost(params, k, hop_lengths(positions[members],
+                                                              positions[their_heads]))
         np.add.at(ledger.rx, their_heads, float(params.e_elec * k))
-        for h in their_heads:
-            counts[int(h)] += 1
+        count_arr = np.bincount(their_heads, minlength=n)[heads]
 
-    count_arr = np.array([counts[int(h)] for h in heads])
     ledger.fuse[heads] = params.e_fuse * k * (count_arr + 1)
-    d_sink = np.linalg.norm(positions[heads] - sink, axis=1)
-    ledger.tx[heads] += params.e_elec * k + params.eps_amp * k * d_sink * d_sink
+    ledger.tx[heads] += tx_cost(params, k, hop_lengths(positions[heads], sink))
     return ledger, int(count_arr.max()) + len(heads)
 
 
 def direct_round(alive, positions, sink, params: RadioParams) -> tuple[EnergyLedger, int]:
     """Every alive node transmits straight to the sink, one slot each."""
-    alive = np.asarray(alive, dtype=bool)
+    positions, alive = _node_arrays(positions, alive)
     ledger = EnergyLedger.empty(len(alive))
     ids = np.flatnonzero(alive)
     if ids.size:
-        positions = np.asarray(positions, dtype=float)
-        d = np.linalg.norm(positions[ids] - np.asarray(sink, dtype=float), axis=1)
-        k = params.packet_bits
-        ledger.tx[ids] = params.e_elec * k + params.eps_amp * k * d * d
+        d = hop_lengths(positions[ids], np.asarray(sink, dtype=float))
+        ledger.tx[ids] = tx_cost(params, params.packet_bits, d)
     return ledger, int(ids.size)

@@ -31,11 +31,29 @@ class RadioParams:
             raise ValueError("packet_bits must be >= 1")
 
 
+def tx_cost(params: RadioParams, bits: int, distance):
+    """Energy to transmit ``bits`` over ``distance`` meters, elementwise.
+
+    The one transmit-cost formula: ``distance`` may be a number or an array
+    of hop lengths, and nothing is validated.
+    """
+    return params.e_elec * bits + params.eps_amp * bits * distance * distance
+
+
+def hop_lengths(a, b) -> np.ndarray:
+    """Row-wise Euclidean distances between positions ``a`` and ``b``.
+
+    The values ``np.linalg.norm(a - b, axis=1)`` gives, without its overhead.
+    """
+    diff = a - b
+    return np.sqrt(np.add.reduce(diff * diff, axis=1))
+
+
 def tx_energy(params: RadioParams, bits: int, distance: float) -> float:
     """Energy to transmit ``bits`` over ``distance`` meters."""
     if bits < 0 or distance < 0:
         raise ValueError("bits and distance must be >= 0")
-    return params.e_elec * bits + params.eps_amp * bits * distance * distance
+    return tx_cost(params, bits, distance)
 
 
 def rx_energy(params: RadioParams, bits: int) -> float:
@@ -94,11 +112,8 @@ def tree_round_energy(tree: GatherTree, positions, sink, params: RadioParams) ->
 
     non_root = np.flatnonzero(tree.parent >= 0)
     parents = tree.parent[non_root]
-    diff = positions[non_root] - positions[parents]
-    # the expression np.linalg.norm(diff, axis=1) evaluates, without its overhead
-    d = np.sqrt(np.add.reduce(diff * diff, axis=1))
     tx = np.zeros(n)
-    tx[non_root] = params.e_elec * k + params.eps_amp * k * d * d
+    tx[non_root] = tx_cost(params, k, hop_lengths(positions[non_root], positions[parents]))
     # the root-to-sink hop keeps norm's 1-D path (a dot product): a hand-written
     # sum of squares can differ from it in the last bit
     d_sink = float(np.linalg.norm(positions[tree.root] - np.asarray(sink, dtype=float)))

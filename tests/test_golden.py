@@ -4,7 +4,9 @@ The first two hashes were recorded before the EMLN round layers were
 vectorised, from the loop implementations kept in tests/reference_emln.py.
 The third was recorded before the graph and the chain moved from all-pairs
 arrays to a grid of cells, from the dense versions kept in
-tests/reference_network.py. Criterion 11 only
+tests/reference_network.py. The four energy-exhausted baseline hashes were
+recorded before the LEACH and PEGASIS rounds moved from per-node loops to
+arrays, from the versions kept in tests/reference_baselines.py. Criterion 11 only
 compares two runs of the same code; these pin the output across versions.
 Change a hash only together with a stated reason for the new output.
 """
@@ -31,6 +33,18 @@ GOLDEN = {
          "--initial-energy", "0.05", "--seed", "1"],
         "7f73cbf725db2beb0d88d68fb064f77c602d8b2a48301708a6b5bdd127509ebe"),
 }
+# rounds after the first death: the alive sub-chain shrinks and the LEACH
+# eligible pool resets early
+EXHAUSTED = ["--per-round", "--stop-rule", "energy-exhausted", "--trials", "2",
+             "--initial-energy", "0.05", "--seed", "7"]
+GOLDEN.update({
+    f"{protocol}-exhausted": (["--protocol", protocol] + EXHAUSTED, digest)
+    for protocol, digest in (
+        ("leach", "d7e84531853682020d8193dd57987c0a7e039ee4b0d822bebd811c3f251551e4"),
+        ("pegasis-tdma", "8a705bec1fc0bdfe014f0aef891bd9a4f5dcb27f259fffa3a264b9eeea1fd710"),
+        ("pegasis-cdma", "61db18ce764137006037b58586deaeb07e4de9c99b6c64f2e59fb670b4eaa2d8"),
+        ("direct", "839c541bdd316544acc1217c42f7c1612e092f469ec6ec779687ce10b4c9bfe7"))
+})
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -7,11 +7,14 @@ it; the explicit examples make sure the non-finite ones are always tried.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gathersim import FieldConfig, NodeState, RadioParams, SimConfig, build_graph, read_placement
+from gathersim import (Chain, ClusterAssignment, FieldConfig, NodeState, RadioParams, SimConfig,
+                       build_graph, direct_round, leach_elect, leach_round, pegasis_cdma_round,
+                       pegasis_tdma_round, read_placement)
 from gathersim.cli import main
 
 
@@ -126,3 +129,59 @@ def test_build_graph_rejects_nan_range_and_coordinates_spanning_past_the_float_r
     far = [NodeState(0, (-1e308, 0.0), 1.0), NodeState(1, (1e308, 0.0), 1.0)]
     with pytest.raises(ValueError, match="span more than the float range"):
         build_graph(far, 25.0)
+
+
+BASELINE_POSITIONS = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [30.0, 0.0]])
+BASELINE_SINK = (50.0, 300.0)
+
+
+@pytest.mark.parametrize("heads, membership, match", [
+    ({0}, {1: 2}, "must be one of the heads"),           # the head of node 1 is no head
+    ({0, 1}, {1: 0, 2: 0}, "cannot also be a member"),   # node 1 would pay twice
+])
+def test_cluster_assignment_rejects_inconsistent_roles(heads, membership, match):
+    with pytest.raises(ValueError, match=match):
+        ClusterAssignment(frozenset(heads), membership)
+
+
+@pytest.mark.parametrize("heads, membership", [
+    ({4}, {}), ({-1}, {}), ({0}, {4: 0}), ({0}, {-1: 0}), ({3}, {0: 3, 9: 3})])
+def test_leach_round_rejects_ids_outside_the_node_range(heads, membership):
+    assignment = ClusterAssignment(frozenset(heads), membership)
+    with pytest.raises(ValueError, match="node ids below 4"):
+        leach_round(assignment, BASELINE_POSITIONS, BASELINE_SINK, RadioParams())
+
+
+@pytest.mark.parametrize("order", [(0, 0, 0, 0), (1, 2, 1), (0, -1)])
+def test_chain_rejects_repeated_or_negative_ids(order):
+    with pytest.raises(ValueError, match="distinct non-negative"):
+        Chain(order)
+
+
+@pytest.mark.parametrize("alive", [[True] * 3, [True] * 5])
+def test_baselines_reject_alive_flags_of_another_length(alive):
+    chain = Chain((0, 1, 2, 3))
+    calls = (
+        lambda: leach_elect(BASELINE_POSITIONS, alive, 0, 0.5, 1),
+        lambda: pegasis_tdma_round(chain, alive, 1, BASELINE_POSITIONS, BASELINE_SINK,
+                                   RadioParams()),
+        lambda: pegasis_cdma_round(chain, alive, 1, BASELINE_POSITIONS, BASELINE_SINK,
+                                   RadioParams()),
+        lambda: direct_round(alive, BASELINE_POSITIONS, BASELINE_SINK, RadioParams()),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="expected 4 alive flags"):
+            call()
+
+
+@pytest.mark.parametrize("served", [{4}, {-1}, {0, 9}])
+def test_leach_elect_rejects_served_ids_outside_the_node_range(served):
+    with pytest.raises(ValueError, match="served ids must be node ids below 4"):
+        leach_elect(BASELINE_POSITIONS, [True] * 4, 1, 0.5, 1, frozenset(served))
+
+
+def test_pegasis_rejects_chain_ids_beyond_the_node_count():
+    chain = Chain((0, 1, 2, 3, 4))
+    for round_fn in (pegasis_tdma_round, pegasis_cdma_round):
+        with pytest.raises(ValueError, match="below the node count"):
+            round_fn(chain, [True] * 4, 1, BASELINE_POSITIONS, BASELINE_SINK, RadioParams())
