@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .network import _pairs_within
 from .radio import EnergyLedger, RadioParams, hop_lengths, tx_cost, tx_energy
 from .seeding import make_rng
 
@@ -59,6 +60,47 @@ class ClusterAssignment:
             raise ValueError("every member's head must be one of the heads")
 
 
+# Neighbour lists are built only while the grid search behind them meets at
+# most this many candidate pairs per node (about 18 for uniform nodes), so a
+# clumped layout costs the plain scan's time, not O(n^2) memory.
+CHAIN_CANDIDATES_PER_NODE = 64
+
+
+def _neighbour_lists(pos: np.ndarray):
+    """Per-node lists of the nodes strictly closer than sqrt(R*R), nearest first.
+
+    R = 2 sqrt(box area / node count), about twice the mean spacing. Node i's
+    list is ``nbrs[bounds[i]:bounds[i + 1]]``, ordered by the float
+    sqrt(dx*dx + dy*dy), then by index. All lists are empty for one node, a
+    box of zero area, a span past the float range, or too many candidates.
+    """
+    n = len(pos)
+    x, y = pos[:, 0], pos[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # a span past the float range
+        radius = 2.0 * math.sqrt((x.max() - x.min()) * (y.max() - y.min()) / n)
+    no_lists = [0] * (n + 1), []
+    if not 0.0 < radius * radius < math.inf:
+        return no_lists
+    try:
+        a, b = _pairs_within(pos, radius, CHAIN_CANDIDATES_PER_NODE * n)
+    except ValueError:
+        return no_lists
+    dx, dy = x[b] - x[a], y[b] - y[a]  # x[a] - x[b] squares to the same float
+    d = np.sqrt(dx * dx + dy * dy)
+    # keep what is strictly nearer than any node left out (at least sqrt(R*R) away)
+    near = d < math.sqrt(radius * radius)
+    owner, other = np.concatenate((a[near], b[near])), np.concatenate((b[near], a[near]))
+    d = np.tile(d[near], 2)
+    # by owner, then distance: rank the distances, then one integer sort
+    rank = np.empty(d.size, dtype=np.int64)
+    rank[np.argsort(d)] = np.arange(d.size)
+    order = np.argsort(owner * d.size + rank)
+    if ((np.diff(owner[order]) == 0) & (np.diff(d[order]) == 0)).any():
+        order = np.lexsort((other, d, owner))  # equal distances in one list: by index
+    bounds = np.searchsorted(owner[order], np.arange(n + 1))
+    return memoryview(bounds), memoryview(other[order])
+
+
 def build_chain(positions, sink, alive=None) -> Chain:
     """Chain the nodes greedily, starting from the one farthest from the sink.
 
@@ -66,40 +108,47 @@ def build_chain(positions, sink, alive=None) -> Chain:
     ties break toward the lower id. Each node appears exactly once. Hop
     lengths tend to grow toward the end of the chain, since the greedy rule
     leaves the stragglers for last.
+
+    Neighbour lists with a fallback search (Bentley, "Fast algorithms for
+    geometric traveling salesman problems", 1992): the first unvisited entry
+    of the current node's list is the nearest unvisited node, since every
+    node left out of the list is farther. When the list has none, one exact
+    scan of the unvisited nodes decides. Both compare the floats
+    sqrt(dx*dx + dy*dy), so the chain is the one a scan at every step gives.
     """
     positions = np.asarray(positions, dtype=float)
     alive = np.ones(len(positions), dtype=bool) if alive is None else np.asarray(alive, dtype=bool)
     ids = np.flatnonzero(alive)
     if ids.size == 0:
         raise ValueError("need at least one alive node")
-    if not np.isfinite(positions[ids]).all():
+    pos = positions[ids]  # local index i is node ids[i]: lower index, lower id
+    if not np.isfinite(pos).all():
         raise ValueError("alive node positions must be finite")
     sink = np.asarray(sink, dtype=float)
-    first = int(np.argmax(np.linalg.norm(positions[ids] - sink, axis=1)))
+    first = int(np.argmax(np.linalg.norm(pos - sink, axis=1)))
 
-    # one entry per alive node in id order, so argmin ties go to the lower id;
-    # a visited node's x is set to inf, which puts it at distance inf
-    x, y = positions[ids, 0].copy(), positions[ids, 1].copy()
-    dx, dy = np.empty_like(x), np.empty_like(y)
+    bounds, nbrs = _neighbour_lists(pos)
+    x, y = pos[:, 0], pos[:, 1]
+    visited = bytearray(ids.size)
+    rest = np.arange(ids.size)  # a superset of the unvisited nodes, in id order
     steps = [first]
+    cur = first
     for _ in range(ids.size - 1):
-        last = steps[-1]
-        here_x, here_y = x[last], y[last]
-        x[last] = np.inf
-        # sqrt(dx*dx + dy*dy) is what np.linalg.norm(..., axis=1) computes
-        np.subtract(x, here_x, out=dx)
-        np.subtract(y, here_y, out=dy)
-        np.multiply(dx, dx, out=dx)
-        np.multiply(dy, dy, out=dy)
-        np.add(dx, dy, out=dx)
-        np.sqrt(dx, out=dx)
-        nxt = int(dx.argmin())
-        if dx[nxt] == np.inf:
-            # every unvisited distance overflowed: take the lowest unvisited id
-            nxt = int(np.isfinite(x).argmax())
-        steps.append(nxt)
-    order = ids[steps].tolist()
-    return Chain(tuple(order))
+        visited[cur] = True
+        for k in range(bounds[cur], bounds[cur + 1]):
+            if not visited[nbrs[k]]:
+                cur = nbrs[k]
+                break
+        else:
+            rest = rest[~np.frombuffer(visited, dtype=bool)[rest]]
+            # sqrt(dx*dx + dy*dy) is what np.linalg.norm(..., axis=1) computes
+            dx, dy = x[rest] - x[cur], y[rest] - y[cur]
+            dist = np.sqrt(dx * dx + dy * dy)
+            best = int(dist.argmin())
+            # if every distance overflowed, take the lowest unvisited id
+            cur = int(rest[best if dist[best] < np.inf else 0])
+        steps.append(cur)
+    return Chain(tuple(ids[steps].tolist()))
 
 
 def _node_arrays(positions, alive) -> tuple[np.ndarray, np.ndarray]:

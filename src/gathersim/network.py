@@ -52,10 +52,8 @@ def deploy(config: FieldConfig, seed: int, initial_energy: float = 1.0) -> list[
         raise ValueError("initial_energy must be >= 0")
     rng = make_rng(seed)
     coords = rng.random((config.node_count, 2)) * np.array([config.width, config.height])
-    return [
-        NodeState(i, (float(x), float(y)), float(initial_energy))
-        for i, (x, y) in enumerate(coords)
-    ]
+    energy = float(initial_energy)
+    return [NodeState(i, (x, y), energy) for i, (x, y) in enumerate(coords.tolist())]
 
 
 def positions_of(nodes: Sequence[NodeState]) -> np.ndarray:
@@ -118,7 +116,8 @@ CELL_MARGIN = 1e-6
 MAX_CELLS_PER_AXIS = 2**26
 
 
-def _pairs_within(pos: np.ndarray, range_m: float) -> tuple[np.ndarray, np.ndarray]:
+def _pairs_within(pos: np.ndarray, range_m: float,
+                  max_candidates: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j), each unordered pair once, with |pos[i] - pos[j]| <= range_m.
 
     Fixed-radius near neighbours on a uniform grid (Bentley, Stanat and
@@ -127,7 +126,8 @@ def _pairs_within(pos: np.ndarray, range_m: float) -> tuple[np.ndarray, np.ndarr
     cells. Candidates come from a node's own cell and four "half" neighbour
     cells, so each unordered pair is produced exactly once, and each is kept
     iff dx*dx + dy*dy <= range_m**2, the same float test as a dense
-    comparison of all pairs.
+    comparison of all pairs. Raises ValueError, before the candidates are
+    allocated, if there are more than ``max_candidates`` of them.
     """
     with np.errstate(over="ignore"):  # an overflowing span is rejected below
         offset = pos - pos.min(axis=0, initial=np.inf)
@@ -151,9 +151,12 @@ def _pairs_within(pos: np.ndarray, range_m: float) -> tuple[np.ndarray, np.ndarr
         stops.append(np.searchsorted(key, key + step, side="right"))
     starts, stops = np.concatenate(starts), np.concatenate(stops)
     counts = stops - starts
+    total = int(counts.sum())
+    if total > max_candidates:
+        raise ValueError(f"{total} candidate pairs, more than {max_candidates}")
     # candidate k of a run is starts + k: subtract each run's offset in the output
     first = np.repeat(np.tile(owner, 5), counts)
-    second = np.arange(int(counts.sum())) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    second = np.arange(total) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
     x, y = pos[order, 0], pos[order, 1]
     dx = x[first] - x[second]

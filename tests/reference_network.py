@@ -4,7 +4,7 @@
 O(n^2) implementations, copied unchanged except that ``build_graph`` no
 longer seeds a dense-matrix cache on the snapshot (the snapshot has none) and
 ``is_connected`` builds its dense matrix from the adjacency lists itself. The
-grid-cell versions in ``gathersim.network`` and the buffered chain in
+grid-cell versions in ``gathersim.network`` and the neighbour-list chain in
 ``gathersim.baselines`` must match them exactly
 (tests/test_network_reference.py).
 """

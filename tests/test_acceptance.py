@@ -8,9 +8,11 @@ deployments. Two worker processes keep the whole module within a few
 minutes.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,6 +358,10 @@ def test_criterion_10_oracle_equivalence(emln_experiments, baseline_experiments)
 
 def test_criterion_11_byte_identical_csv(tmp_path):
     args = ["--nodes", "60", "--trials", "3", "--max-rounds", "60", "--seed", "7"]
+    # the child imports the same gathersim as this process, installed or not
+    src = str(Path(gs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     outs = []
     for tag in ("a", "b"):
         agg = tmp_path / f"agg_{tag}.csv"
@@ -364,7 +370,7 @@ def test_criterion_11_byte_identical_csv(tmp_path):
                 [], agg), (["--per-round"], rounds)):
             proc = subprocess.run(
                 [sys.executable, "-m", "gathersim.cli", *args, *extra, "--out", str(path)],
-                capture_output=True, text=True, timeout=600)
+                capture_output=True, text=True, timeout=600, env=env)
             assert proc.returncode == 0, proc.stderr
         outs.append((agg.read_bytes(), rounds.read_bytes()))
     check(11, [

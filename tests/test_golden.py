@@ -6,7 +6,10 @@ The third was recorded before the graph and the chain moved from all-pairs
 arrays to a grid of cells, from the dense versions kept in
 tests/reference_network.py. The four energy-exhausted baseline hashes were
 recorded before the LEACH and PEGASIS rounds moved from per-node loops to
-arrays, from the versions kept in tests/reference_baselines.py. Criterion 11 only
+arrays, from the versions kept in tests/reference_baselines.py. The two
+2,000-node PEGASIS hashes were recorded before the greedy chain moved from a
+scan of every alive node at every step to neighbour lists, from the scan kept
+in tests/reference_network.py. Criterion 11 only
 compares two runs of the same code; these pin the output across versions.
 Change a hash only together with a stated reason for the new output.
 """
@@ -44,6 +47,18 @@ GOLDEN.update({
         ("pegasis-tdma", "8a705bec1fc0bdfe014f0aef891bd9a4f5dcb27f259fffa3a264b9eeea1fd710"),
         ("pegasis-cdma", "61db18ce764137006037b58586deaeb07e4de9c99b6c64f2e59fb670b4eaa2d8"),
         ("direct", "839c541bdd316544acc1217c42f7c1612e092f469ec6ec779687ce10b4c9bfe7"))
+})
+
+# 2,000 nodes at the default density: the greedy chain takes about 2,000
+# steps, so a neighbour-list chain that picks one wrong node shows here
+LARGE = ["--per-round", "--nodes", "2000", "--width", "447.2", "--height", "447.2",
+         "--sink-x", "223.6", "--sink-y", "647.2", "--trials", "2",
+         "--initial-energy", "0.2", "--seed", "3"]
+GOLDEN.update({
+    f"{protocol}-2000": (["--protocol", protocol] + LARGE, digest)
+    for protocol, digest in (
+        ("pegasis-tdma", "17ac4356542b3d1b53913dda173f3afbada8544dc05074ed5589814ac779b271"),
+        ("pegasis-cdma", "72ec2d5bcb4d7128776da64d1dbf3e71a5785fcb37917d5419ba376172e921a0"))
 })
 
 

@@ -1,5 +1,5 @@
-"""The grid-cell graph, the frontier connectivity test and the buffered chain
-against their dense all-pairs reference.
+"""The grid-cell graph, the frontier connectivity test and the neighbour-list
+chain against their dense all-pairs reference.
 
 ``build_graph``, ``is_connected`` and ``build_chain`` must give exactly what
 the O(n^2) versions in tests/reference_network.py give: the same adjacency
@@ -7,7 +7,10 @@ tuples, the same connectivity verdict and the same chain order. The cases
 cover seeded deployments at three ranges with and without dead nodes,
 lattices whose pairs sit exactly at the range and on cell edges, coincident
 points, a range longer than the field's diagonal, a non-square field, a
-single node and one 2,000-node deployment.
+single node and one 2,000-node deployment. The chain has cases of its own:
+collinear and coincident nodes (no neighbour lists), two nodes, dead nodes
+at 2,000 nodes, clumps whose lists run out, a candidate exactly at the list
+radius and an 8,000-node deployment.
 """
 
 import dataclasses
@@ -20,6 +23,7 @@ import reference_network as ref
 
 from gathersim import (FieldConfig, NetworkSnapshot, NodeState, build_chain, build_graph,
                        deploy, derive_seed, is_connected, positions_of)
+from gathersim.baselines import _neighbour_lists
 
 SINK = (50.0, 300.0)
 
@@ -171,3 +175,106 @@ def test_graph_of_20000_nodes_stays_far_below_the_dense_footprint():
     assert isinstance(connected, bool)
     assert 15.0 < graph.degrees.mean() < 21.0
     assert peak < 128 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def assert_chain_matches_reference(positions, sink=SINK, alive=None):
+    positions = np.asarray(positions, dtype=float)
+    chain = build_chain(positions, sink, alive)
+    assert chain.order == ref.build_chain(positions, sink, alive).order
+    return chain
+
+
+def list_radius(points):
+    # the radius build_chain gives its neighbour lists, for all nodes alive
+    width, height = np.ptp(points, axis=0)
+    return 2.0 * np.sqrt(width * height / len(points))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_chain_of_collinear_nodes(seed):
+    rng = np.random.default_rng(seed)
+    t = np.round(rng.random(300) * 400) / 4  # repeated values give ties
+    # a horizontal line spans a box of zero area; a sloped one does not
+    assert_chain_matches_reference(np.stack([t, np.full_like(t, 20.0)], axis=1))
+    assert_chain_matches_reference(np.stack([t, 0.5 * t + 3.0], axis=1))
+
+
+def test_chain_of_coincident_nodes():
+    chain = assert_chain_matches_reference(np.full((50, 2), 7.5))
+    assert chain.order == tuple(range(50))
+
+
+def test_chain_of_two_nodes():
+    assert assert_chain_matches_reference([(10.0, 10.0), (20.0, 15.0)]).order == (0, 1)
+    assert assert_chain_matches_reference([(10.0, 300.0), (20.0, 15.0)]).order == (1, 0)
+    assert assert_chain_matches_reference([(5.0, 5.0), (5.0, 5.0)]).order == (0, 1)
+
+
+def test_chain_of_2000_nodes_with_dead_ones():
+    field = FieldConfig(width=447.2, height=447.2, node_count=2000, sink_position=(223.6, 647.2))
+    nodes = with_dead(deploy(field, 4), 4)
+    alive = np.array([n.alive for n in nodes])
+    assert 0.15 < 1 - alive.mean() < 0.25
+    assert_chain_matches_reference(positions_of(nodes), field.sink_position, alive)
+
+
+def test_chain_across_clumps_far_apart():
+    # three clumps of 400 nodes, each 50 m wide, 150 m apart: the lists cover
+    # the clumps, and only the scan can step from a used-up clump to the next
+    rng = np.random.default_rng(8)
+    clumps = [rng.random((400, 2)) * 50 + (0, 200 * k) for k in range(3)]
+    points = np.concatenate(clumps)[rng.permutation(1200)]
+    assert len(_neighbour_lists(points)[1]) > 0
+    chain = assert_chain_matches_reference(points, sink=(25.0, 1000.0))
+    hops = np.hypot(*np.diff(points[list(chain.order)], axis=0).T)
+    assert (hops > 150).sum() >= 2
+
+
+def test_chain_of_one_tight_clump_uses_the_scan_in_little_memory():
+    # 2,000 nodes within 1 m and one node 1 km away: the list radius spans
+    # the whole clump, about 2 million candidate pairs, so there are no lists
+    rng = np.random.default_rng(9)
+    points = np.concatenate([rng.random((2000, 2)), [(1000.0, 1000.0)]])
+    assert len(_neighbour_lists(points)[1]) == 0
+    tracemalloc.start()
+    try:
+        chain = build_chain(points, (0.0, 2000.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chain.order == ref.build_chain(points, (0.0, 2000.0)).order
+    assert chain.order[-1] == 2000
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_chain_candidate_exactly_at_the_list_radius():
+    # corners (0, 0) and (4, 4) bound a 4 x 4 box over 16 nodes: radius 2.
+    # Node 2 is at distance exactly 2 from the start, node 0, so the grid
+    # search finds it; node 1 is at sqrt(4 + 2**-50), just outside the
+    # search, but that distance also rounds to 2. The tie goes to the lower
+    # id, node 1, which a list holding node 2 would miss.
+    points = [(0.0, 0.0), (2.0**-25, 2.0), (2.0, 0.0), (4.0, 0.0), (0.0, 4.0), (4.0, 4.0)]
+    points += [(3.0 + 0.1 * i, 3.5 - 0.2 * i) for i in range(10)]
+    points = np.array(points)
+    assert list_radius(points) == 2.0
+    assert np.hypot(*points[1]) == np.hypot(*points[2]) == 2.0
+    chain = assert_chain_matches_reference(points, sink=(100.0, 100.0))
+    assert chain.order[:2] == (0, 1)
+
+
+def test_chain_of_8000_nodes():
+    field = FieldConfig(width=894.4, height=894.4, node_count=8000, sink_position=(447.2, 1094.4))
+    assert_chain_matches_reference(positions_of(deploy(field, 6)), field.sink_position)
+
+
+def test_chain_of_20000_nodes_stays_small():
+    field = FieldConfig(width=1414.0, height=1414.0, node_count=20_000)
+    positions = positions_of(deploy(field, 3))
+    tracemalloc.start()
+    try:
+        chain = build_chain(positions, (707.0, 1614.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sorted(chain.order) == list(range(20_000))
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
