@@ -18,8 +18,7 @@ nodes = gs.deploy(field, seed=SEED)
 graph = gs.build_graph(nodes, range_m=25.0)
 
 print(f"deployed {field.node_count} nodes, transmission range 25 m")
-degrees = [len(nbrs) for nbrs in graph.adjacency]
-print(f"mean degree {np.mean(degrees):.2f}, connected: {gs.is_connected(graph)}")
+print(f"mean degree {graph.degrees.mean():.2f}, connected: {gs.is_connected(graph)}")
 
 tree = gs.construct_tree(graph, gs.energies_of(nodes), tie_seed=SEED)
 assert tree is not None, "this seed gives a connected deployment"

@@ -1,51 +1,68 @@
 #!/usr/bin/env python3
-"""Time the structure-building layers on large deployments.
+"""Time the structure-building layers and round 1 of every protocol on large deployments.
 
-Runs one call each of ``deploy``, ``build_graph``, ``construct_tree``,
-``leach_elect`` and ``build_chain`` at the default density (100 nodes per
-hectare, a square field, the sink 200 m beyond the middle of the top edge)
-and range 25 m, for 2,000, 8,000 and 20,000 nodes. One call per layer is a
-single sample: on a busy host, run the script a few times and take the
-smaller figures. Pass node counts as arguments to time others, for example
-``python demos/05_large_n_layers.py 500 2000``.
+Runs round 1 of all five protocols once at the default density (100 nodes
+per hectare, a square field, the sink 200 m beyond the middle of the top
+edge) and range 25 m, for 2,000, 8,000 and 20,000 nodes. It prints the time
+of ``deploy``, ``build_graph``, ``is_connected``, ``construct_tree``,
+``leach_elect`` and ``build_chain``, and the total of round 1 for all five
+protocols: every layer above plus each protocol's round function. One call
+per layer is a single sample: on a busy host, run the script a few times
+and take the smaller figures. Pass node counts as arguments to time others,
+for example ``python demos/05_large_n_layers.py 500 2000``.
 """
 
 import math
 import sys
 from time import perf_counter
 
-import numpy as np
+from gathersim import (FieldConfig, RadioParams, build_chain, build_graph, compute_delay,
+                       construct_tree, deploy, direct_round, energies_of, is_connected,
+                       leach_elect, leach_round, pegasis_cdma_round, pegasis_tdma_round,
+                       positions_of, tree_round_energy)
 
-from gathersim import (FieldConfig, build_chain, build_graph, construct_tree, deploy,
-                       leach_elect, positions_of)
-
-
-def timed(fn, *args):
-    t0 = perf_counter()
-    result = fn(*args)
-    return result, perf_counter() - t0
+LAYERS = ("deploy", "build_graph", "is_connected", "construct_tree", "leach_elect",
+          "build_chain")
 
 
 def survey(n):
-    """Time each layer once on n nodes; return the times and the promotions."""
+    """Run round 1 of every protocol on n nodes; return the layer times,
+    the round-1 total and the promotions."""
     side = 10.0 * math.sqrt(n)
     field = FieldConfig(width=side, height=side, node_count=n,
                         sink_position=(side / 2, side + 200.0))
-    nodes, t_deploy = timed(deploy, field, 3)
-    graph, t_graph = timed(build_graph, nodes, 25.0)
+    sink, radio = field.sink_position, RadioParams()
+    times = {}
+
+    def timed(name, fn, *args):
+        t0 = perf_counter()
+        result = fn(*args)
+        times[name] = perf_counter() - t0
+        return result
+
+    nodes = timed("deploy", deploy, field, 3)
+    graph = timed("build_graph", build_graph, nodes, 25.0)
+    timed("is_connected", is_connected, graph)
     positions, alive = positions_of(nodes), graph.alive
-    tree, t_tree = timed(construct_tree, graph, np.ones(n), 11)
-    _, t_leach = timed(leach_elect, positions, alive, 0, 0.05, 5)
-    _, t_chain = timed(build_chain, positions, field.sink_position, alive)
+    tree = timed("construct_tree", construct_tree, graph, energies_of(nodes), 11)
+    if tree is not None:
+        timed("tree_round_energy", tree_round_energy, tree, positions, sink, radio)
+        timed("compute_delay", compute_delay, tree)
+    assignment, _ = timed("leach_elect", leach_elect, positions, alive, 0, 0.05, 5)
+    timed("leach_round", leach_round, assignment, positions, sink, radio)
+    chain = timed("build_chain", build_chain, positions, sink, alive)
+    timed("pegasis_tdma_round", pegasis_tdma_round, chain, alive, 7, positions, sink, radio)
+    timed("pegasis_cdma_round", pegasis_cdma_round, chain, alive, 7, positions, sink, radio)
+    timed("direct_round", direct_round, alive, positions, sink, radio)
     promotions = "disconn." if tree is None else str(len(tree.intermediate_set))
-    return (t_deploy, t_graph, t_tree, t_leach, t_chain), promotions
+    return times, sum(times.values()), promotions
 
 
 counts = [int(a) for a in sys.argv[1:]] or [2_000, 8_000, 20_000]
 survey(100)  # warm up: the first calls pay for imports and caches
-print(f"{'n':>7} {'deploy':>9} {'build_graph':>12} {'construct_tree':>15} "
-      f"{'(promotions)':>12} {'leach_elect':>12} {'build_chain':>12}")
+print(f"{'n':>7} " + " ".join(f"{name:>14}" for name in LAYERS)
+      + f" {'(promotions)':>12} {'round 1, all':>13}")
 for n in counts:
-    times, promotions = survey(n)
-    ms = [f"{t * 1e3:.1f} ms" for t in times]
-    print(f"{n:>7} {ms[0]:>9} {ms[1]:>12} {ms[2]:>15} {promotions:>12} {ms[3]:>12} {ms[4]:>12}")
+    times, total, promotions = survey(n)
+    cells = " ".join(f"{times[name] * 1e3:>11.1f} ms" for name in LAYERS)
+    print(f"{n:>7} {cells} {promotions:>12} {total * 1e3:>10.1f} ms")

@@ -61,10 +61,8 @@ def construct_tree(graph: NetworkSnapshot, energies, tie_seed: int) -> GatherTre
     energies = np.asarray(energies, dtype=float)
     if energies.shape != (n,):
         raise ValueError(f"expected {n} energies, got array of shape {energies.shape}")
-    if not np.isfinite(energies).all():
-        raise ValueError("energies must be finite (got NaN or inf)")
-    if (energies < 0).any():
-        raise ValueError("energies must be >= 0")
+    if not (np.isfinite(energies) & (energies >= 0)).all():
+        raise ValueError("energies must be finite and >= 0")
     alive = graph.alive
     n_alive = int(np.count_nonzero(alive))
     if n_alive == 0:

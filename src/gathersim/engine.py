@@ -11,7 +11,7 @@ import numpy as np
 from .baselines import (PROTOCOLS, build_chain, direct_round, leach_elect,
                         leach_round, pegasis_cdma_round, pegasis_tdma_round)
 from .emln import compute_delay, construct_tree
-from .network import FieldConfig, NodeState, build_graph, deploy, positions_of
+from .network import FieldConfig, Nodes, NodeState, build_graph, deploy
 from .radio import RadioParams, tree_round_energy
 from .seeding import derive_seed
 
@@ -42,33 +42,19 @@ class SimConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.stop_rule not in STOP_RULES:
             raise ValueError(f"unknown stop rule {self.stop_rule!r}")
-        if not (math.isfinite(self.range_m) and math.isfinite(self.initial_energy)):
-            raise ValueError("range and initial_energy must be finite")
-        if self.range_m <= 0:
-            raise ValueError("range must be positive")
-        if self.initial_energy < 0:
-            raise ValueError("initial_energy must be >= 0")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.rebuild_period < 1:
-            raise ValueError("rebuild_period must be >= 1")
+        if not (math.isfinite(self.range_m) and self.range_m > 0):
+            raise ValueError("range must be finite and positive")
+        if not (math.isfinite(self.initial_energy) and self.initial_energy >= 0):
+            raise ValueError("initial_energy must be finite and >= 0")
+        for name in ("max_rounds", "trials", "rebuild_period"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not 0 < self.leach_p <= 1:
             raise ValueError("leach_p must be in (0, 1]")
         if self.nodes_override is not None:
             if len(self.nodes_override) != self.field.node_count:
                 raise ValueError("nodes_override must match field.node_count")
-            # ids equal to their index are also free of duplicates
-            for index, node in enumerate(self.nodes_override):
-                if node.id != index:
-                    raise ValueError(f"nodes_override[{index}] has id {node.id}; "
-                                     "node ids must be 0..n-1 in order")
-                if not all(map(math.isfinite, (*node.position, node.energy))):
-                    raise ValueError(f"nodes_override[{index}] has a non-finite "
-                                     "position or energy")
-                if node.energy < 0:
-                    raise ValueError(f"nodes_override[{index}] has negative energy")
+            Nodes.from_states(self.nodes_override)
 
 
 @dataclass(frozen=True)
@@ -139,22 +125,17 @@ def run_trial(config: SimConfig, trial_seed: int) -> SimulationReport:
     """
     config.validate()
     if config.nodes_override is not None:
-        nodes = list(config.nodes_override)
+        nodes = Nodes.from_states(config.nodes_override)
     else:
         nodes = deploy(config.field, derive_seed(trial_seed, 0), config.initial_energy)
-    n = len(nodes)
-    positions = positions_of(nodes)
-    energies = np.array([nd.energy for nd in nodes], dtype=float)
-    alive = np.array([nd.alive for nd in nodes], dtype=bool)
+    # the round loop debits energies and clears alive flags in place
+    positions, energies, alive = nodes.positions, nodes.energies, nodes.alive
     sink = np.asarray(config.field.sink_position, dtype=float)
     initial_total = float(energies.sum())
 
     emln = config.protocol == "emln"
-    chain = None
-    if config.protocol.startswith("pegasis"):
-        chain = build_chain(positions, sink, alive)
+    chain = build_chain(positions, sink, alive) if config.protocol.startswith("pegasis") else None
 
-    graph = None
     tree = None
     cached_round = None  # (ledger, delay) reused while the tree is reused
     rounds_on_tree = 0
@@ -181,13 +162,8 @@ def run_trial(config: SimConfig, trial_seed: int) -> SimulationReport:
 
         if emln:
             if tree is None or rounds_on_tree >= config.rebuild_period:
-                if graph is None or alive_dirty:
-                    node_objs = [
-                        NodeState(i, (float(positions[i, 0]), float(positions[i, 1])),
-                                  float(energies[i]), bool(alive[i]))
-                        for i in range(n)
-                    ]
-                    graph = build_graph(node_objs, config.range_m)
+                if alive_dirty:
+                    graph = build_graph(nodes, config.range_m)
                     alive_dirty = False
                 tree = construct_tree(graph, energies, tie_seed=round_seed)
                 rounds_on_tree = 0

@@ -32,7 +32,7 @@ class FieldConfig:
 
 @dataclass(frozen=True)
 class NodeState:
-    """One sensor: 0-based id, position in meters, residual energy in Joules."""
+    """One sensor as placement files and ``SimConfig.nodes_override`` give it."""
 
     id: int
     position: tuple[float, float]
@@ -40,73 +40,111 @@ class NodeState:
     alive: bool = True
 
 
-def deploy(config: FieldConfig, seed: int, initial_energy: float = 1.0) -> list[NodeState]:
+class InvalidNode(ValueError):
+    """A node breaks a rule of the node record; ``node`` is its id."""
+
+    def __init__(self, node: int, problem: str):
+        super().__init__(f"node {node} {problem}")
+        self.node = node
+
+
+@dataclass(frozen=True, eq=False)
+class Nodes:
+    """Node state as arrays indexed by node id: ``positions`` (n, 2) in meters,
+    ``energies`` (n,) residual Joules, ``alive`` (n,) bool. Checked once, on
+    construction; a trial then debits ``energies`` and clears ``alive`` in place."""
+
+    positions: np.ndarray
+    energies: np.ndarray
+    alive: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("positions", float), ("energies", float), ("alive", bool)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        pos, energy, n = self.positions, self.energies, len(self.energies)
+        if (energy.shape, pos.shape, self.alive.shape) != ((n,), (n, 2), (n,)):
+            raise ValueError(f"node arrays disagree: positions {pos.shape}, "
+                             f"energies {energy.shape}, alive {self.alive.shape}")
+        for bad, problem in ((self.alive & ~np.isfinite(pos).all(axis=1),
+                              "is alive but has a non-finite position"),
+                             (~(np.isfinite(energy) & (energy >= 0)),
+                              "has an energy that is not finite and >= 0")):
+            if bad.any():
+                i = int(bad.argmax())
+                raise InvalidNode(i, f"{problem}: {pos[i].tolist()}, {energy[i]!r}")
+
+    @classmethod
+    def from_states(cls, states: Sequence[NodeState]) -> "Nodes":
+        """The record of ``states``, whose ids must be exactly 0..n-1 in order."""
+        for index, state in enumerate(states):
+            if state.id != index:
+                raise InvalidNode(state.id, f"is at index {index}; ids must be 0..n-1")
+        return cls(np.array([s.position for s in states], dtype=float).reshape(len(states), 2),
+                   [s.energy for s in states], [s.alive for s in states])
+
+
+def deploy(config: FieldConfig, seed: int, initial_energy: float = 1.0) -> Nodes:
     """Place ``node_count`` nodes uniformly at random inside the field.
 
-    Pure function of (config, seed, initial_energy): identical inputs give a
-    bit-identical node list. Coordinates are drawn as one (n, 2) block from
-    PCG64 and scaled by (width, height).
+    Pure function of (config, seed, initial_energy): identical inputs give
+    bit-identical arrays. Coordinates are drawn as one (n, 2) block from
+    PCG64 and scaled by (width, height); all nodes start alive and full.
     """
     config.validate()
-    if initial_energy < 0:
-        raise ValueError("initial_energy must be >= 0")
-    rng = make_rng(seed)
-    coords = rng.random((config.node_count, 2)) * np.array([config.width, config.height])
-    energy = float(initial_energy)
-    return [NodeState(i, (x, y), energy) for i, (x, y) in enumerate(coords.tolist())]
+    n = config.node_count
+    coords = make_rng(seed).random((n, 2)) * np.array([config.width, config.height])
+    return Nodes(coords, np.full(n, float(initial_energy)), np.ones(n, dtype=bool))
 
 
-def positions_of(nodes: Sequence[NodeState]) -> np.ndarray:
-    """(n, 2) float array of node positions."""
-    return np.array([n.position for n in nodes], dtype=float)
+def positions_of(nodes: Nodes) -> np.ndarray:
+    return nodes.positions
 
 
-def energies_of(nodes: Sequence[NodeState]) -> np.ndarray:
-    return np.array([n.energy for n in nodes], dtype=float)
+def energies_of(nodes: Nodes) -> np.ndarray:
+    return nodes.energies
 
 
-def alive_of(nodes: Sequence[NodeState]) -> np.ndarray:
-    return np.array([n.alive for n in nodes], dtype=bool)
+def alive_of(nodes: Nodes) -> np.ndarray:
+    return nodes.alive
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NetworkSnapshot:
-    """Range-induced graph over a deployment; read-only after construction.
+    """Range-induced graph over a deployment in CSR form, with read-only arrays.
 
-    An edge joins two distinct alive nodes whose Euclidean separation is at
-    most ``range_m``. ``adjacency`` holds one ascending neighbor-id tuple per
-    node (empty for dead nodes), so equal snapshots compare equal and dumps
-    are stable.
+    An edge joins two distinct alive nodes at most ``range_m`` apart. Node
+    u's neighbours are ``indices[indptr[u]:indptr[u + 1]]``, ascending.
     """
 
-    nodes: list[NodeState]
+    positions: np.ndarray
+    alive: np.ndarray
     range_m: float
-    adjacency: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.positions, self.alive, self.indptr, self.indices):
+            array.flags.writeable = False
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
-
-    @cached_property
-    def positions(self) -> np.ndarray:
-        return positions_of(self.nodes)
-
-    @cached_property
-    def alive(self) -> np.ndarray:
-        return alive_of(self.nodes)
-
-    @cached_property
-    def energies(self) -> np.ndarray:
-        return energies_of(self.nodes)
-
-    @cached_property
-    def neighbor_arrays(self) -> tuple[np.ndarray, ...]:
-        """Per-node neighbor ids as int64 arrays (ascending)."""
-        return tuple(np.array(nbrs, dtype=np.int64) for nbrs in self.adjacency)
+        return len(self.alive)
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        return np.array([len(nbrs) for nbrs in self.adjacency], dtype=np.int64)
+        return np.diff(self.indptr)
+
+    @cached_property
+    def neighbor_arrays(self) -> tuple[np.ndarray, ...]:
+        """Per-node neighbour ids as slices of ``indices`` (views, not copies)."""
+        bounds = self.indptr.tolist()
+        return tuple(self.indices[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """One ascending neighbour-id tuple per node, so equal graphs compare equal."""
+        bounds, flat = self.indptr.tolist(), self.indices.tolist()
+        return tuple(tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
 
 # Relative margin on the cell side. Rounding moves a node's cell coordinate
@@ -165,38 +203,25 @@ def _pairs_within(pos: np.ndarray, range_m: float,
     return order[first[keep]], order[second[keep]]
 
 
-def build_graph(nodes: Sequence[NodeState], range_m: float) -> NetworkSnapshot:
+def build_graph(nodes: Nodes, range_m: float) -> NetworkSnapshot:
     """Connect every pair of alive nodes within ``range_m`` of each other.
 
     The comparison is inclusive (distance exactly equal to the range makes an
-    edge); squared distances are compared internally. Dead nodes get empty
-    adjacency and are excluded from everyone else's lists. Time and memory
-    grow with the number of nodes times their mean degree, not with n^2.
+    edge); squared distances are compared internally. Dead nodes have no
+    neighbours. Time and memory grow with the number of nodes times their
+    mean degree, not with n^2. The snapshot keeps copies of the node arrays.
     """
     if not range_m > 0:
         raise ValueError("range must be positive")
-    n = len(nodes)
-    ids = np.flatnonzero(alive_of(nodes))
-    pos = positions_of(nodes).reshape(n, 2)[ids]
-    finite = np.isfinite(pos).all(axis=1)
-    if not finite.all():
-        bad = int(ids[np.argmin(finite)])
-        raise ValueError(f"node {bad} is alive but has a non-finite position "
-                         f"{nodes[bad].position}")
-    a, b = _pairs_within(pos, float(range_m))
+    positions, alive = nodes.positions.copy(), nodes.alive.copy()
+    n = len(alive)
+    ids = np.flatnonzero(alive)
+    a, b = _pairs_within(positions[ids], float(range_m))
     a, b = ids[a], ids[b]
     # one sort of (source, target) keys puts each list in ascending order
-    edge = np.sort(np.concatenate((a * n + b, b * n + a)))
-    sources, targets = np.divmod(edge, n)
-    bounds = np.searchsorted(sources, np.arange(n + 1))
-    spans = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-    flat = targets.tolist()
-    snapshot = NetworkSnapshot(list(nodes), float(range_m),
-                               tuple(tuple(flat[lo:hi]) for lo, hi in spans))
-    # already computed, seed the caches
-    snapshot.__dict__["neighbor_arrays"] = tuple(targets[lo:hi] for lo, hi in spans)
-    snapshot.__dict__["degrees"] = np.diff(bounds)
-    return snapshot
+    sources, indices = np.divmod(np.sort(np.concatenate((a * n + b, b * n + a))), n)
+    indptr = np.searchsorted(sources, np.arange(n + 1))
+    return NetworkSnapshot(positions, alive, float(range_m), indptr, indices)
 
 
 def is_connected(graph: NetworkSnapshot) -> bool:
@@ -225,7 +250,8 @@ def read_placement(path) -> list[NodeState]:
     """Read a fixed topology: one node per line, "id x y energy".
 
     Fields are whitespace-separated decimals; blank lines are skipped. The
-    ids must form exactly 0..n-1. Used to inject known layouts into tests.
+    ids must form exactly 0..n-1 (in any line order), and the values must pass
+    the checks of ``Nodes``. Used to inject known layouts into tests.
     """
     entries = {}
     with open(path) as fh:
@@ -239,18 +265,18 @@ def read_placement(path) -> list[NodeState]:
             if node_id in entries:
                 raise ValueError(f"{path}:{lineno}: duplicate id {node_id}")
             x, y, energy = (float(p) for p in parts[1:])
-            if not all(map(math.isfinite, (x, y, energy))):
-                raise ValueError(f"{path}:{lineno}: non-finite value")
-            if energy < 0:
-                raise ValueError(f"{path}:{lineno}: negative energy")
-            entries[node_id] = NodeState(node_id, (x, y), energy)
-    if sorted(entries) != list(range(len(entries))):
-        raise ValueError(f"{path}: node ids must be exactly 0..n-1")
-    return [entries[i] for i in range(len(entries))]
+            entries[node_id] = lineno, NodeState(node_id, (x, y), energy)
+    states = [entries[i][1] for i in sorted(entries)]
+    try:
+        Nodes.from_states(states)
+    except InvalidNode as exc:
+        raise ValueError(f"{path}:{entries[exc.node][0]}: {exc}") from None
+    return states
 
 
-def write_placement(nodes: Sequence[NodeState], path) -> None:
-    """Write nodes in the placement-file format accepted by read_placement."""
+def write_placement(nodes: Nodes, path) -> None:
+    """Write nodes in the placement-file format; every node reads back alive."""
     with open(path, "w") as fh:
-        for n in nodes:
-            fh.write(f"{n.id} {n.position[0]!r} {n.position[1]!r} {n.energy!r}\n")
+        for i, ((x, y), energy) in enumerate(zip(nodes.positions.tolist(),
+                                                 nodes.energies.tolist())):
+            fh.write(f"{i} {x!r} {y!r} {energy!r}\n")

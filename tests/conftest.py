@@ -4,23 +4,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from gathersim import NetworkSnapshot, NodeState, build_graph, deploy, derive_seed
+from gathersim import NetworkSnapshot, Nodes, build_graph, deploy, derive_seed
 from gathersim.network import FieldConfig
 
 
-def snapshot_from_adjacency(adj_lists, positions=None, energies=None) -> NetworkSnapshot:
+def snapshot_from_adjacency(adj_lists, positions=None) -> NetworkSnapshot:
     """Hand-built snapshot for algorithm tests that only need adjacency.
 
     Bypasses the geometric construction so arbitrary (not necessarily
-    unit-disk) graphs can be fed to the tree algorithm and validator.
+    unit-disk) graphs can be fed to the tree algorithm and validator. Every
+    node is alive; the lists become the snapshot's CSR arrays.
     """
     n = len(adj_lists)
     if positions is None:
         positions = [(float(i), 0.0) for i in range(n)]
-    if energies is None:
-        energies = [1.0] * n
-    nodes = [NodeState(i, tuple(positions[i]), float(energies[i])) for i in range(n)]
-    return NetworkSnapshot(nodes, 1.0, tuple(tuple(sorted(nbrs)) for nbrs in adj_lists))
+    lists = [sorted(nbrs) for nbrs in adj_lists]
+    indptr = np.cumsum([0] + [len(nbrs) for nbrs in lists])
+    indices = np.array([v for nbrs in lists for v in nbrs], dtype=np.int64)
+    return NetworkSnapshot(np.array(positions, dtype=float).reshape(n, 2),
+                           np.ones(n, dtype=bool), 1.0, indptr, indices)
 
 
 def path_adjacency(n):
@@ -48,7 +50,10 @@ def random_connected_adjacency(rng: np.random.Generator, n: int, edge_p: float =
     return [sorted(s) for s in adj]
 
 
+def seeded_nodes(seed: int, n: int = 100, field: FieldConfig | None = None) -> Nodes:
+    return deploy(field or FieldConfig(node_count=n), derive_seed(4242, seed))
+
+
 def random_geometric_snapshot(seed: int, n: int = 100, range_m: float = 25.0,
                               field: FieldConfig | None = None) -> NetworkSnapshot:
-    field = field or FieldConfig(node_count=n)
-    return build_graph(deploy(field, derive_seed(4242, seed)), range_m)
+    return build_graph(seeded_nodes(seed, n, field), range_m)

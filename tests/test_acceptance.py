@@ -25,7 +25,7 @@ from helpers_oracles import (cdma_schedule, optimal_leaf_count,
 import gathersim as gs
 from gathersim import (FieldConfig, GatherTree, RadioParams, SimConfig,
                        build_chain, build_graph, compute_delay, construct_tree,
-                       deploy, derive_seed, direct_round, is_connected,
+                       deploy, derive_seed, direct_round, energies_of, is_connected,
                        leach_elect, leach_round, pegasis_cdma_round,
                        pegasis_tdma_round, run_experiment, validate_tree)
 
@@ -53,12 +53,13 @@ def check(criterion, subchecks):
 def graphs_25m():
     """1000 seeded deployments with their range-25 graphs, plus build time."""
     t0 = time.perf_counter()
-    graphs = []
+    deployments, graphs = [], []
     for i in range(1000):
         nodes = deploy(FIELD, derive_seed(ACCEPT_SEED, i))
+        deployments.append(nodes)
         graphs.append(build_graph(nodes, 25.0))
     elapsed_build = time.perf_counter() - t0
-    return graphs, elapsed_build
+    return deployments, graphs, elapsed_build
 
 
 @pytest.fixture(scope="module")
@@ -85,10 +86,11 @@ def baseline_experiments():
 @pytest.fixture(scope="module")
 def round1_stats(graphs_25m):
     """Round-1 energy of every protocol on the same 1000 deployments."""
-    graphs, _ = graphs_25m
+    deployments, graphs, _ = graphs_25m
     energy = {p: [] for p in ("emln", "leach", "pegasis-tdma", "pegasis-cdma", "direct")}
-    for i, graph in enumerate(graphs):
-        tree = construct_tree(graph, graph.energies, tie_seed=derive_seed(ACCEPT_SEED, 10_000 + i))
+    for i, (nodes, graph) in enumerate(zip(deployments, graphs)):
+        tree = construct_tree(graph, energies_of(nodes),
+                              tie_seed=derive_seed(ACCEPT_SEED, 10_000 + i))
         if tree is None:
             continue
         pos, alive = graph.positions, graph.alive
@@ -106,7 +108,7 @@ def round1_stats(graphs_25m):
 
 
 def test_criterion_01_connectivity(graphs_25m):
-    graphs, elapsed_build = graphs_25m
+    _, graphs, elapsed_build = graphs_25m
     t0 = time.perf_counter()
     conn25 = float(np.mean([is_connected(g) for g in graphs]))
     conn35 = 0
@@ -123,7 +125,7 @@ def test_criterion_01_connectivity(graphs_25m):
 
 
 def test_criterion_02_mean_degree(graphs_25m):
-    graphs, _ = graphs_25m
+    _, graphs, _ = graphs_25m
     degrees = np.concatenate([g.degrees[g.alive] for g in graphs])
     mean_degree = float(degrees.mean())
     # deploy draws on a bounded rectangle, so disks near its edges are cut off
@@ -139,16 +141,14 @@ def test_criterion_02_mean_degree(graphs_25m):
 
 
 def test_criterion_03_intermediate_fractions(graphs_25m):
-    graphs25, _ = graphs_25m
+    deployments, graphs25, _ = graphs_25m
     fractions = {}
     for r in (15.0, 25.0, 50.0):
         vals = []
         for i in range(1000):
-            if r == 25.0:
-                graph = graphs25[i]
-            else:
-                graph = build_graph(deploy(FIELD, derive_seed(ACCEPT_SEED, i)), r)
-            tree = construct_tree(graph, graph.energies,
+            nodes = deployments[i]
+            graph = graphs25[i] if r == 25.0 else build_graph(nodes, r)
+            tree = construct_tree(graph, energies_of(nodes),
                                   tie_seed=derive_seed(ACCEPT_SEED, 40_000 + i))
             if tree is not None:
                 vals.append(len(tree.intermediate_set) / FIELD.node_count)

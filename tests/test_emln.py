@@ -16,8 +16,9 @@ from gathersim import compute_delay, construct_tree, dump_tree, validate_tree
 
 
 def build(adj, energies=None, tie_seed=0):
-    snap = snapshot_from_adjacency(adj, energies=energies)
-    return snap, construct_tree(snap, [n.energy for n in snap.nodes], tie_seed)
+    snap = snapshot_from_adjacency(adj)
+    energies = np.ones(snap.node_count) if energies is None else energies
+    return snap, construct_tree(snap, energies, tie_seed)
 
 
 # ---------------------------------------------------------------- construction

@@ -9,16 +9,14 @@ exact zeros, dead nodes, disconnected graphs, a single node and one
 2,000-node deployment.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 import reference_emln as ref
 from conftest import random_geometric_snapshot
 
-from gathersim import (FieldConfig, GatherTree, RadioParams, build_graph, compute_delay,
-                       construct_tree, deploy, derive_seed, tree_round_energy)
+from gathersim import (FieldConfig, GatherTree, Nodes, RadioParams, build_graph,
+                       compute_delay, construct_tree, deploy, derive_seed, tree_round_energy)
 
 SEEDS = range(60)
 SINK = (50.0, 300.0)
@@ -96,10 +94,10 @@ def test_dead_nodes_match_reference(range_m):
     for seed in SEEDS:
         rng = np.random.default_rng(seed)
         nodes = deploy(field, derive_seed(77, seed))
-        dead = rng.random(len(nodes)) < 0.2
-        nodes = [dataclasses.replace(nd, alive=not d) for nd, d in zip(nodes, dead)]
+        dead = rng.random(field.node_count) < 0.2
+        nodes = Nodes(nodes.positions, nodes.energies, ~dead)
         graph = build_graph(nodes, range_m)
-        energies = energies_for("zeros" if seed % 2 else "equal", len(nodes), seed)
+        energies = energies_for("zeros" if seed % 2 else "equal", field.node_count, seed)
         assert_same_round(graph, energies, derive_seed(seed, 1))
 
 

@@ -2,8 +2,10 @@
 chain against their dense all-pairs reference.
 
 ``build_graph``, ``is_connected`` and ``build_chain`` must give exactly what
-the O(n^2) versions in tests/reference_network.py give: the same adjacency
-tuples, the same connectivity verdict and the same chain order. The cases
+the O(n^2) versions in tests/reference_network.py give: the same adjacency,
+as CSR arrays and as tuples, the same connectivity verdict and the same
+chain order. The reference reads NodeState lists, so each deployment is
+handed to it as one. The cases
 cover seeded deployments at three ranges with and without dead nodes,
 lattices whose pairs sit exactly at the range and on cell edges, coincident
 points, a range longer than the field's diagonal, a non-square field, a
@@ -21,21 +23,56 @@ import pytest
 
 import reference_network as ref
 
-from gathersim import (FieldConfig, NetworkSnapshot, NodeState, build_chain, build_graph,
-                       deploy, derive_seed, is_connected, positions_of)
+from gathersim import (FieldConfig, Nodes, NodeState, build_chain, build_graph, deploy,
+                       derive_seed, is_connected, positions_of)
 from gathersim.baselines import _neighbour_lists
 
 SINK = (50.0, 300.0)
 
 
+@dataclasses.dataclass
+class ListGraph:
+    """The list-based snapshot that the reference ``build_graph`` returns."""
+
+    nodes: list
+    range_m: float
+    adjacency: tuple
+
+    @property
+    def node_count(self):
+        return len(self.nodes)
+
+    @property
+    def alive(self):
+        return np.array([n.alive for n in self.nodes], dtype=bool)
+
+
+@pytest.fixture(autouse=True)
+def list_based_reference(monkeypatch):
+    # the reference reads NodeState lists and returns the list-based snapshot
+    # it was written for: give it those readers and that snapshot
+    monkeypatch.setattr(ref, "NetworkSnapshot", ListGraph)
+    monkeypatch.setattr(ref, "positions_of",
+                        lambda states: np.array([s.position for s in states], dtype=float))
+    monkeypatch.setattr(ref, "alive_of",
+                        lambda states: np.array([s.alive for s in states], dtype=bool))
+
+
+def states_of(nodes):
+    return [NodeState(i, (x, y), energy, alive) for i, ((x, y), energy, alive) in
+            enumerate(zip(nodes.positions.tolist(), nodes.energies.tolist(),
+                          nodes.alive.tolist()))]
+
+
 def with_dead(nodes, seed, fraction=0.2):
     rng = np.random.default_rng(seed)
-    dead = rng.random(len(nodes)) < fraction
-    return [dataclasses.replace(n, alive=False) if d else n for n, d in zip(nodes, dead)]
+    dead = rng.random(nodes.alive.size) < fraction
+    return Nodes(nodes.positions, nodes.energies, nodes.alive & ~dead)
 
 
 def nodes_at(points):
-    return [NodeState(i, (float(x), float(y)), 1.0) for i, (x, y) in enumerate(points)]
+    positions = np.array(list(points), dtype=float).reshape(-1, 2)
+    return Nodes(positions, np.ones(len(positions)), np.ones(len(positions), dtype=bool))
 
 
 def lattice(step, count, origin=(0.0, 0.0)):
@@ -45,15 +82,19 @@ def lattice(step, count, origin=(0.0, 0.0)):
 
 def assert_matches_reference(nodes, range_m, sink=SINK):
     graph = build_graph(nodes, range_m)
-    expected = ref.build_graph(nodes, range_m)
+    expected = ref.build_graph(states_of(nodes), range_m)
     assert graph.adjacency == expected.adjacency
-    # the caches seeded by build_graph equal the ones derived from the lists
-    plain = NetworkSnapshot(list(nodes), float(range_m), graph.adjacency)
-    assert np.array_equal(graph.degrees, plain.degrees)
-    assert graph.degrees.dtype == plain.degrees.dtype
-    assert len(graph.neighbor_arrays) == len(plain.neighbor_arrays)
-    for got, want in zip(graph.neighbor_arrays, plain.neighbor_arrays):
-        assert np.array_equal(got, want) and got.dtype == want.dtype
+    # the CSR arrays hold exactly the reference lists, and the views are slices of them
+    lists = expected.adjacency
+    assert graph.indptr.tolist() == np.cumsum([0] + [len(nbrs) for nbrs in lists]).tolist()
+    assert graph.indices.tolist() == [v for nbrs in lists for v in nbrs]
+    assert graph.indices.dtype == graph.degrees.dtype == np.int64
+    assert graph.degrees.tolist() == [len(nbrs) for nbrs in lists]
+    assert len(graph.neighbor_arrays) == len(lists)
+    for got, want in zip(graph.neighbor_arrays, lists):
+        assert got.tolist() == list(want) and got.dtype == np.int64
+        assert not want or np.shares_memory(got, graph.indices)
+    assert graph.neighbor_arrays is graph.neighbor_arrays  # built once per graph
     alive = graph.alive
     if alive.any():
         assert is_connected(graph) == ref.is_connected(expected)
@@ -139,7 +180,7 @@ def test_non_square_field():
 def test_single_node_and_all_dead_but_one():
     assert assert_matches_reference(nodes_at([(3.0, 4.0)]), 25.0).adjacency == ((),)
     nodes = with_dead(deploy(FieldConfig(node_count=10), 2), 0, fraction=1.0)
-    nodes[4] = dataclasses.replace(nodes[4], alive=True)
+    nodes.alive[4] = True
     assert_matches_reference(nodes, 25.0)
 
 
@@ -213,7 +254,7 @@ def test_chain_of_two_nodes():
 def test_chain_of_2000_nodes_with_dead_ones():
     field = FieldConfig(width=447.2, height=447.2, node_count=2000, sink_position=(223.6, 647.2))
     nodes = with_dead(deploy(field, 4), 4)
-    alive = np.array([n.alive for n in nodes])
+    alive = nodes.alive
     assert 0.15 < 1 - alive.mean() < 0.25
     assert_chain_matches_reference(positions_of(nodes), field.sink_position, alive)
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_geometric_snapshot, snapshot_from_adjacency
+from conftest import random_geometric_snapshot, seeded_nodes, snapshot_from_adjacency
 from helpers_oracles import recount_tree_ledger
 
-from gathersim import (EnergyLedger, NodeState, RadioParams, build_graph,
-                       construct_tree, fuse_energy, positions_of, rx_energy,
+from gathersim import (EnergyLedger, Nodes, NodeState, RadioParams, build_graph,
+                       construct_tree, energies_of, fuse_energy, positions_of, rx_energy,
                        tree_round_energy, tx_energy)
 
 P = RadioParams()
@@ -63,9 +63,10 @@ def test_negative_inputs_rejected():
         fuse_energy(P, 1, -1)
 
 
-def _tree_over(nodes, range_m):
+def _tree_over(states, range_m):
+    nodes = Nodes.from_states(states)
     graph = build_graph(nodes, range_m)
-    tree = construct_tree(graph, [n.energy for n in nodes], tie_seed=1)
+    tree = construct_tree(graph, energies_of(nodes), tie_seed=1)
     assert tree is not None
     return graph, tree
 
@@ -73,7 +74,7 @@ def _tree_over(nodes, range_m):
 def test_single_node_round_is_fuse_plus_sink_tx():
     nodes = [NodeState(0, (50.0, 50.0), 1.0)]
     _, tree = _tree_over(nodes, 10.0)
-    ledger = tree_round_energy(tree, positions_of(nodes), (50.0, 300.0), P)
+    ledger = tree_round_energy(tree, positions_of(Nodes.from_states(nodes)), (50.0, 300.0), P)
     expected = fuse_energy(P, 2000, 1) + tx_energy(P, 2000, 250.0)
     assert ledger.per_node[0] == pytest.approx(expected, rel=1e-12)
     assert ledger.total == pytest.approx(expected, rel=1e-12)
@@ -85,7 +86,7 @@ def test_star_round_matches_hand_computation():
              NodeState(2, (-10.0, 0.0), 1.0)]
     _, tree = _tree_over(nodes, 10.0)
     assert tree.root == 0
-    ledger = tree_round_energy(tree, positions_of(nodes), (0.0, 250.0), P)
+    ledger = tree_round_energy(tree, positions_of(Nodes.from_states(nodes)), (0.0, 250.0), P)
     assert ledger.per_node[1] == pytest.approx(1.2e-4, rel=1e-12)
     assert ledger.per_node[2] == pytest.approx(1.2e-4, rel=1e-12)
     root_expected = 2 * 1.0e-4 + 3.0e-5 + 1.26e-2
@@ -93,8 +94,9 @@ def test_star_round_matches_hand_computation():
 
 
 def test_doubling_packet_bits_doubles_every_debit():
-    snap = random_geometric_snapshot(3)
-    tree = construct_tree(snap, snap.energies, tie_seed=0)
+    nodes = seeded_nodes(3)
+    snap = build_graph(nodes, 25.0)
+    tree = construct_tree(snap, energies_of(nodes), tie_seed=0)
     sink = (50.0, 300.0)
     base = tree_round_energy(tree, snap.positions, sink, P)
     doubled = tree_round_energy(tree, snap.positions, sink,
@@ -103,8 +105,9 @@ def test_doubling_packet_bits_doubles_every_debit():
 
 
 def test_leaves_pay_no_rx_or_fuse():
-    snap = random_geometric_snapshot(4)
-    tree = construct_tree(snap, snap.energies, tie_seed=0)
+    nodes = seeded_nodes(4)
+    snap = build_graph(nodes, 25.0)
+    tree = construct_tree(snap, energies_of(nodes), tie_seed=0)
     ledger = tree_round_energy(tree, snap.positions, (50.0, 300.0), P)
     leaves = sorted(tree.leaf_set)
     assert np.all(ledger.rx[leaves] == 0.0)
@@ -136,10 +139,10 @@ def test_moving_node_farther_never_decreases_debit():
                   NodeState(2, (-5.0, 0.0), 1.0)]
     _, tree = _tree_over(base_nodes, 12.0)
     sink = (0.0, 250.0)
-    near = tree_round_energy(tree, positions_of(base_nodes), sink, P)
+    near = tree_round_energy(tree, positions_of(Nodes.from_states(base_nodes)), sink, P)
     for farther_x in (7.0, 9.0, 12.0):
         moved = [base_nodes[0], NodeState(1, (farther_x, 0.0), 1.0), base_nodes[2]]
-        far = tree_round_energy(tree, positions_of(moved), sink, P)
+        far = tree_round_energy(tree, positions_of(Nodes.from_states(moved)), sink, P)
         assert far.per_node[1] >= near.per_node[1]
 
 

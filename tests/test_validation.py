@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gathersim import (Chain, ClusterAssignment, FieldConfig, NodeState, RadioParams, SimConfig,
-                       build_graph, direct_round, leach_elect, leach_round, pegasis_cdma_round,
-                       pegasis_tdma_round, read_placement)
+from gathersim import (Chain, ClusterAssignment, FieldConfig, Nodes, NodeState, RadioParams,
+                       SimConfig, build_graph, direct_round, leach_elect, leach_round,
+                       pegasis_cdma_round, pegasis_tdma_round, read_placement)
 from gathersim.cli import main
 
 
@@ -99,16 +99,16 @@ def test_build_graph_rejects_non_finite_alive_position_naming_the_node(x):
     nodes = [NodeState(0, (0.0, 0.0), 1.0), NodeState(1, (x, 5.0), 1.0),
              NodeState(2, (5.0, 5.0), 1.0)]
     if math.isfinite(x):
-        assert len(build_graph(nodes, 10.0).adjacency) == 3
+        assert len(build_graph(Nodes.from_states(nodes), 10.0).adjacency) == 3
     else:
         with pytest.raises(ValueError, match="node 1 "):
-            build_graph(nodes, 10.0)
+            build_graph(Nodes.from_states(nodes), 10.0)
 
 
 def test_build_graph_ignores_non_finite_dead_position():
     nodes = [NodeState(0, (0.0, 0.0), 1.0), NodeState(1, (math.nan, 5.0), 1.0, alive=False),
              NodeState(2, (5.0, 5.0), 1.0)]
-    assert build_graph(nodes, 10.0).adjacency == ((2,), (), (0,))
+    assert build_graph(Nodes.from_states(nodes), 10.0).adjacency == ((2,), (), (0,))
 
 
 @pytest.mark.parametrize("line", [
@@ -123,12 +123,57 @@ def test_read_placement_rejects_bad_values_with_path_and_line(line, tmp_path):
 
 
 def test_build_graph_rejects_nan_range_and_coordinates_spanning_past_the_float_range():
-    nodes = [NodeState(0, (0.0, 0.0), 1.0), NodeState(1, (5.0, 5.0), 1.0)]
+    nodes = Nodes.from_states([NodeState(0, (0.0, 0.0), 1.0), NodeState(1, (5.0, 5.0), 1.0)])
     with pytest.raises(ValueError, match="range must be positive"):
         build_graph(nodes, math.nan)
-    far = [NodeState(0, (-1e308, 0.0), 1.0), NodeState(1, (1e308, 0.0), 1.0)]
+    far = Nodes.from_states([NodeState(0, (-1e308, 0.0), 1.0),
+                             NodeState(1, (1e308, 0.0), 1.0)])
     with pytest.raises(ValueError, match="span more than the float range"):
         build_graph(far, 25.0)
+
+
+def three_nodes(positions=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)), energies=(1.0, 1.0, 1.0),
+                alive=(True, True, True)):
+    return Nodes(np.array(positions), np.array(energies), np.array(alive))
+
+
+@pytest.mark.parametrize("positions, energies, alive", [
+    (np.zeros((3, 3)), np.ones(3), np.ones(3, dtype=bool)),
+    (np.zeros((3, 2)), np.ones(2), np.ones(3, dtype=bool)),
+    (np.zeros((3, 2)), np.ones(3), np.ones(4, dtype=bool)),
+    (np.zeros(6), np.ones(3), np.ones(3, dtype=bool)),
+    (np.zeros((3, 2)), np.ones((3, 1)), np.ones(3, dtype=bool))])
+def test_node_record_rejects_arrays_whose_shapes_disagree(positions, energies, alive):
+    with pytest.raises(ValueError, match="node arrays disagree"):
+        Nodes(positions, energies, alive)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_node_record_rejects_non_finite_alive_position_but_not_dead_one(bad):
+    with pytest.raises(ValueError, match="^node 2 is alive but has a non-finite position"):
+        three_nodes(positions=((0.0, 0.0), (1.0, 0.0), (bad, 0.0)))
+    three_nodes(positions=((0.0, 0.0), (1.0, 0.0), (bad, 0.0)), alive=(True, True, False))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_node_record_rejects_non_finite_energy(bad):
+    for alive in ((True, True, True), (True, False, True)):
+        with pytest.raises(ValueError, match="^node 1 has an energy"):
+            three_nodes(energies=(1.0, bad, 1.0), alive=alive)
+
+
+@pytest.mark.parametrize("bad", [-1.0, -5e-324])
+def test_node_record_rejects_negative_energy(bad):
+    with pytest.raises(ValueError, match="^node 0 has an energy"):
+        three_nodes(energies=(bad, 1.0, 1.0))
+    assert three_nodes(energies=(0.0, -0.0, 1.0)).energies[1] == 0.0
+
+
+@pytest.mark.parametrize("ids, named", [([0, 2, 1], 2), ([1], 1), ([0, 0], 0), ([-1, 1], -1)])
+def test_node_record_from_states_needs_ids_zero_to_n_minus_one_in_order(ids, named):
+    states = [NodeState(i, (float(k), 0.0), 1.0) for k, i in enumerate(ids)]
+    with pytest.raises(ValueError, match=f"^node {named} is at index"):
+        Nodes.from_states(states)
 
 
 BASELINE_POSITIONS = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [30.0, 0.0]])
