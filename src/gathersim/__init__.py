@@ -12,7 +12,7 @@ from .baselines import (PROTOCOLS, Chain, ClusterAssignment, build_chain,
                         pegasis_cdma_round, pegasis_tdma_round)
 from .cli import compare_protocols, emit_results, main, parse_config
 from .emln import GatherTree, compute_delay, construct_tree, dump_tree, validate_tree
-from .engine import (STOP_RULES, ExperimentAggregate, ExperimentResult, RoundMetrics,
+from .engine import (STOP_RULES, ExperimentAggregate, ExperimentResult,
                      SimConfig, SimulationReport, range_sweep, run_experiment, run_trial)
 from .network import (FieldConfig, NetworkSnapshot, Nodes, NodeState, alive_of, build_graph,
                       deploy, energies_of, is_connected, positions_of, read_placement,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "PROTOCOLS", "STOP_RULES", "Chain", "ClusterAssignment", "EnergyLedger",
     "ExperimentAggregate", "ExperimentResult", "FieldConfig", "GatherTree",
-    "NetworkSnapshot", "NodeState", "Nodes", "RadioParams", "RoundMetrics", "SimConfig",
+    "NetworkSnapshot", "NodeState", "Nodes", "RadioParams", "SimConfig",
     "SimulationReport", "alive_of", "build_chain", "build_graph", "compare_protocols",
     "compute_delay", "construct_tree", "deploy", "derive_seed", "direct_round",
     "dump_tree", "emit_results", "energies_of", "fuse_energy", "is_connected",

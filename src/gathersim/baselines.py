@@ -180,8 +180,8 @@ def _leader_to_sink(ledger: EnergyLedger, leader: int, positions, sink,
     ledger.tx[leader] += tx_energy(params, k, d_sink)
 
 
-def pegasis_tdma_round(chain: Chain, alive, leader_seed: int, positions, sink,
-                       params: RadioParams) -> tuple[EnergyLedger, int]:
+def pegasis_tdma_round(chain: Chain, alive, leader_seed: int | np.random.Generator,
+                       positions, sink, params: RadioParams) -> tuple[EnergyLedger, int]:
     """One chain round: both sides relay toward a randomly chosen leader.
 
     Every non-leader transmits once to its chain successor toward the
@@ -210,8 +210,8 @@ def pegasis_tdma_round(chain: Chain, alive, leader_seed: int, positions, sink,
     return ledger, max(leader_pos, m - 1 - leader_pos)
 
 
-def pegasis_cdma_round(chain: Chain, alive, leader_seed: int, positions, sink,
-                       params: RadioParams) -> tuple[EnergyLedger, int]:
+def pegasis_cdma_round(chain: Chain, alive, leader_seed: int | np.random.Generator,
+                       positions, sink, params: RadioParams) -> tuple[EnergyLedger, int]:
     """One binary-aggregation round: ceil(log2 m) levels of parallel pairs.
 
     At each level the active nodes pair up consecutively in chain order; in
@@ -259,8 +259,9 @@ def pegasis_cdma_round(chain: Chain, alive, leader_seed: int, positions, sink,
 NEAREST_HEAD_BLOCK = 1 << 16
 
 
-def leach_elect(positions, alive, round_index: int, p_head: float, seed: int,
-                served: frozenset[int] = frozenset()) -> tuple[ClusterAssignment, frozenset[int]]:
+def leach_elect(positions, alive, round_index: int, p_head: float,
+                seed: int | np.random.Generator, served: frozenset[int] = frozenset(),
+                ) -> tuple[ClusterAssignment, frozenset[int]]:
     """Elect cluster heads for one round and assign members to them.
 
     Rotation follows the classic threshold scheme: within an epoch of

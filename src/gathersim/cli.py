@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 
 from .baselines import PROTOCOLS
 from .engine import (STOP_RULES, ExperimentAggregate, SimConfig, SimulationReport,
@@ -79,6 +80,7 @@ def read_config_file(path) -> dict:
     return values
 
 
+@cache  # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gathersim",
@@ -235,24 +237,6 @@ def emit_results(rows, columns, fmt: str = "csv", out=None) -> None:
     else:
         with open(out, "w", newline="") as fh:
             fh.write(text)
-
-
-def read_aggregate_csv(path) -> list[ExperimentAggregate]:
-    """Parse back an aggregate CSV emitted by this module."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != AGGREGATE_COLUMNS:
-            raise ValueError(f"unexpected header {header!r}")
-        out = []
-        for row in reader:
-            out.append(ExperimentAggregate(
-                protocol=row[0], range_m=float(row[1]), trials=int(row[2]),
-                connectivity=float(row[3]), mean_lifetime=float(row[4]),
-                sd_lifetime=float(row[5]), mean_energy_per_round=float(row[6]),
-                mean_delay_per_round=float(row[7]), mean_energy_delay=float(row[8]),
-                mean_leaf_fraction=float(row[9]) if row[9] else None))
-    return out
 
 
 def main(argv=None) -> int:

@@ -13,7 +13,7 @@ from .baselines import (PROTOCOLS, build_chain, direct_round, leach_elect,
 from .emln import compute_delay, construct_tree
 from .network import FieldConfig, Nodes, NodeState, build_graph, deploy
 from .radio import RadioParams, tree_round_energy
-from .seeding import derive_seed
+from .seeding import derive_seed, round_rngs
 
 STOP_RULES = ("first-death", "energy-exhausted")
 
@@ -57,15 +57,6 @@ class SimConfig:
             Nodes.from_states(self.nodes_override)
 
 
-@dataclass(frozen=True)
-class RoundMetrics:
-    round_index: int
-    energy_lost: float
-    delay: int
-    energy_delay: float
-    alive: int
-
-
 @dataclass
 class SimulationReport:
     """Per-trial outcome: lifetime plus per-completed-round traces.
@@ -95,13 +86,6 @@ class SimulationReport:
     @property
     def completed_rounds(self) -> int:
         return len(self.energy_per_round)
-
-    def round_metrics(self) -> list[RoundMetrics]:
-        return [
-            RoundMetrics(i + 1, float(e), int(d), float(e) * int(d), int(a))
-            for i, (e, d, a) in enumerate(
-                zip(self.energy_per_round, self.delay_per_round, self.alive_per_round))
-        ]
 
 
 def _lifetime_mean(values, lifetime: int) -> float:
@@ -151,13 +135,13 @@ def run_trial(config: SimConfig, trial_seed: int) -> SimulationReport:
     first_death_at: int | None = None
     completed = 0
     attempt = 0
+    rngs = round_rngs(trial_seed)  # baselines: one per attempt, abandoned ones too
 
     while completed < config.max_rounds:
         n_alive = int(alive.sum())
         if n_alive == 0:
             break
         attempt += 1
-        round_seed = derive_seed(trial_seed, attempt)
         served_before = served
 
         if emln:
@@ -165,7 +149,7 @@ def run_trial(config: SimConfig, trial_seed: int) -> SimulationReport:
                 if alive_dirty:
                     graph = build_graph(nodes, config.range_m)
                     alive_dirty = False
-                tree = construct_tree(graph, energies, tie_seed=round_seed)
+                tree = construct_tree(graph, energies, tie_seed=derive_seed(trial_seed, attempt))
                 rounds_on_tree = 0
                 if tree is None:
                     if completed == 0:
@@ -177,13 +161,13 @@ def run_trial(config: SimConfig, trial_seed: int) -> SimulationReport:
             rounds_on_tree += 1
         elif config.protocol == "leach":
             assignment, served = leach_elect(positions, alive, completed,
-                                             config.leach_p, round_seed, served)
+                                             config.leach_p, next(rngs), served)
             ledger, delay = leach_round(assignment, positions, sink, config.radio)
         elif config.protocol == "pegasis-tdma":
-            ledger, delay = pegasis_tdma_round(chain, alive, round_seed, positions,
+            ledger, delay = pegasis_tdma_round(chain, alive, next(rngs), positions,
                                                sink, config.radio)
         elif config.protocol == "pegasis-cdma":
-            ledger, delay = pegasis_cdma_round(chain, alive, round_seed, positions,
+            ledger, delay = pegasis_cdma_round(chain, alive, next(rngs), positions,
                                                sink, config.radio)
         else:
             ledger, delay = direct_round(alive, positions, sink, config.radio)

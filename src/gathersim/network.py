@@ -196,10 +196,13 @@ def _pairs_within(pos: np.ndarray, range_m: float,
     first = np.repeat(np.tile(owner, 5), counts)
     second = np.arange(total) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
-    x, y = pos[order, 0], pos[order, 1]
-    dx = x[first] - x[second]
-    dy = y[first] - y[second]
-    keep = dx * dx + dy * dy <= range_m * range_m
+    d2 = np.zeros(total)  # dx*dx + dy*dy, in place: 0 + dx*dx is exactly dx*dx
+    for coord in pos[order].T:
+        d = coord[first]
+        d -= coord[second]
+        d *= d
+        d2 += d
+    keep = d2 <= range_m * range_m
     return order[first[keep]], order[second[keep]]
 
 

@@ -3,21 +3,33 @@
 All randomness in the simulator flows from 64-bit integer seeds. Sub-seeds
 (per trial, per round) are the outputs of a SplitMix64 stream, a published,
 portable mixing function, so every run can be reproduced bit-exactly from
-its master seed on any platform. Draws themselves use numpy's PCG64.
+its master seed on any platform. Draws themselves use numpy's PCG64;
+``round_rngs`` hashes round seeds in blocks as ``SeedSequence`` does and loads
+each PCG64 state (O'Neill, HMC-CS-2014-0905) into one reused Generator. Only
+this seeding, which NumPy NEP 19 keeps stable, is redone here.
 """
 
 from __future__ import annotations
 
+from itertools import count
+from typing import Iterator
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# numpy's SeedSequence mixing constants and PCG64's 128-bit LCG multiplier
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+ROUND_BLOCK = 64  # round seeds hashed per block of ``round_rngs``
 
 
-def splitmix64(state: int) -> int:
-    """SplitMix64 output function applied to ``state``."""
+def splitmix64(state):
+    """SplitMix64 output function applied to ``state``, an int or a uint64 array."""
     z = state & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
@@ -37,6 +49,61 @@ def derive_seed(seed: int, index: int) -> int:
     return splitmix64((seed + (index + 1) * _GOLDEN) & _MASK64)
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """PCG64 generator for a 64-bit seed."""
+def make_rng(seed: int | np.random.Generator) -> np.random.Generator:
+    """PCG64 generator for a 64-bit seed; a Generator is returned unchanged."""
+    if isinstance(seed, np.random.Generator):
+        return seed
     return np.random.Generator(np.random.PCG64(seed & _MASK64))
+
+
+# SeedSequence's pool and output hash step k xor with c[k] and multiply by c[k + 1]
+_POOL, _OUT = (np.array([init] + [mult] * steps, dtype=np.uint32).cumprod(dtype=np.uint32)[:, None]
+               for init, mult, steps in ((0x43B0D7E5, 0x931E8875, 16),
+                                         (0x8B51F9DD, 0x58F38DED, 8)))
+
+
+def _hashmix(value: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    value = (value ^ steps[:-1]) * steps[1:]
+    return value ^ (value >> np.uint32(16))
+
+
+def seed_sequence_states(seeds) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for each uint64 seed s, as a
+    (4, len(seeds)) array, in uint32 arithmetic. A seed below 2^32 is one entropy
+    word, which the pool of 4 pads with zero words, so every seed hashes as two."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    words = np.zeros((4, seeds.size), dtype=np.uint32)
+    words[:2] = seeds, seeds >> np.uint64(32)  # assignment keeps the low 32 bits
+    pool = _hashmix(words, _POOL[:5])
+    for src in range(4):
+        # pool[src] hashed into each other word in turn; it does not change meanwhile
+        dst = [d for d in range(4) if d != src]
+        mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], _POOL[4 + 3 * src:8 + 3 * src])
+        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _OUT).astype(np.uint64)
+    return out[0::2] | out[1::2] << np.uint64(32)
+
+
+def pcg64_states(seeds) -> Iterator[tuple[int, int]]:
+    """``PCG64(s)``'s 128-bit (state, inc) for each uint64 seed s: the
+    SeedSequence words seeded as ``pcg_setseq_128_srandom`` does."""
+    for s_hi, s_lo, i_hi, i_lo in seed_sequence_states(seeds).T.tolist():
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+        yield ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def round_rngs(trial_seed: int) -> Iterator[np.random.Generator]:
+    """Yield ``make_rng(derive_seed(trial_seed, a))`` for a = 1, 2, 3, ...
+
+    Every item is the same Generator, re-seeded, so use it before taking the
+    next. Each state is loaded with no buffered 32-bit draw, as a fresh
+    generator starts with none."""
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    base = np.uint64(trial_seed & _MASK64)
+    for first in count(2, ROUND_BLOCK):  # attempt a is SplitMix64 step a + 1
+        steps = np.arange(first, first + ROUND_BLOCK, dtype=np.uint64)
+        for state, inc in pcg64_states(splitmix64(base + steps * np.uint64(_GOLDEN))):
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            yield rng

@@ -1,10 +1,14 @@
-"""Shared graph-building helpers for the test suite."""
+"""Shared graph-building and output-parsing helpers for the test suite."""
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
-from gathersim import NetworkSnapshot, Nodes, build_graph, deploy, derive_seed
+from gathersim import (ExperimentAggregate, NetworkSnapshot, Nodes, build_graph, deploy,
+                       derive_seed)
+from gathersim.cli import AGGREGATE_COLUMNS
 from gathersim.network import FieldConfig
 
 
@@ -57,3 +61,12 @@ def seeded_nodes(seed: int, n: int = 100, field: FieldConfig | None = None) -> N
 def random_geometric_snapshot(seed: int, n: int = 100, range_m: float = 25.0,
                               field: FieldConfig | None = None) -> NetworkSnapshot:
     return build_graph(seeded_nodes(seed, n, field), range_m)
+
+
+def read_aggregate_csv(path) -> list[ExperimentAggregate]:
+    """Parse an aggregate CSV written by the CLI back into its rows."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(header) == AGGREGATE_COLUMNS
+    return [ExperimentAggregate(row[0], float(row[1]), int(row[2]), *map(float, row[3:9]),
+                                float(row[9]) if row[9] else None) for row in rows]

@@ -3,9 +3,9 @@ import math
 
 import pytest
 
-from gathersim import NodeState, compare_protocols, parse_config
-from gathersim.cli import (AGGREGATE_COLUMNS, PER_ROUND_COLUMNS, aggregate_row,
-                           main, read_aggregate_csv, render)
+from conftest import read_aggregate_csv
+from gathersim import NodeState, cli, compare_protocols, parse_config
+from gathersim.cli import AGGREGATE_COLUMNS, PER_ROUND_COLUMNS, aggregate_row, main, render
 from gathersim.engine import FieldConfig, SimConfig
 
 
@@ -33,6 +33,17 @@ def test_defaults_match_reference_setup():
 def test_zero_trials_is_usage_error(capsys):
     assert main(["--trials", "0"]) == 2
     assert "trials" in capsys.readouterr().err
+
+
+def test_reused_parser_keeps_no_value_between_calls(capsys):
+    assert parse_config(["--seed", "5"])[0].master_seed == 5
+    assert parse_config([])[0].master_seed == 1
+    fresh_help = cli._build_parser.__wrapped__().format_help()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == fresh_help
 
 
 def test_unknown_flag_exits_nonzero():

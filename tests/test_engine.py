@@ -75,9 +75,11 @@ def test_lifetime_respects_max_rounds_cap():
 
 def test_round_metrics_product_invariant():
     report = run_trial(small(), 9)
-    for m in report.round_metrics():
-        assert m.energy_delay == m.energy_lost * m.delay
-        assert m.alive == 20
+    rounds = report.completed_rounds
+    assert len(report.delay_per_round) == len(report.alive_per_round) == rounds > 0
+    assert np.all(report.alive_per_round == 20)
+    products = report.energy_per_round * report.delay_per_round
+    assert report.mean_energy_delay == float(np.mean(products[:report.lifetime]))
 
 
 def test_disconnected_deployment_flagged_not_faulted():

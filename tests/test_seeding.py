@@ -1,7 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from gathersim import derive_seed, make_rng, splitmix64
+from gathersim import FieldConfig, SimConfig, derive_seed, make_rng, run_trial, splitmix64
+from gathersim.cli import PER_ROUND_COLUMNS, per_round_rows, render
+from gathersim.seeding import ROUND_BLOCK, round_rngs, seed_sequence_states
 
 # published reference outputs of the SplitMix64 stream seeded with 0
 SPLITMIX_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -28,3 +32,69 @@ def test_make_rng_reproducible():
     b = make_rng(987654321).random(16)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, make_rng(987654322).random(16))
+
+
+# SplitMix64 and SeedSequence split a seed into 32- and 64-bit words: the
+# word edges, and seeds that make_rng masks to 64 bits (-1, 2**64 + 5)
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, 2**64 + 5)
+
+
+def test_make_rng_returns_a_generator_unchanged():
+    gen = make_rng(3)
+    assert make_rng(gen) is gen
+
+
+@pytest.mark.parametrize("trial_seed", EDGE_SEEDS)
+def test_round_stream_states_equal_fresh_generators(trial_seed):
+    stream = round_rngs(trial_seed)
+    for attempt in range(1, 3 * ROUND_BLOCK + 2):
+        state = next(stream).bit_generator.state
+        assert state == make_rng(derive_seed(trial_seed, attempt)).bit_generator.state
+
+
+def test_block_hash_matches_numpy_seed_sequence():
+    rng = np.random.default_rng(20261018)
+    seeds = np.concatenate((rng.integers(0, 2**64, 100_000, dtype=np.uint64),
+                            np.array([s & (2**64 - 1) for s in EDGE_SEEDS], dtype=np.uint64)))
+    words = seed_sequence_states(seeds)
+    for i, seed in enumerate(seeds.tolist()):
+        if not np.array_equal(words[:, i], np.random.SeedSequence(seed).generate_state(4, np.uint64)):
+            pytest.fail(f"seed {seed}: {words[:, i]}")
+
+
+def test_no_buffered_draw_leaks_into_the_next_attempt():
+    # a bounded draw below 2**32 takes half of a 64-bit output and keeps the
+    # other half for the next draw; a fresh generator has no such half
+    stream = round_rngs(77)
+    for attempt in range(1, 2 * ROUND_BLOCK + 2):
+        rng, fresh = next(stream), make_rng(derive_seed(77, attempt))
+        m = 2 + attempt
+        assert rng.integers(m) == fresh.integers(m)
+        assert np.array_equal(rng.random(7), fresh.random(7))
+        rng.integers(m, size=2 * attempt)
+        assert rng.bit_generator.state["has_uint32"] == 1
+
+
+# per-round CSV hashes recorded before the engine took its round generators
+# from round_rngs; energy-exhausted, so abandoned rounds consume attempts too,
+# and long enough for the PEGASIS trials to cross two blocks
+TRIAL_CSV = {
+    ("emln", -1): "4a8428c298fd76c19967dac411ce4128360131f1645fefa6066983cbfd91d078",
+    ("emln", 2**64 + 5): "2a4ef8201f5c4184bce676d2b282d4004dd2b121001eb481141220ed8724387e",
+    ("leach", -1): "3cc7a21ee91a03f76ca4221030cd802c8dff8af833099a54976ac42550820993",
+    ("leach", 2**64 + 5): "01f0cd803330478a7a025cd1826698d2aaa36d8e1d29de789aba9d462aaddb78",
+    ("pegasis-tdma", -1): "4cd703fdcecc754ae57ec6ad783822c80431d4fc1bc4a004d558d72097e41bf0",
+    ("pegasis-tdma", 2**64 + 5): "2b2a71f51d3cebbaf76dfbe365f3ed077a27957124750ee15b59c1df98c458e4",
+    ("pegasis-cdma", -1): "56f835c9d1a92c83e2403055265f6c1e15e6667abfc0ac8df5a04368662b9d04",
+    ("pegasis-cdma", 2**64 + 5): "796811511fe0074a3331203c2e43682c5aac4b3eb3342ecc784c71d032d32063",
+    ("direct", -1): "427fa6056bdc8f0b8261f64cc21de5fe96e91eee56e064754dd09fcf95c0a4de",
+    ("direct", 2**64 + 5): "6c84b0159ad70c7e2f371e45e87bdde78f344eaf78f44f83cdfc838e0e8503f6",
+}
+
+
+@pytest.mark.parametrize("protocol,trial_seed", sorted(TRIAL_CSV, key=str))
+def test_run_trial_output_at_masked_trial_seeds(protocol, trial_seed):
+    config = SimConfig(protocol=protocol, initial_energy=0.1, stop_rule="energy-exhausted",
+                       field=FieldConfig(node_count=40))
+    text = render(per_round_rows([run_trial(config, trial_seed)]), PER_ROUND_COLUMNS, "csv")
+    assert hashlib.sha256(text.encode()).hexdigest() == TRIAL_CSV[protocol, trial_seed]
