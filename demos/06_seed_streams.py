@@ -2,9 +2,10 @@
 """Check the block-hashed round seeding against numpy, and time it.
 
 The engine takes each LEACH and PEGASIS round's generator from
-``round_rngs``, which hashes round seeds in blocks as numpy's
+``RoundStream``, which hashes round seeds in blocks as numpy's
 ``SeedSequence`` does and loads the resulting PCG64 state into one reused
-Generator. This script checks that seeding against numpy itself:
+Generator; ``round_rngs`` walks that stream attempt by attempt. This script
+checks that seeding against numpy itself:
 
 1. ``pcg64_states`` against ``np.random.PCG64(s).state`` (which runs
    ``SeedSequence``) for 1,000,000 random 64-bit seeds plus the word-edge

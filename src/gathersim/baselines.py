@@ -1,7 +1,10 @@
 """Comparison protocols: chain gathering (TDMA/CDMA), clustering, direct.
 
-Every round function returns an (EnergyLedger, delay_in_slots) pair over the
-full node-id space, debiting only alive participants. As in the tree
+Rounds are built in blocks: a block function takes what a block's rounds
+drew (leaders, elected heads) and returns an EnergyLedger of (rounds, n)
+arrays, one row per round over the full node-id space debiting only alive
+participants, plus one delay per round. Each round function returns the
+one-round case, an (EnergyLedger, delay_in_slots) pair. As in the tree
 protocol, the slot in which the final aggregate travels to the sink is not
 counted in the delay.
 """
@@ -17,8 +20,6 @@ import numpy as np
 from .network import _pairs_within
 from .radio import EnergyLedger, RadioParams, hop_lengths, tx_cost, tx_energy
 from .seeding import make_rng
-
-PROTOCOLS = ("emln", "leach", "pegasis-tdma", "pegasis-cdma", "direct")
 
 
 @dataclass(frozen=True)
@@ -160,24 +161,134 @@ def _node_arrays(positions, alive) -> tuple[np.ndarray, np.ndarray]:
     return positions, alive
 
 
-def _alive_subchain(chain: Chain, alive: np.ndarray) -> np.ndarray:
-    # dead nodes are bridged by skipping to the next alive node in chain order
-    try:
-        sub = chain.ids[alive[chain.ids]]
-    except IndexError:
-        raise ValueError("chain ids must be below the node count") from None
-    if sub.size == 0:
-        raise ValueError("need at least one alive node")
-    return sub
+def _repeated_sums(step: float, most: int) -> np.ndarray:
+    """``S[j]``: ``step`` added j times to 0.0, one addition at a time.
+
+    ``np.add.at`` debits j receptions of one constant this way, and the
+    float result is not ``j * step``.
+    """
+    return np.add.accumulate(np.concatenate(([0.0], np.full(most, step))))
 
 
-def _leader_to_sink(ledger: EnergyLedger, leader: int, positions, sink,
-                    params: RadioParams) -> None:
-    """The leader fuses its own reading and sends the aggregate to the sink."""
-    k = params.packet_bits
-    ledger.fuse[leader] += params.e_fuse * k
-    d_sink = float(np.linalg.norm(positions[leader] - np.asarray(sink, dtype=float)))
-    ledger.tx[leader] += tx_energy(params, k, d_sink)
+def _first_row(ledger: EnergyLedger, delays: np.ndarray) -> tuple[EnergyLedger, int]:
+    return EnergyLedger(ledger.tx[0], ledger.rx[0], ledger.fuse[0]), int(delays[0])
+
+
+class AliveChain:
+    """A chain's alive nodes in chain order: what the rounds over one alive set share.
+
+    Dead nodes are bridged by skipping to the next alive node in chain order.
+    Chain position p is node ``sub[p]``. The leaders' sink transmissions are
+    memoised, since a leader is drawn again and again.
+    """
+
+    def __init__(self, chain: Chain, alive, positions, sink, params: RadioParams):
+        self.positions, alive = _node_arrays(positions, alive)
+        try:
+            self.sub = chain.ids[alive[chain.ids]]
+        except IndexError:
+            raise ValueError("chain ids must be below the node count") from None
+        if self.sub.size == 0:
+            raise ValueError("need at least one alive node")
+        self.sink = np.asarray(sink, dtype=float)
+        self.params = params
+        self._sink_tx: dict[int, float] = {}
+        # no node receives more than ceil(log2 m) packets in a round
+        most = self.sub.size.bit_length() + 2
+        k = params.packet_bits
+        self._rx_sums = _repeated_sums(float(params.e_elec * k), most)
+        self._fuse_sums = _repeated_sums(float(params.e_fuse * k), most)
+
+    def draw_leader(self, seed: int | np.random.Generator) -> int:
+        return int(make_rng(seed).integers(self.sub.size))
+
+    def hop_tx(self, senders, receivers) -> np.ndarray:
+        """Transmit cost from each sender to its receiver, both chain positions."""
+        pos = self.positions
+        return tx_cost(self.params, self.params.packet_bits,
+                       hop_lengths(pos[self.sub[senders]], pos[self.sub[receivers]]))
+
+    def ledgers(self, tx: np.ndarray, receptions: np.ndarray,
+                leaders: np.ndarray) -> EnergyLedger:
+        """Rows of debits over all nodes, from (rounds, chain position) arrays.
+
+        ``tx`` holds each non-leader's hop and ``receptions`` each node's
+        packet count; each leader fuses its own reading too and sends the
+        aggregate to the sink.
+        """
+        rows = np.arange(len(leaders))
+        tx[rows, leaders] = [self._leader_tx(lead) for lead in leaders.tolist()]
+        rx = self._rx_sums[receptions]
+        receptions[rows, leaders] += 1
+        fuse = self._fuse_sums[receptions]
+        ledger = EnergyLedger.empty((len(leaders), len(self.positions)))
+        ledger.tx[:, self.sub], ledger.rx[:, self.sub], ledger.fuse[:, self.sub] = tx, rx, fuse
+        return ledger
+
+    def _leader_tx(self, lead: int) -> float:
+        if lead not in self._sink_tx:
+            # norm's 1-D path (a dot product): a sum of squares can differ in the last bit
+            d_sink = float(np.linalg.norm(self.positions[self.sub[lead]] - self.sink))
+            self._sink_tx[lead] = tx_energy(self.params, self.params.packet_bits, d_sink)
+        return self._sink_tx[lead]
+
+    @cached_property
+    def _tdma_hops(self) -> tuple[np.ndarray, np.ndarray]:
+        # position p's hop toward a leader after it (p + 1) or before it (p - 1)
+        hop = self.hop_tx(np.arange(1, self.sub.size), np.arange(self.sub.size - 1))
+        return np.append(hop, 0.0), np.concatenate(([0.0], hop))
+
+    @cached_property
+    def _cdma_tree(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # without a leader, position p sends to p - lowbit(p) and position 0 tops out
+        p = np.arange(self.sub.size)
+        lowbit = p & -p
+        parent = p - lowbit
+        twice_lowbit = 2 * lowbit
+        twice_lowbit[0] = 2 * self.sub.size  # 0 sends to any other leader
+        return parent, self.hop_tx(p, parent), twice_lowbit
+
+
+def pegasis_tdma_block(links: AliveChain, leaders) -> tuple[EnergyLedger, np.ndarray]:
+    """TDMA chain rounds, one per leader (chain position): ledger rows and delays.
+
+    Every non-leader transmits once to its chain neighbour toward the
+    leader, and each reception also costs one fusion: position p receives
+    from p - 1 if 1 <= p <= leader and from p + 1 if leader <= p <= m - 2.
+    """
+    leaders = np.asarray(leaders, dtype=np.int64)
+    m = links.sub.size
+    p = np.arange(m)
+    lead = leaders[:, None]
+    ahead, behind = links._tdma_hops
+    tx = np.where(p < lead, ahead, behind)
+    receptions = ((p >= 1) & (p <= lead)).astype(np.int64) + ((p >= lead) & (p <= m - 2))
+    return links.ledgers(tx, receptions, leaders), np.maximum(leaders, m - 1 - leaders)
+
+
+def pegasis_cdma_block(links: AliveChain, leaders) -> tuple[EnergyLedger, np.ndarray]:
+    """CDMA binary-aggregation rounds, one per leader: ledger rows and delays.
+
+    In closed form: with d the highest set bit of p ^ leader, a non-leader
+    at position p sends to the leader if p's low d bits are zero, which is
+    when 2 lowbit(p) > p ^ leader; otherwise to p - lowbit(p). Every leader
+    takes ceil(log2 m) levels.
+    """
+    leaders = np.asarray(leaders, dtype=np.int64)
+    m = links.sub.size
+    p = np.arange(m)
+    lead = leaders[:, None]
+    parent, parent_tx, twice_lowbit = links._cdma_tree
+    sends = p != lead
+    to_leader = sends & (twice_lowbit > (p ^ lead))
+    receiver = np.where(to_leader, lead, parent)
+    rows = np.arange(len(leaders))[:, None]
+    receptions = np.bincount((rows * m + receiver)[sends],
+                             minlength=len(leaders) * m).reshape(len(leaders), m)
+    tx = np.where(sends, parent_tx, 0.0)
+    ks, ps = np.nonzero(to_leader)
+    tx[ks, ps] = links.hop_tx(ps, leaders[ks])
+    return links.ledgers(tx, receptions, leaders), np.full(len(leaders), (m - 1).bit_length())
 
 
 def pegasis_tdma_round(chain: Chain, alive, leader_seed: int | np.random.Generator,
@@ -190,24 +301,8 @@ def pegasis_tdma_round(chain: Chain, alive, leader_seed: int | np.random.Generat
     side's length. The leader fuses its own reading and forwards the
     aggregate to the sink.
     """
-    positions, alive = _node_arrays(positions, alive)
-    sub = _alive_subchain(chain, alive)
-    m = sub.size
-    leader_pos = int(make_rng(leader_seed).integers(m))
-    k = params.packet_bits
-    ledger = EnergyLedger.empty(len(positions))
-
-    # hop i joins sub[i] and sub[i + 1]; |a - b| == |b - a| exactly
-    hop_tx = tx_cost(params, k, hop_lengths(positions[sub[1:]], positions[sub[:-1]]))
-    ledger.tx[sub[:leader_pos]] = hop_tx[:leader_pos]        # left side sends rightward
-    ledger.tx[sub[leader_pos + 1:]] = hop_tx[leader_pos:]    # right side sends leftward
-    # an interior leader receives from both sides
-    receivers = np.concatenate((sub[1:leader_pos + 1], sub[leader_pos:-1]))
-    np.add.at(ledger.rx, receivers, float(params.e_elec * k))
-    np.add.at(ledger.fuse, receivers, float(params.e_fuse * k))
-
-    _leader_to_sink(ledger, int(sub[leader_pos]), positions, sink, params)
-    return ledger, max(leader_pos, m - 1 - leader_pos)
+    links = AliveChain(chain, alive, positions, sink, params)
+    return _first_row(*pegasis_tdma_block(links, [links.draw_leader(leader_seed)]))
 
 
 def pegasis_cdma_round(chain: Chain, alive, leader_seed: int | np.random.Generator,
@@ -220,43 +315,69 @@ def pegasis_cdma_round(chain: Chain, alive, leader_seed: int | np.random.Generat
     in-network transmissions happen (under distinct codes, one slot per
     level) before the leader tops out and transmits to the sink.
     """
-    positions, alive = _node_arrays(positions, alive)
-    sub = _alive_subchain(chain, alive)
-    leader_pos = int(make_rng(leader_seed).integers(sub.size))
-    k = params.packet_bits
-    ledger = EnergyLedger.empty(len(positions))
-
-    # every node sends at most once and receptions add equal constants, so
-    # the pairs of all levels can be debited together
-    active = sub.tolist()
-    senders: list[int] = []
-    receivers: list[int] = []
-    levels = 0
-    while len(active) > 1:
-        paired = len(active) & ~1
-        first, second = active[0:paired:2], active[1:paired:2]
-        if leader_pos % 2:
-            # the leader is the second of its pair: it receives instead
-            i = leader_pos // 2
-            first[i], second[i] = second[i], first[i]
-        receivers += first
-        senders += second
-        active = first + active[paired:]
-        leader_pos //= 2
-        levels += 1
-
-    s, r = np.array(senders, dtype=np.int64), np.array(receivers, dtype=np.int64)
-    ledger.tx[s] = tx_cost(params, k, hop_lengths(positions[s], positions[r]))
-    np.add.at(ledger.rx, r, float(params.e_elec * k))
-    np.add.at(ledger.fuse, r, float(params.e_fuse * k))
-
-    _leader_to_sink(ledger, active[0], positions, sink, params)
-    return ledger, levels
+    links = AliveChain(chain, alive, positions, sink, params)
+    return _first_row(*pegasis_cdma_block(links, [links.draw_leader(leader_seed)]))
 
 
-# members per block of the nearest-head search are chosen so that a block's
-# distance array holds about this many entries, whatever the head count
-NEAREST_HEAD_BLOCK = 1 << 16
+# the nearest-head search works on blocks of (election, node) pairs, so that a
+# block's distance array holds about this many entries, whatever the head count
+NEAREST_HEAD_BLOCK = 1 << 13
+
+
+def elect_heads(alive: np.ndarray, served: np.ndarray, round_index: int, p_head: float,
+                rng: np.random.Generator) -> np.ndarray:
+    """One LEACH election: the heads, ascending. ``served`` is updated in place.
+
+    Rotation follows the classic threshold scheme: within an epoch of
+    ceil(1/p_head) rounds a node serves at most once, self-electing with
+    probability p_head / (1 - p_head * (round_index mod epoch)), which makes
+    the expected head count p_head * n every round and forces the remaining
+    eligibles to elect in the epoch's last round. The draw is repeated until
+    at least one head exists.
+    """
+    r = round_index % math.ceil(1 / p_head)
+    if r == 0:
+        served[:] = False
+    threshold = p_head / (1 - p_head * r)
+    eligible = np.flatnonzero(alive > served)
+    if eligible.size == 0:
+        # deaths can exhaust the pool mid-epoch; start a fresh epoch early
+        served[:] = False
+        eligible = np.flatnonzero(alive)
+    heads = eligible[rng.random(eligible.size) < threshold]
+    while heads.size == 0:
+        heads = eligible[rng.random(eligible.size) < threshold]
+    served[heads] = True
+    return heads
+
+
+def nearest_heads(positions: np.ndarray, ids: np.ndarray, head_rows) -> np.ndarray:
+    """Row r: the nearest head of ``head_rows[r]`` (ascending ids) to each node of ``ids``.
+
+    Exact squared distances, ties to the lower head id. The search runs
+    over blocks of elections and nodes, so that memory stays O(elections x
+    nodes) beyond a fixed-size block.
+    """
+    sizes = np.array([h.size for h in head_rows])
+    width = int(sizes.max())
+    # pad each row with its last head: argmin keeps the first of equal minima
+    ends = np.cumsum(sizes)
+    padded = np.concatenate(head_rows)[np.minimum(ends[:, None] - sizes[:, None]
+                                                  + np.arange(width), ends[:, None] - 1)]
+    hx, hy = positions[padded, 0], positions[padded, 1]
+    x, y = positions[ids, 0], positions[ids, 1]
+    nearest = np.empty((len(head_rows), ids.size), dtype=np.int64)
+    span = max(1, min(ids.size, NEAREST_HEAD_BLOCK // width))
+    rows = max(1, NEAREST_HEAD_BLOCK // (width * span))
+    for r in range(0, len(head_rows), rows):
+        for lo in range(0, ids.size, span):
+            dx = x[lo:lo + span, None] - hx[r:r + rows, None]
+            dy = y[lo:lo + span, None] - hy[r:r + rows, None]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            nearest[r:r + rows, lo:lo + span] = dx.argmin(axis=2)
+    return np.take_along_axis(padded, nearest, axis=1)
 
 
 def leach_elect(positions, alive, round_index: int, p_head: float,
@@ -264,79 +385,64 @@ def leach_elect(positions, alive, round_index: int, p_head: float,
                 ) -> tuple[ClusterAssignment, frozenset[int]]:
     """Elect cluster heads for one round and assign members to them.
 
-    Rotation follows the classic threshold scheme: within an epoch of
-    ceil(1/p_head) rounds a node serves at most once, self-electing with
-    probability p_head / (1 - p_head * (round_index mod epoch)), which makes
-    the expected head count p_head * n every round and forces the remaining
-    eligibles to elect in the epoch's last round. The draw is repeated until
-    at least one head exists. Members join their nearest head (ties to the
-    lower head id), searched over blocks of members so that memory stays
-    O(n) beyond a fixed-size block. Returns the assignment and the updated
-    served set, which the caller carries between rounds.
+    The election is ``elect_heads``; members join their nearest head (ties
+    to the lower head id), as ``nearest_heads`` finds them. Returns the
+    assignment and the updated served set, which the caller carries between
+    rounds.
     """
     if not 0 < p_head <= 1:
         raise ValueError("p_head must be in (0, 1]")
     positions, alive = _node_arrays(positions, alive)
     if not alive.any():
         raise ValueError("need at least one alive node")
-
-    epoch = math.ceil(1 / p_head)
-    r = round_index % epoch
-    if r == 0:
-        served = frozenset()
-    threshold = p_head / (1 - p_head * r)
-
     served_ids = list(served)
     if served_ids and (min(served_ids) < 0 or max(served_ids) >= len(alive)):
         raise ValueError(f"served ids must be node ids below {len(alive)}")
-    pool = alive.copy()
-    pool[served_ids] = False
-    eligible = np.flatnonzero(pool)
-    if eligible.size == 0:
-        # deaths can exhaust the pool mid-epoch; start a fresh epoch early
-        served = frozenset()
-        eligible = np.flatnonzero(alive)
+    served_mask = np.zeros(len(alive), dtype=bool)
+    served_mask[served_ids] = True
 
-    rng = make_rng(seed)
-    heads = eligible[rng.random(eligible.size) < threshold]
-    while heads.size == 0:
-        heads = eligible[rng.random(eligible.size) < threshold]
-    head_list = heads.tolist()
-    served = served.union(head_list)
-
+    heads = elect_heads(alive, served_mask, round_index, p_head, make_rng(seed))
     pool = alive.copy()
     pool[heads] = False
     member_ids = np.flatnonzero(pool)
-    nearest = np.empty(member_ids.size, dtype=np.int64)
-    hx, hy = positions[heads, 0], positions[heads, 1]
-    mx, my = positions[member_ids, 0], positions[member_ids, 1]
-    rows = max(1, NEAREST_HEAD_BLOCK // heads.size)
-    for lo in range(0, member_ids.size, rows):
-        dx = mx[lo:lo + rows, None] - hx
-        dy = my[lo:lo + rows, None] - hy
-        nearest[lo:lo + rows] = (dx * dx + dy * dy).argmin(axis=1)
-    membership = dict(zip(member_ids.tolist(), heads[nearest].tolist()))
-    return ClusterAssignment(frozenset(head_list), membership), served
+    nearest = nearest_heads(positions, member_ids, [heads])[0]
+    membership = dict(zip(member_ids.tolist(), nearest.tolist()))
+    return (ClusterAssignment(frozenset(heads.tolist()), membership),
+            frozenset(np.flatnonzero(served_mask).tolist()))
+
+
+def cluster_block(head_of: np.ndarray, positions, sink_tx: np.ndarray,
+                  params: RadioParams) -> tuple[EnergyLedger, np.ndarray]:
+    """Cluster rounds: ledger rows and delays, one per row of ``head_of``.
+
+    ``head_of[r, u]`` is u's head in round r, u itself for a head, and -1
+    for a node that takes no part. ``sink_tx[h]`` is head h's transmit cost
+    to the sink. Members transmit to their heads, clusters running in
+    parallel under distinct codes with one member slot each; a head pays
+    for receiving every member packet, fusing members + 1 signals, and
+    forwarding to the sink. The head-to-sink forwards are serialized, so
+    the delay is the largest cluster's member count plus the head count.
+    """
+    rows, n = head_of.shape
+    k = params.packet_bits
+    is_head = head_of == np.arange(n)
+    r, members = np.nonzero((head_of >= 0) & ~is_head)
+    their_heads = head_of[r, members]
+    tx = np.where(is_head, sink_tx, 0.0)
+    tx[r, members] = tx_cost(params, k, hop_lengths(positions[members], positions[their_heads]))
+    counts = np.bincount(r * n + their_heads, minlength=rows * n).reshape(rows, n)
+    rx = _repeated_sums(float(params.e_elec * k), int(counts.max()))[counts]
+    fuse = np.where(is_head, params.e_fuse * k * (counts + 1), 0.0)
+    return EnergyLedger(tx, rx, fuse), counts.max(axis=1) + np.count_nonzero(is_head, axis=1)
 
 
 def leach_round(assignment: ClusterAssignment, positions, sink,
                 params: RadioParams) -> tuple[EnergyLedger, int]:
-    """Debit one cluster round and return its delay.
-
-    Members transmit to their heads, clusters running in parallel under
-    distinct codes with one member slot each; a head pays for receiving
-    every member packet, fusing members + 1 signals, and forwarding to the
-    sink. The head-to-sink forwards are serialized, so the delay is the
-    largest cluster's member count plus the head count.
-    """
+    """Debit one cluster round and return its delay, as ``cluster_block`` does."""
     if not assignment.heads:
         raise ValueError("assignment must have at least one head")
     positions = np.asarray(positions, dtype=float)
-    sink = np.asarray(sink, dtype=float)
     n = len(positions)
-    k = params.packet_bits
-    ledger = EnergyLedger.empty(n)
-
     head_list = sorted(assignment.heads)
     member_list = sorted(assignment.membership)
     # every member's head is a head (checked by ClusterAssignment), so the
@@ -345,22 +451,21 @@ def leach_round(assignment: ClusterAssignment, positions, sink,
     if min(ends) < 0 or max(ends) >= n:
         raise ValueError(f"cluster ids must be node ids below {n}")
     heads = np.array(head_list)
-    count_arr = np.zeros(len(head_list), dtype=np.int64)
-    if member_list:
-        members = np.array(member_list)
-        their_heads = np.array(list(map(assignment.membership.__getitem__, member_list)))
-        ledger.tx[members] = tx_cost(params, k, hop_lengths(positions[members],
-                                                              positions[their_heads]))
-        np.add.at(ledger.rx, their_heads, float(params.e_elec * k))
-        count_arr = np.bincount(their_heads, minlength=n)[heads]
-
-    ledger.fuse[heads] = params.e_fuse * k * (count_arr + 1)
-    ledger.tx[heads] += tx_cost(params, k, hop_lengths(positions[heads], sink))
-    return ledger, int(count_arr.max()) + len(heads)
+    head_of = np.full((1, n), -1)
+    head_of[0, heads] = heads
+    head_of[0, member_list] = list(map(assignment.membership.__getitem__, member_list))
+    sink_tx = np.zeros(n)
+    sink_tx[heads] = tx_cost(params, params.packet_bits,
+                             hop_lengths(positions[heads], np.asarray(sink, dtype=float)))
+    return _first_row(*cluster_block(head_of, positions, sink_tx, params))
 
 
 def direct_round(alive, positions, sink, params: RadioParams) -> tuple[EnergyLedger, int]:
-    """Every alive node transmits straight to the sink, one slot each."""
+    """Every alive node transmits straight to the sink, one slot each.
+
+    The ledger depends on the alive set alone, so it is every round's
+    ledger until a node dies.
+    """
     positions, alive = _node_arrays(positions, alive)
     ledger = EnergyLedger.empty(len(alive))
     ids = np.flatnonzero(alive)

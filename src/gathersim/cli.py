@@ -15,8 +15,7 @@ import sys
 from dataclasses import replace
 from functools import cache
 
-from .baselines import PROTOCOLS
-from .engine import (STOP_RULES, ExperimentAggregate, SimConfig, SimulationReport,
+from .engine import (PROTOCOLS, STOP_RULES, ExperimentAggregate, SimConfig, SimulationReport,
                      range_sweep, run_experiment)
 from .network import FieldConfig
 from .radio import RadioParams
@@ -262,8 +261,8 @@ def main(argv=None) -> int:
             rows = [aggregate_row(result.aggregate)]
             columns = AGGREGATE_COLUMNS
         emit_results(rows, columns, fmt=args.format, out=args.out)
-    except OSError as exc:
-        print(f"gathersim: error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        print(f"gathersim: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     return 0
 

@@ -1,19 +1,19 @@
-"""Round loop, lifetime determination, and multi-trial aggregation."""
+"""Protocol table, round loop in blocks, lifetime determination, multi-trial aggregation."""
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field, replace
+from functools import partial
 
 import numpy as np
 
-from .baselines import (PROTOCOLS, build_chain, direct_round, leach_elect,
-                        leach_round, pegasis_cdma_round, pegasis_tdma_round)
+from .baselines import (AliveChain, build_chain, cluster_block, direct_round,
+                        elect_heads, nearest_heads, pegasis_cdma_block, pegasis_tdma_block)
 from .emln import compute_delay, construct_tree
 from .network import FieldConfig, Nodes, NodeState, build_graph, deploy
-from .radio import RadioParams, tree_round_energy
-from .seeding import derive_seed, round_rngs
+from .radio import RadioParams, hop_lengths, tree_round_energy, tx_cost
+from .seeding import RoundStream, derive_seed
 
 STOP_RULES = ("first-death", "energy-exhausted")
 
@@ -92,6 +92,150 @@ def _lifetime_mean(values, lifetime: int) -> float:
     return float(np.mean(values[:lifetime])) if lifetime else float("nan")
 
 
+# A baseline's rounds are computed up to BLOCK_ROUNDS at a time, fewer where a
+# block's (rounds, nodes) arrays would hold more than BLOCK_ENTRIES entries.
+# Rounds past an abandoned one are wasted work, so once rounds have completed,
+# a block ends at the predicted next death.
+BLOCK_ROUNDS = 64
+BLOCK_ENTRIES = 1 << 10
+
+
+def _rounds_until_dry(initial: np.ndarray, energies: np.ndarray, alive: np.ndarray,
+                      completed: int) -> float:
+    """Rounds until the first alive node runs dry, at its mean debit so far."""
+    drained = initial - energies
+    left = np.divide(energies, drained, out=np.full(len(energies), np.inf),
+                     where=alive & (drained > 0))
+    return float(left.min()) * completed
+
+
+class _Rounds:
+    """One trial's rounds of one protocol: an entry of ``PROTOCOL_ROUNDS``.
+
+    Constructing it prepares the trial. ``block(attempt, round_index, rows)``
+    returns the per-node debits (rows, n), delays and leaf counts (None but
+    for trees) of the next ``rows`` rounds, at most ``self.rows``, the first
+    being attempt ``attempt`` and completed round ``round_index``, as if all
+    complete; or None when no gathering structure is left. ``abandon(row)``
+    says that round ``row`` of the last block was abandoned and nodes died,
+    so the rounds after it were not attempted.
+    """
+
+    def __init__(self, config: SimConfig, trial_seed: int, nodes: Nodes, sink: np.ndarray):
+        self.config, self.trial_seed, self.nodes, self.sink = config, trial_seed, nodes, sink
+        self.rows = max(1, min(BLOCK_ROUNDS, BLOCK_ENTRIES // len(nodes.alive)))
+
+
+class _EmlnRounds(_Rounds):
+    """One round per block: each tree depends on the energies left by the last."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.graph = self.round = None
+        self.rounds_on_tree = 0
+        self.rows = 1
+
+    def block(self, attempt: int, round_index: int, rows: int):
+        config = self.config
+        if self.round is None or self.rounds_on_tree >= config.rebuild_period:
+            if self.graph is None:
+                self.graph = build_graph(self.nodes, config.range_m)
+            tree = construct_tree(self.graph, self.nodes.energies,
+                                  tie_seed=derive_seed(self.trial_seed, attempt))
+            self.rounds_on_tree = 0
+            if tree is None:
+                return None
+            ledger = tree_round_energy(tree, self.nodes.positions, self.sink, config.radio)
+            self.round = (ledger.per_node[None], [compute_delay(tree)], [len(tree.leaf_set)])
+        self.rounds_on_tree += 1
+        return self.round
+
+    def abandon(self, row: int) -> None:
+        self.graph = self.round = None
+
+
+class _LeachRounds(_Rounds):
+    """Elections one by one, then the nearest heads and ledgers of the block at once."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        positions, alive = self.nodes.positions, self.nodes.alive
+        self.stream = RoundStream(self.trial_seed)
+        self.served = np.zeros(len(alive), dtype=bool)
+        self.served_before = None
+        self.sink_tx = np.zeros(len(alive))
+        ids = np.flatnonzero(alive)
+        radio = self.config.radio
+        self.sink_tx[ids] = tx_cost(radio, radio.packet_bits, hop_lengths(positions[ids], self.sink))
+
+    def block(self, attempt: int, round_index: int, rows: int):
+        positions, alive = self.nodes.positions, self.nodes.alive
+        self.served_before = np.empty((rows, len(alive)), dtype=bool)
+        heads = []
+        for row in range(rows):
+            self.served_before[row] = self.served
+            heads.append(elect_heads(alive, self.served, round_index + row,
+                                     self.config.leach_p, self.stream(attempt + row)))
+        ids = np.flatnonzero(alive)
+        head_of = np.full((rows, len(alive)), -1)
+        head_of[:, ids] = nearest_heads(positions, ids, heads)
+        elected = np.concatenate(heads)  # a head leads itself, whoever shares its spot
+        head_of[np.repeat(np.arange(rows), [h.size for h in heads]), elected] = elected
+        ledger, delays = cluster_block(head_of, positions, self.sink_tx, self.config.radio)
+        return ledger.per_node, delays, None
+
+    def abandon(self, row: int) -> None:
+        self.served = self.served_before[row].copy()  # the abandoned election does not count
+
+
+class _ChainRounds(_Rounds):
+    """Leaders drawn one by one, then the block's ledgers in closed form."""
+
+    def __init__(self, *args, ledgers):
+        super().__init__(*args)
+        self.stream = RoundStream(self.trial_seed)
+        self.chain = build_chain(self.nodes.positions, self.sink, self.nodes.alive)
+        self.ledgers = ledgers
+        self.links = None
+
+    def block(self, attempt: int, round_index: int, rows: int):
+        if self.links is None:
+            self.links = AliveChain(self.chain, self.nodes.alive, self.nodes.positions,
+                                    self.sink, self.config.radio)
+        leaders = [self.links.draw_leader(self.stream(a)) for a in range(attempt, attempt + rows)]
+        ledger, delays = self.ledgers(self.links, leaders)
+        return ledger.per_node, delays, None
+
+    def abandon(self, row: int) -> None:
+        self.links = None
+
+
+class _DirectRounds(_Rounds):
+    """The same ledger every round until a node dies."""
+
+    debit = None
+
+    def block(self, attempt: int, round_index: int, rows: int):
+        if self.debit is None:
+            ledger, self.delay = direct_round(self.nodes.alive, self.nodes.positions,
+                                              self.sink, self.config.radio)
+            self.debit = ledger.per_node
+        return np.broadcast_to(self.debit, (rows, len(self.debit))), [self.delay] * rows, None
+
+    def abandon(self, row: int) -> None:
+        self.debit = None
+
+
+PROTOCOL_ROUNDS = {
+    "emln": _EmlnRounds,
+    "leach": _LeachRounds,
+    "pegasis-tdma": partial(_ChainRounds, ledgers=pegasis_tdma_block),
+    "pegasis-cdma": partial(_ChainRounds, ledgers=pegasis_cdma_block),
+    "direct": _DirectRounds,
+}
+PROTOCOLS = tuple(PROTOCOL_ROUNDS)
+
+
 def run_trial(config: SimConfig, trial_seed: int) -> SimulationReport:
     """Simulate one deployment until first death, exhaustion, or the cap.
 
@@ -103,6 +247,11 @@ def run_trial(config: SimConfig, trial_seed: int) -> SimulationReport:
     election structures are rebuilt without the dead) until nobody is left,
     the gathering structure disconnects, or ``max_rounds`` is reached.
 
+    Rounds are debited a block at a time: one ``np.subtract.accumulate``
+    over the energies and the block's debits gives the energies after each
+    round, the same floats as debiting round by round, and the first round
+    some alive node cannot pay is the abandoned one.
+
     A tree-protocol trial whose graph is disconnected in round 1 runs no
     rounds and is flagged ``connected=False``; aggregation excludes it from
     everything except the connectivity fraction.
@@ -113,18 +262,12 @@ def run_trial(config: SimConfig, trial_seed: int) -> SimulationReport:
     else:
         nodes = deploy(config.field, derive_seed(trial_seed, 0), config.initial_energy)
     # the round loop debits energies and clears alive flags in place
-    positions, energies, alive = nodes.positions, nodes.energies, nodes.alive
+    energies, alive = nodes.energies, nodes.alive
+    n = len(energies)
     sink = np.asarray(config.field.sink_position, dtype=float)
+    initial = energies.copy()
     initial_total = float(energies.sum())
-
-    emln = config.protocol == "emln"
-    chain = build_chain(positions, sink, alive) if config.protocol.startswith("pegasis") else None
-
-    tree = None
-    cached_round = None  # (ledger, delay) reused while the tree is reused
-    rounds_on_tree = 0
-    alive_dirty = True
-    served: frozenset[int] = frozenset()
+    rounds = PROTOCOL_ROUNDS[config.protocol](config, trial_seed, nodes, sink)
     connected = True
 
     energy_hist: list[float] = []
@@ -134,68 +277,55 @@ def run_trial(config: SimConfig, trial_seed: int) -> SimulationReport:
     leaf_hist: list[int] = []
     first_death_at: int | None = None
     completed = 0
-    attempt = 0
-    rngs = round_rngs(trial_seed)  # baselines: one per attempt, abandoned ones too
+    attempt = 0  # abandoned rounds consume their attempt too
+    n_alive = int(alive.sum())
 
-    while completed < config.max_rounds:
-        n_alive = int(alive.sum())
-        if n_alive == 0:
-            break
-        attempt += 1
-        served_before = served
+    while completed < config.max_rounds and n_alive:
+        rows = min(rounds.rows, config.max_rounds - completed)
+        if completed and rows > 1:
+            left = _rounds_until_dry(initial, energies, alive, completed)
+            if left < rows:
+                rows = max(1, math.ceil(left))
+        block = rounds.block(attempt + 1, completed, rows)
+        if block is None:
+            if completed == 0:
+                connected = False
+            break  # no spanning structure left to gather over
+        debits, delays, leaves = block
+        # stack[0]: the energies, then each round's debits; stack[1]: the energies
+        # after each round. C order throughout: row sums of another layout can
+        # differ in the last bit
+        stack = np.empty((2, rows + 1, n))
+        stack[0, 0] = energies
+        stack[0, 1:] = debits
+        levels = np.subtract.accumulate(stack[0], axis=0, out=stack[1])
+        dying = (levels[:-1] < stack[0, 1:]) & alive
+        broke = dying.any(axis=1).nonzero()[0]
+        done = int(broke[0]) if broke.size else rows
 
-        if emln:
-            if tree is None or rounds_on_tree >= config.rebuild_period:
-                if alive_dirty:
-                    graph = build_graph(nodes, config.range_m)
-                    alive_dirty = False
-                tree = construct_tree(graph, energies, tie_seed=derive_seed(trial_seed, attempt))
-                rounds_on_tree = 0
-                if tree is None:
-                    if completed == 0:
-                        connected = False
-                    break  # no spanning structure left to gather over
-                cached_round = (tree_round_energy(tree, positions, sink, config.radio),
-                                compute_delay(tree))
-            ledger, delay = cached_round
-            rounds_on_tree += 1
-        elif config.protocol == "leach":
-            assignment, served = leach_elect(positions, alive, completed,
-                                             config.leach_p, next(rngs), served)
-            ledger, delay = leach_round(assignment, positions, sink, config.radio)
-        elif config.protocol == "pegasis-tdma":
-            ledger, delay = pegasis_tdma_round(chain, alive, next(rngs), positions,
-                                               sink, config.radio)
-        elif config.protocol == "pegasis-cdma":
-            ledger, delay = pegasis_cdma_round(chain, alive, next(rngs), positions,
-                                               sink, config.radio)
-        else:
-            ledger, delay = direct_round(alive, positions, sink, config.radio)
-
-        debit = ledger.per_node
-        dying = alive & (energies < debit)
-        if dying.any():
+        spent, residual = np.add.reduce(stack[:, 1:done + 1], axis=2).tolist()
+        energy_hist += spent
+        residual_hist += residual
+        delay_hist.extend(delays[:done])
+        alive_hist += [n_alive] * done
+        if leaves is not None:
+            leaf_hist += leaves[:done]
+        energies[:] = levels[done]
+        completed += done
+        attempt += done
+        if done < rows:
             # abandon the round: no debits are applied, the broke nodes die
+            attempt += 1
             if first_death_at is None:
                 first_death_at = completed
             if config.stop_rule == "first-death":
                 break
-            alive[dying] = False
-            alive_dirty = True
-            tree = None
-            served = served_before  # the abandoned election does not count
-            continue
-
-        energies -= debit
-        completed += 1
-        energy_hist.append(float(debit.sum()))
-        delay_hist.append(delay)
-        alive_hist.append(n_alive)
-        residual_hist.append(float(energies.sum()))
-        if emln:
-            leaf_hist.append(len(tree.leaf_set))
+            alive[dying[done]] = False
+            n_alive = int(alive.sum())
+            rounds.abandon(done)
 
     lifetime = first_death_at if first_death_at is not None else completed
+    emln = config.protocol == "emln"
     energy_arr = np.asarray(energy_hist, dtype=float)
     delay_arr = np.asarray(delay_hist, dtype=np.int64)
     leaf_arr = np.asarray(leaf_hist, dtype=np.int64) if emln else None
@@ -256,7 +386,11 @@ def run_experiment(config: SimConfig, workers: int = 1,
     """
     config.validate()
     seeds = [derive_seed(config.master_seed, i) for i in range(config.trials)]
+    workers = min(workers, config.trials)  # a pool may start all its workers at once
     if workers > 1:
+        # imported here: the pool's modules take about 2 MB that a serial run never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, config.trials // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_trial_task, [(config, s) for s in seeds], chunksize=chunk))

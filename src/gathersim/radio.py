@@ -75,7 +75,8 @@ class EnergyLedger:
     """Per-node energy debits for one round, split by activity.
 
     The split keeps every accounting component separately inspectable, e.g.
-    that leaves are never debited for reception or fusion.
+    that leaves are never debited for reception or fusion. A block of
+    rounds holds (rounds, n) arrays, one row per round.
     """
 
     tx: np.ndarray
@@ -83,8 +84,8 @@ class EnergyLedger:
     fuse: np.ndarray
 
     @classmethod
-    def empty(cls, node_count: int) -> "EnergyLedger":
-        return cls(np.zeros(node_count), np.zeros(node_count), np.zeros(node_count))
+    def empty(cls, shape: int | tuple[int, int]) -> "EnergyLedger":
+        return cls(np.zeros(shape), np.zeros(shape), np.zeros(shape))
 
     @property
     def per_node(self) -> np.ndarray:

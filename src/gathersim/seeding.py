@@ -4,7 +4,7 @@ All randomness in the simulator flows from 64-bit integer seeds. Sub-seeds
 (per trial, per round) are the outputs of a SplitMix64 stream, a published,
 portable mixing function, so every run can be reproduced bit-exactly from
 its master seed on any platform. Draws themselves use numpy's PCG64;
-``round_rngs`` hashes round seeds in blocks as ``SeedSequence`` does and loads
+``RoundStream`` hashes round seeds in blocks as ``SeedSequence`` does and loads
 each PCG64 state (O'Neill, HMC-CS-2014-0905) into one reused Generator. Only
 this seeding, which NumPy NEP 19 keeps stable, is redone here.
 """
@@ -25,7 +25,7 @@ _MIX2 = 0x94D049BB133111EB
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-ROUND_BLOCK = 64  # round seeds hashed per block of ``round_rngs``
+ROUND_BLOCK = 64  # round seeds hashed per block of ``RoundStream``
 
 
 def splitmix64(state):
@@ -92,18 +92,42 @@ def pcg64_states(seeds) -> Iterator[tuple[int, int]]:
         yield ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc
 
 
-def round_rngs(trial_seed: int) -> Iterator[np.random.Generator]:
-    """Yield ``make_rng(derive_seed(trial_seed, a))`` for a = 1, 2, 3, ...
+class RoundStream:
+    """``make_rng(derive_seed(trial_seed, a))`` for any attempt a >= 0: ``stream(a)``.
 
-    Every item is the same Generator, re-seeded, so use it before taking the
-    next. Each state is loaded with no buffered 32-bit draw, as a fresh
-    generator starts with none."""
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
-    base = np.uint64(trial_seed & _MASK64)
-    for first in count(2, ROUND_BLOCK):  # attempt a is SplitMix64 step a + 1
-        steps = np.arange(first, first + ROUND_BLOCK, dtype=np.uint64)
-        for state, inc in pcg64_states(splitmix64(base + steps * np.uint64(_GOLDEN))):
-            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                          "has_uint32": 0, "uinteger": 0}
-            yield rng
+    Every call returns the same Generator, re-seeded, so use it before the
+    next call. Seeds are hashed ROUND_BLOCK attempts at a time, in aligned
+    blocks, and the last block's PCG64 states are kept: going back to an
+    attempt of that block, as a run does after an abandoned round, costs
+    no hashing. Each state is loaded with no buffered 32-bit draw, as a
+    fresh generator starts with none."""
+
+    def __init__(self, trial_seed: int):
+        self._bits = np.random.PCG64(0)
+        self._rng = np.random.Generator(self._bits)
+        self._base = np.uint64(trial_seed & _MASK64)
+        self._block = -1
+        self._states: list[tuple[int, int]] = []
+
+    def __call__(self, attempt: int) -> np.random.Generator:
+        if attempt < 0:
+            raise ValueError("attempt must be >= 0")
+        block, i = divmod(attempt, ROUND_BLOCK)
+        if block != self._block:
+            # attempt a is SplitMix64 step a + 1
+            steps = np.arange(block * ROUND_BLOCK + 1, (block + 1) * ROUND_BLOCK + 1,
+                              dtype=np.uint64)
+            self._states = list(pcg64_states(splitmix64(self._base + steps * np.uint64(_GOLDEN))))
+            self._block = block
+        state, inc = self._states[i]
+        self._bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+        return self._rng
+
+
+def round_rngs(trial_seed: int, start: int = 1) -> Iterator[np.random.Generator]:
+    """Yield ``make_rng(derive_seed(trial_seed, a))`` for a = start, start + 1, ...
+
+    The items are ``RoundStream(trial_seed)``'s one Generator, re-seeded, so
+    use each before taking the next."""
+    return map(RoundStream(trial_seed), count(start))

@@ -7,8 +7,9 @@ versions in tests/reference_baselines.py give: the same heads, membership
 ledgers equal byte for byte. The cases cover seeded deployments with and
 without dead nodes, whole LEACH epochs at three head probabilities, an
 eligible pool that runs out mid-epoch, nearest-head searches split into
-many blocks, alive chains of 1 to 17 nodes with the leader at both ends and
-in the middle, hand-made cluster assignments and one 2,000-node deployment.
+many blocks, every leader position of alive chains of 1 to 17, 31 to 33,
+63 to 65 and 127 to 129 nodes, hand-made cluster assignments and one
+2,000-node deployment.
 """
 
 import tracemalloc
@@ -205,15 +206,27 @@ def test_pegasis_matches_reference_on_tiny_alive_chains(m):
                                      positions[:6])
 
 
-@pytest.mark.parametrize("m", [4, 5, 7, 8, 16, 17])
+def leader_seeds(m: int) -> list[int]:
+    """For each leader position, a seed whose single draw lands there."""
+    seeds: dict[int, int] = {}
+    for seed in range(100_000):
+        seeds.setdefault(int(make_rng(seed).integers(m)), seed)
+        if len(seeds) == m:
+            return [seeds[pos] for pos in range(m)]
+    raise AssertionError("no seed found")
+
+
+@pytest.mark.parametrize("m", [*range(1, 18), 31, 32, 33, 63, 64, 65, 127, 128, 129])
 def test_pegasis_matches_reference_with_leader_at_ends_and_middle(m):
-    positions, _ = deployment(m)
+    # every leader position; the CDMA closed form turns on the bits of m - 1
+    field = FieldConfig(node_count=max(100, m + 3))
+    positions, _ = deployment(m, field=field)
     positions = positions[:m + 3]
     chain = build_chain(positions, SINK)
     alive = np.ones(m + 3, bool)
     alive[list(chain.order[1:4])] = False  # dead nodes inside the chain
-    for leader_pos in sorted({0, 1, m // 2, m // 2 + 1, m - 2, m - 1}):
-        assert_same_chain_rounds(chain, alive, seed_for_leader(m, leader_pos), positions)
+    for seed in leader_seeds(m):
+        assert_same_chain_rounds(chain, alive, seed, positions)
 
 
 # ---------------------------------------------------------------------- direct

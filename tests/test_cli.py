@@ -163,6 +163,18 @@ def test_unwritable_out_path_fails(tmp_path):
     assert main(FAST + ["--out", str(tmp_path / "missing" / "x.csv")]) == 1
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 149. GiB for an array", ""])
+def test_size_beyond_memory_fails_with_an_error_line(message, monkeypatch, capsys):
+    # stands in for a run that cannot allocate its nodes; nothing is allocated
+    def run_experiment(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    assert main(["--nodes", "10000000000"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"gathersim: error: {message or 'out of memory'}\n"
+
+
 def test_data_goes_to_stdout_without_out_flag(capsys):
     assert main(FAST) == 0
     captured = capsys.readouterr()

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 
 import numpy as np
@@ -150,6 +151,33 @@ def test_parallel_workers_match_serial():
     serial = run_experiment(cfg, workers=1).aggregate
     parallel = run_experiment(cfg, workers=2).aggregate
     assert serial == parallel
+
+
+def test_worker_pool_never_outnumbers_the_trials(monkeypatch):
+    # a process pool may start all its workers at the first task, so the
+    # pool is never asked for more workers than there are trials
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = small(protocol="direct", trials=2)
+    serial = run_experiment(cfg).aggregate
+    assert run_experiment(cfg, workers=100_000).aggregate == serial
+    assert run_experiment(dataclasses.replace(cfg, trials=3), workers=2).aggregate.trials == 3
+    assert run_experiment(dataclasses.replace(cfg, trials=1), workers=8).aggregate.trials == 1
+    assert asked == [2, 2]
 
 
 def test_connectivity_fraction_counts_disconnected_trials():

@@ -5,7 +5,7 @@ import pytest
 
 from gathersim import FieldConfig, SimConfig, derive_seed, make_rng, run_trial, splitmix64
 from gathersim.cli import PER_ROUND_COLUMNS, per_round_rows, render
-from gathersim.seeding import ROUND_BLOCK, round_rngs, seed_sequence_states
+from gathersim.seeding import ROUND_BLOCK, RoundStream, round_rngs, seed_sequence_states
 
 # published reference outputs of the SplitMix64 stream seeded with 0
 SPLITMIX_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -46,10 +46,22 @@ def test_make_rng_returns_a_generator_unchanged():
 
 @pytest.mark.parametrize("trial_seed", EDGE_SEEDS)
 def test_round_stream_states_equal_fresh_generators(trial_seed):
-    stream = round_rngs(trial_seed)
-    for attempt in range(1, 3 * ROUND_BLOCK + 2):
-        state = next(stream).bit_generator.state
-        assert state == make_rng(derive_seed(trial_seed, attempt)).bit_generator.state
+    # a stream may start at any attempt, on either side of a hashed block's edge
+    for start in (1, ROUND_BLOCK - 1, ROUND_BLOCK, ROUND_BLOCK + 1, 2 * ROUND_BLOCK + 1):
+        stream = round_rngs(trial_seed, start)
+        for attempt in range(start, 3 * ROUND_BLOCK + 2):
+            state = next(stream).bit_generator.state
+            assert state == make_rng(derive_seed(trial_seed, attempt)).bit_generator.state
+
+
+def test_round_stream_goes_back_and_forth():
+    # an abandoned round sends the engine back to an attempt it has passed
+    stream = RoundStream(2**64 - 1)
+    for attempt in (5, 63, 7, 64, 63, 0, 200, 129, 128, 1):
+        state = stream(attempt).bit_generator.state
+        assert state == make_rng(derive_seed(2**64 - 1, attempt)).bit_generator.state
+    with pytest.raises(ValueError):
+        stream(-1)
 
 
 def test_block_hash_matches_numpy_seed_sequence():
