@@ -94,19 +94,10 @@ def _lifetime_mean(values, lifetime: int) -> float:
 
 # A baseline's rounds are computed up to BLOCK_ROUNDS at a time, fewer where a
 # block's (rounds, nodes) arrays would hold more than BLOCK_ENTRIES entries.
-# Rounds past an abandoned one are wasted work, so once rounds have completed,
-# a block ends at the predicted next death.
+# The rounds of a block after an abandoned one are computed for nothing, so
+# blocks pay off when many rounds pass between deaths.
 BLOCK_ROUNDS = 64
 BLOCK_ENTRIES = 1 << 10
-
-
-def _rounds_until_dry(initial: np.ndarray, energies: np.ndarray, alive: np.ndarray,
-                      completed: int) -> float:
-    """Rounds until the first alive node runs dry, at its mean debit so far."""
-    drained = initial - energies
-    left = np.divide(energies, drained, out=np.full(len(energies), np.inf),
-                     where=alive & (drained > 0))
-    return float(left.min()) * completed
 
 
 class _Rounds:
@@ -265,7 +256,6 @@ def run_trial(config: SimConfig, trial_seed: int) -> SimulationReport:
     energies, alive = nodes.energies, nodes.alive
     n = len(energies)
     sink = np.asarray(config.field.sink_position, dtype=float)
-    initial = energies.copy()
     initial_total = float(energies.sum())
     rounds = PROTOCOL_ROUNDS[config.protocol](config, trial_seed, nodes, sink)
     connected = True
@@ -282,10 +272,6 @@ def run_trial(config: SimConfig, trial_seed: int) -> SimulationReport:
 
     while completed < config.max_rounds and n_alive:
         rows = min(rounds.rows, config.max_rounds - completed)
-        if completed and rows > 1:
-            left = _rounds_until_dry(initial, energies, alive, completed)
-            if left < rows:
-                rows = max(1, math.ceil(left))
         block = rounds.block(attempt + 1, completed, rows)
         if block is None:
             if completed == 0:

@@ -97,10 +97,10 @@ class RoundStream:
 
     Every call returns the same Generator, re-seeded, so use it before the
     next call. Seeds are hashed ROUND_BLOCK attempts at a time, in aligned
-    blocks, and the last block's PCG64 states are kept: going back to an
-    attempt of that block, as a run does after an abandoned round, costs
-    no hashing. Each state is loaded with no buffered 32-bit draw, as a
-    fresh generator starts with none."""
+    blocks, and only the last hashed block's PCG64 states are kept: an
+    attempt of that block costs no hashing, one of any other block hashes
+    that block again. Each state is loaded with no buffered 32-bit draw, as
+    a fresh generator starts with none."""
 
     def __init__(self, trial_seed: int):
         self._bits = np.random.PCG64(0)
@@ -125,9 +125,9 @@ class RoundStream:
         return self._rng
 
 
-def round_rngs(trial_seed: int, start: int = 1) -> Iterator[np.random.Generator]:
-    """Yield ``make_rng(derive_seed(trial_seed, a))`` for a = start, start + 1, ...
+def round_rngs(trial_seed: int) -> Iterator[np.random.Generator]:
+    """Yield ``make_rng(derive_seed(trial_seed, a))`` for a = 1, 2, 3, ...
 
     The items are ``RoundStream(trial_seed)``'s one Generator, re-seeded, so
     use each before taking the next."""
-    return map(RoundStream(trial_seed), count(start))
+    return map(RoundStream(trial_seed), count(1))

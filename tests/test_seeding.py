@@ -46,11 +46,15 @@ def test_make_rng_returns_a_generator_unchanged():
 
 @pytest.mark.parametrize("trial_seed", EDGE_SEEDS)
 def test_round_stream_states_equal_fresh_generators(trial_seed):
-    # a stream may start at any attempt, on either side of a hashed block's edge
+    stream = round_rngs(trial_seed)
+    for attempt in range(1, 3 * ROUND_BLOCK + 2):
+        state = next(stream).bit_generator.state
+        assert state == make_rng(derive_seed(trial_seed, attempt)).bit_generator.state
+    # a run resumes at any attempt, on either side of a hashed block's edge
     for start in (1, ROUND_BLOCK - 1, ROUND_BLOCK, ROUND_BLOCK + 1, 2 * ROUND_BLOCK + 1):
-        stream = round_rngs(trial_seed, start)
+        stream = RoundStream(trial_seed)
         for attempt in range(start, 3 * ROUND_BLOCK + 2):
-            state = next(stream).bit_generator.state
+            state = stream(attempt).bit_generator.state
             assert state == make_rng(derive_seed(trial_seed, attempt)).bit_generator.state
 
 
