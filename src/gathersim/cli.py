@@ -1,7 +1,8 @@
 """Command-line front end: config ingestion, experiments, CSV/JSON output.
 
-Precedence for every setting is flags over config-file values over the
-built-in defaults. Data goes to --out (or stdout); diagnostics go to
+Every setting is one entry of ``SETTINGS``. Precedence is flags over
+config-file values over ``SimConfig``'s defaults, except that the CLI runs
+10 trials by default. Data goes to --out (or stdout); diagnostics go to
 stderr. Output is byte-identical across runs of the same config and seed.
 """
 
@@ -11,48 +12,42 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import replace
 from functools import cache
 
-from .engine import (PROTOCOLS, STOP_RULES, ExperimentAggregate, SimConfig, SimulationReport,
-                     range_sweep, run_experiment)
-from .network import FieldConfig
-from .radio import RadioParams
+from .engine import (PROTOCOL_ROUNDS, PROTOCOLS, STOP_RULES, ExperimentAggregate, SimConfig,
+                     SimulationReport, range_sweep, run_experiment)
 
 AGGREGATE_COLUMNS = ("protocol", "range", "trials", "connectivity", "mean_lifetime",
                      "sd_lifetime", "mean_energy_per_round", "mean_delay_per_round",
                      "mean_energy_delay", "mean_leaf_fraction")
 PER_ROUND_COLUMNS = ("trial", "round", "energy_j", "delay_slots", "alive")
 
-DEFAULTS = {
-    "protocol": "emln",
-    "nodes": 100,
-    "width": 100.0,
-    "height": 100.0,
-    "range": 25.0,
-    "sink-x": 50.0,
-    "sink-y": 300.0,
-    "trials": 10,
-    "seed": 1,
-    "initial-energy": 1.0,
-    "packet-bits": 2000,
-    "e-elec": 50e-9,
-    "eps-amp": 100e-12,
-    "e-fuse": 5e-9,
-    "leach-p": 0.05,
-    "rebuild-period": 1,
-    "max-rounds": 100_000,
-    "stop-rule": "first-death",
+# Every setting, as flag and config-file key: its type (or its allowed values)
+# and its place in SimConfig, a path of field names and tuple positions
+SETTINGS = {
+    "protocol": (PROTOCOLS, ("protocol",)),
+    "nodes": (int, ("field", "node_count")),
+    "width": (float, ("field", "width")),
+    "height": (float, ("field", "height")),
+    "range": (float, ("range_m",)),
+    "sink-x": (float, ("field", "sink_position", 0)),
+    "sink-y": (float, ("field", "sink_position", 1)),
+    "trials": (int, ("trials",)),
+    "seed": (int, ("master_seed",)),
+    "initial-energy": (float, ("initial_energy",)),
+    "packet-bits": (int, ("radio", "packet_bits")),
+    "e-elec": (float, ("radio", "e_elec")),
+    "eps-amp": (float, ("radio", "eps_amp")),
+    "e-fuse": (float, ("radio", "e_fuse")),
+    "leach-p": (float, ("leach_p",)),
+    "rebuild-period": (int, ("rebuild_period",)),
+    "max-rounds": (int, ("max_rounds",)),
+    "stop-rule": (STOP_RULES, ("stop_rule",)),
 }
-
-_KEY_TYPES = {
-    "protocol": str, "nodes": int, "width": float, "height": float, "range": float,
-    "sink-x": float, "sink-y": float, "trials": int, "seed": int,
-    "initial-energy": float, "packet-bits": int, "e-elec": float, "eps-amp": float,
-    "e-fuse": float, "leach-p": float, "rebuild-period": int, "max-rounds": int,
-    "stop-rule": str,
-}
+DEFAULT_CONFIG = SimConfig(trials=10)  # the CLI runs 10 trials unless told otherwise
 
 
 class UsageError(Exception):
@@ -70,10 +65,11 @@ def read_config_file(path) -> dict:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value")
             key, _, text = (part.strip() for part in line.partition("="))
-            if key not in _KEY_TYPES:
+            if key not in SETTINGS:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+            kind = SETTINGS[key][0]
             try:
-                values[key] = _KEY_TYPES[key](text)
+                values[key] = text if isinstance(kind, tuple) else kind(text)
             except ValueError:
                 raise UsageError(f"{path}:{lineno}: bad value for {key}: {text!r}") from None
     return values
@@ -86,24 +82,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Round-based sensor-network data-gathering simulator.")
     add = parser.add_argument
     add("--config", metavar="FILE", help="key=value config file")
-    add("--protocol", choices=PROTOCOLS)
-    add("--nodes", type=int)
-    add("--width", type=float)
-    add("--height", type=float)
-    add("--range", type=float, dest="range_m")
-    add("--sink-x", type=float)
-    add("--sink-y", type=float)
-    add("--trials", type=int)
-    add("--seed", type=int)
-    add("--initial-energy", type=float)
-    add("--packet-bits", type=int)
-    add("--e-elec", type=float)
-    add("--eps-amp", type=float)
-    add("--e-fuse", type=float)
-    add("--leach-p", type=float)
-    add("--rebuild-period", type=int)
-    add("--max-rounds", type=int)
-    add("--stop-rule", choices=STOP_RULES)
+    for key, (kind, _) in SETTINGS.items():
+        if isinstance(kind, tuple):
+            add(f"--{key}", dest=key, choices=kind)
+        else:
+            add(f"--{key}", dest=key, type=kind)
     add("--sweep", metavar="R1,R2,...", help="comma-separated ranges; one experiment each")
     add("--compare", action="store_true", help="run all protocols on identical deployments")
     add("--per-round", action="store_true", help="emit per-round rows instead of aggregates")
@@ -111,6 +94,16 @@ def _build_parser() -> argparse.ArgumentParser:
     add("--format", choices=("csv", "json"), default="csv")
     add("--workers", type=int, default=1, help="parallel trial workers")
     return parser
+
+
+def _with(value, path, new):
+    """``value`` with the part at ``path`` (field names and tuple positions) set to ``new``."""
+    if not path:
+        return new
+    step, rest = path[0], path[1:]
+    if isinstance(step, int):
+        return value[:step] + (_with(value[step], rest, new),) + value[step + 1:]
+    return replace(value, **{step: _with(getattr(value, step), rest, new)})
 
 
 def parse_config(argv=None):
@@ -121,48 +114,19 @@ def parse_config(argv=None):
     that ignores it.
     """
     args = _build_parser().parse_args(argv)
-
-    merged = dict(DEFAULTS)
     file_values = read_config_file(args.config) if args.config else {}
-    merged.update(file_values)
-    flag_values = {
-        "protocol": args.protocol, "nodes": args.nodes, "width": args.width,
-        "height": args.height, "range": args.range_m, "sink-x": args.sink_x,
-        "sink-y": args.sink_y, "trials": args.trials, "seed": args.seed,
-        "initial-energy": args.initial_energy, "packet-bits": args.packet_bits,
-        "e-elec": args.e_elec, "eps-amp": args.eps_amp, "e-fuse": args.e_fuse,
-        "leach-p": args.leach_p, "rebuild-period": args.rebuild_period,
-        "max-rounds": args.max_rounds, "stop-rule": args.stop_rule,
-    }
-    range_given = args.range_m is not None or "range" in file_values
-    merged.update({k: v for k, v in flag_values.items() if v is not None})
-
-    if merged["protocol"] not in PROTOCOLS:
-        raise UsageError(f"unknown protocol {merged['protocol']!r}")
-    if range_given and merged["protocol"] != "emln" and not args.compare and not args.sweep:
-        print(f"warning: --range is ignored for protocol {merged['protocol']}",
-              file=sys.stderr)
-
-    config = SimConfig(
-        field=FieldConfig(width=merged["width"], height=merged["height"],
-                          node_count=merged["nodes"],
-                          sink_position=(merged["sink-x"], merged["sink-y"])),
-        radio=RadioParams(e_elec=merged["e-elec"], eps_amp=merged["eps-amp"],
-                          e_fuse=merged["e-fuse"], packet_bits=merged["packet-bits"]),
-        protocol=merged["protocol"],
-        range_m=merged["range"],
-        initial_energy=merged["initial-energy"],
-        max_rounds=merged["max-rounds"],
-        trials=merged["trials"],
-        master_seed=merged["seed"],
-        rebuild_period=merged["rebuild-period"],
-        stop_rule=merged["stop-rule"],
-        leach_p=merged["leach-p"],
-    )
+    flag_values = {key: vars(args)[key] for key in SETTINGS if vars(args)[key] is not None}
+    given = {**file_values, **flag_values}
+    config = DEFAULT_CONFIG
+    for key, value in given.items():
+        config = _with(config, SETTINGS[key][1], value)
     try:
         config.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if ("range" in given and not PROTOCOL_ROUNDS[config.protocol].builds_tree
+            and not args.compare and not args.sweep):
+        print(f"warning: --range is ignored for protocol {config.protocol}", file=sys.stderr)
 
     sweep = None
     if args.sweep:
@@ -177,8 +141,8 @@ def parse_config(argv=None):
                 replace(config, range_m=range_m).validate()
         except ValueError as exc:
             raise UsageError(f"bad --sweep range: {exc}") from None
-    if args.per_round and (sweep or args.compare):
-        raise UsageError("--per-round applies only to a single experiment")
+    if sum(map(bool, (args.per_round, sweep, args.compare))) > 1:
+        raise UsageError("--per-round, --sweep and --compare exclude each other")
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
     return config, args, sweep
@@ -214,7 +178,7 @@ def per_round_rows(reports: list[SimulationReport]):
 
 
 def render(rows, columns, fmt: str) -> str:
-    """Render rows as CSV (header + shortest-round-trip floats) or JSON."""
+    """Render rows as CSV (header + shortest-round-trip floats) or JSON (null for NaN)."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -222,8 +186,9 @@ def render(rows, columns, fmt: str) -> str:
         for row in rows:
             writer.writerow([_format_cell(v) for v in row])
         return buf.getvalue()
-    if fmt == "json":
-        records = [dict(zip(columns, row)) for row in rows]
+    if fmt == "json":  # JSON has no NaN or infinity: such a float is written as null
+        records = [{key: None if isinstance(v, float) and not math.isfinite(v) else v
+                    for key, v in zip(columns, row)} for row in rows]
         return json.dumps(records, indent=2) + "\n"
     raise UsageError(f"unknown format {fmt!r}")
 

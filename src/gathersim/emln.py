@@ -10,6 +10,7 @@ transmit their own reading once per round.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,27 +18,48 @@ from .network import NetworkSnapshot
 from .seeding import make_rng
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GatherTree:
-    """Rooted spanning tree over the alive nodes of a snapshot.
+    """Rooted spanning tree over the alive nodes of a snapshot, as read-only arrays.
 
-    ``parent`` and ``level`` are arrays indexed by node id, holding -1 for
-    the root's parent and for nodes outside the tree. ``nodes_at_level[i]``
-    partitions the spanned nodes by depth. Treated as read-only.
+    ``parent`` and ``level`` are indexed by node id, holding -1 for the
+    root's parent and for nodes outside the tree; ``intermediate`` flags the
+    relaying nodes, the root among them, and the other members are leaves.
+    ``children``, ``intermediate_set``, ``leaf_set`` and ``height`` are views.
     """
 
     root: int
     parent: np.ndarray
     level: np.ndarray
-    children: tuple[tuple[int, ...], ...]
-    intermediate_set: frozenset[int]
-    leaf_set: frozenset[int]
-    nodes_at_level: tuple[tuple[int, ...], ...]
-    height: int
+    intermediate: np.ndarray
 
-    @property
-    def spanned(self) -> frozenset[int]:
-        return self.intermediate_set | self.leaf_set
+    def __post_init__(self):
+        for array in (self.parent, self.level, self.intermediate):
+            array.flags.writeable = False
+
+    @cached_property
+    def child_index(self) -> tuple[list[int], list[int]]:
+        """``(ids, bounds)``: node u's children are ``ids[bounds[u]:bounds[u + 1]]``, ascending."""
+        order = np.argsort(self.parent, kind="stable")
+        bounds = np.searchsorted(self.parent[order], np.arange(len(order) + 1))
+        return order.tolist(), bounds.tolist()
+
+    @cached_property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        ids, bounds = self.child_index
+        return tuple(tuple(ids[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def intermediate_set(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.intermediate).tolist())
+
+    @cached_property
+    def leaf_set(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero((self.level >= 0) & ~self.intermediate).tolist())
+
+    @cached_property
+    def height(self) -> int:
+        return int(self.level.max())
 
 
 def construct_tree(graph: NetworkSnapshot, energies, tie_seed: int) -> GatherTree | None:
@@ -76,10 +98,8 @@ def construct_tree(graph: NetworkSnapshot, energies, tie_seed: int) -> GatherTre
 
     parent = np.full(n, -1, dtype=np.int64)
     level = np.full(n, -1, dtype=np.int64)  # >= 0 exactly for covered nodes
+    intermediate = np.zeros(n, dtype=bool)
     candidate = alive.copy()  # for the root pick; then covered and not intermediate
-    children: list[tuple[int, ...]] = [()] * n
-    levels: list[list[int]] = []
-    intermediate_ids: list[int] = []
 
     def pick_max(root_pick: bool = False) -> int:
         """Max-weight candidate (lowest id first), or -1 if there is none.
@@ -115,30 +135,23 @@ def construct_tree(graph: NetworkSnapshot, energies, tie_seed: int) -> GatherTre
         uncovered counts are debited together with those of the adopted nodes.
         Returns how many nodes were adopted.
         """
-        intermediate_ids.append(u)
+        intermediate[u] = True
         candidate[u] = False
         nb = neighbors[u]
         new = nb[level[nb] < 0]
-        ids = new.tolist()
-        if ids:
+        if new.size:
             candidate[new] = True
             parent[new] = u
-            depth = level.item(u) + 1
-            level[new] = depth
-            children[u] = tuple(ids)
-            if len(levels) == depth:
-                levels.append([])
-            levels[depth].extend(ids)
-            hit = hit + [neighbors[v] for v in ids]
+            level[new] = level.item(u) + 1
+            hit = hit + [neighbors[v] for v in new.tolist()]
         if hit:
             np.subtract(uncovered_count, np.bincount(np.concatenate(hit), minlength=n),
                         out=uncovered_count)
-        return len(ids)
+        return new.size
 
     root = pick_max(root_pick=True)
     candidate[:] = False
     level[root] = 0
-    levels.append([root])
     n_covered = 1 + promote(root, [neighbors[root]])
 
     while n_covered < n_alive:
@@ -147,17 +160,7 @@ def construct_tree(graph: NetworkSnapshot, energies, tie_seed: int) -> GatherTre
             return None
         n_covered += promote(node, [])
 
-    inter_set = frozenset(intermediate_ids)
-    return GatherTree(
-        root=root,
-        parent=parent,
-        level=level,
-        children=tuple(children),
-        intermediate_set=inter_set,
-        leaf_set=frozenset(np.flatnonzero(level >= 0).tolist()) - inter_set,
-        nodes_at_level=tuple(tuple(sorted(members)) for members in levels),
-        height=len(levels) - 1,
-    )
+    return GatherTree(root, parent, level, intermediate)
 
 
 def compute_delay(tree: GatherTree) -> int:
@@ -172,92 +175,58 @@ def compute_delay(tree: GatherTree) -> int:
     orderings. Only intermediates have children, so they are the only nodes
     visited, deepest first; the root's value is the per-round delay.
     """
-    delay = [0] * len(tree.children)
+    ids, bounds = tree.child_index
+    delay = [0] * len(tree.parent)
     depth = tree.level.tolist()
-    for u in sorted(tree.intermediate_set, key=depth.__getitem__, reverse=True):
+    for u in sorted(np.flatnonzero(tree.intermediate).tolist(), key=depth.__getitem__,
+                    reverse=True):
         t = 0
-        for d in sorted([delay[v] for v in tree.children[u]]):
+        for d in sorted([delay[v] for v in ids[bounds[u]:bounds[u + 1]]]):
             t = t + 1 if t >= d else d + 1  # max(t + 1, d + 1), without the call
         delay[u] = t
     return delay[tree.root]
 
 
 def validate_tree(tree: GatherTree, graph: NetworkSnapshot) -> bool:
-    """True iff every structural invariant holds for ``tree`` over ``graph``.
+    """True iff ``tree`` is a gathering tree over ``graph``.
 
-    Checks spanning (members equal the alive node set), the partition into
-    intermediates and leaves, parent/child/level consistency, edges existing
-    in the graph, the level partition, the height, and that the intermediate
-    set dominates the graph and induces a subtree containing the root.
+    Its members (level >= 0) are the alive nodes; other nodes have level and
+    parent -1 and no intermediate flag; the root has level 0, parent -1 and
+    is intermediate; every other member's parent is an intermediate graph
+    neighbour one level up. So the parent links span the alive nodes, and
+    the intermediates dominate the graph and form a subtree at the root.
     """
     n = graph.node_count
-    if tree.parent.shape != (n,) or tree.level.shape != (n,) or len(tree.children) != n:
+    parent, level, inter, root = tree.parent, tree.level, tree.intermediate, tree.root
+    if not parent.shape == level.shape == inter.shape == (n,) or not 0 <= root < n:
         return False
-    members = tree.intermediate_set | tree.leaf_set
-    if tree.intermediate_set & tree.leaf_set:
+    members = level >= 0
+    outside = ~members
+    if not np.array_equal(members, graph.alive):
         return False
-    if members != set(np.flatnonzero(graph.alive).tolist()):
+    if inter[outside].any() or (parent[outside] != -1).any() or (level[outside] != -1).any():
         return False
-    if tree.root not in tree.intermediate_set:
+    if level[root] != 0 or parent[root] != -1 or not inter[root]:
         return False
-    if tree.level[tree.root] != 0 or tree.parent[tree.root] != -1:
+    others = np.flatnonzero(members)
+    others = others[others != root]
+    up = parent[others]
+    if ((up < 0) | (up >= n)).any() or not inter[up].all():
         return False
-
-    for v in members:
-        if v == tree.root:
-            continue
-        p = int(tree.parent[v])
-        if p < 0 or p not in members:
-            return False
-        if p not in graph.adjacency[v]:
-            return False
-        if tree.level[v] != tree.level[p] + 1:
-            return False
-
-    for u in range(n):
-        kids = tree.children[u]
-        if u not in members:
-            if kids or tree.parent[u] != -1 or tree.level[u] != -1:
-                return False
-            continue
-        if list(kids) != sorted(int(v) for v in members if v != tree.root and tree.parent[v] == u):
-            return False
-        if kids and u not in tree.intermediate_set:
-            return False
-        if u in tree.leaf_set and kids:
-            return False
-
-    member_ids = sorted(members)
-    if tree.height != max(int(tree.level[v]) for v in member_ids):
+    if (level[up] + 1 != level[others]).any():
         return False
-    if len(tree.nodes_at_level) != tree.height + 1:
-        return False
-    seen: list[int] = []
-    for lvl, bucket in enumerate(tree.nodes_at_level):
-        for v in bucket:
-            if v not in members or tree.level[v] != lvl:
-                return False
-        seen.extend(bucket)
-    if sorted(seen) != member_ids:
-        return False
-
-    # intermediates dominate the graph and form a connected subtree at the root
-    for v in member_ids:
-        if v not in tree.intermediate_set and tree.intermediate_set.isdisjoint(graph.adjacency[v]):
-            return False
-    for u in tree.intermediate_set:
-        if u != tree.root and int(tree.parent[u]) not in tree.intermediate_set:
-            return False
-    return True
+    # every (node, parent) pair is a graph edge; an edge u-v is keyed u * n + v
+    edges = np.repeat(np.arange(n), graph.degrees) * n + graph.indices
+    return bool(np.isin(others * n + up, edges).all())
 
 
 def dump_tree(tree: GatherTree) -> str:
     """Text dump, one line per node: "id level parent role", ascending ids."""
     lines = []
-    for u in sorted(tree.intermediate_set | tree.leaf_set):
+    for u in np.flatnonzero(tree.level >= 0).tolist():
         if u == tree.root:
             role = "root"
-        elif u in tree.intermediate_set:
+        elif tree.intermediate[u]:
             role = "intermediate"
         else:
             role = "leaf"

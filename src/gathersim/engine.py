@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field, replace
-from functools import partial
 
 import numpy as np
 
@@ -112,6 +111,8 @@ class _Rounds:
     so the rounds after it were not attempted.
     """
 
+    builds_tree = False  # a tree protocol's reports count leaves
+
     def __init__(self, config: SimConfig, trial_seed: int, nodes: Nodes, sink: np.ndarray):
         self.config, self.trial_seed, self.nodes, self.sink = config, trial_seed, nodes, sink
         self.rows = max(1, min(BLOCK_ROUNDS, BLOCK_ENTRIES // len(nodes.alive)))
@@ -119,6 +120,8 @@ class _Rounds:
 
 class _EmlnRounds(_Rounds):
     """One round per block: each tree depends on the energies left by the last."""
+
+    builds_tree = True
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -137,7 +140,8 @@ class _EmlnRounds(_Rounds):
             if tree is None:
                 return None
             ledger = tree_round_energy(tree, self.nodes.positions, self.sink, config.radio)
-            self.round = (ledger.per_node[None], [compute_delay(tree)], [len(tree.leaf_set)])
+            leaves = np.count_nonzero(tree.level >= 0) - np.count_nonzero(tree.intermediate)
+            self.round = (ledger.per_node[None], [compute_delay(tree)], [leaves])
         self.rounds_on_tree += 1
         return self.round
 
@@ -180,13 +184,12 @@ class _LeachRounds(_Rounds):
 
 
 class _ChainRounds(_Rounds):
-    """Leaders drawn one by one, then the block's ledgers in closed form."""
+    """Leaders drawn one by one, then the block's ledgers in closed form by ``ledgers``."""
 
-    def __init__(self, *args, ledgers):
+    def __init__(self, *args):
         super().__init__(*args)
         self.stream = RoundStream(self.trial_seed)
         self.chain = build_chain(self.nodes.positions, self.sink, self.nodes.alive)
-        self.ledgers = ledgers
         self.links = None
 
     def block(self, attempt: int, round_index: int, rows: int):
@@ -199,6 +202,14 @@ class _ChainRounds(_Rounds):
 
     def abandon(self, row: int) -> None:
         self.links = None
+
+
+class _TdmaRounds(_ChainRounds):
+    ledgers = staticmethod(pegasis_tdma_block)
+
+
+class _CdmaRounds(_ChainRounds):
+    ledgers = staticmethod(pegasis_cdma_block)
 
 
 class _DirectRounds(_Rounds):
@@ -220,8 +231,8 @@ class _DirectRounds(_Rounds):
 PROTOCOL_ROUNDS = {
     "emln": _EmlnRounds,
     "leach": _LeachRounds,
-    "pegasis-tdma": partial(_ChainRounds, ledgers=pegasis_tdma_block),
-    "pegasis-cdma": partial(_ChainRounds, ledgers=pegasis_cdma_block),
+    "pegasis-tdma": _TdmaRounds,
+    "pegasis-cdma": _CdmaRounds,
     "direct": _DirectRounds,
 }
 PROTOCOLS = tuple(PROTOCOL_ROUNDS)
@@ -311,10 +322,9 @@ def run_trial(config: SimConfig, trial_seed: int) -> SimulationReport:
             rounds.abandon(done)
 
     lifetime = first_death_at if first_death_at is not None else completed
-    emln = config.protocol == "emln"
     energy_arr = np.asarray(energy_hist, dtype=float)
     delay_arr = np.asarray(delay_hist, dtype=np.int64)
-    leaf_arr = np.asarray(leaf_hist, dtype=np.int64) if emln else None
+    leaf_arr = np.asarray(leaf_hist, dtype=np.int64) if rounds.builds_tree else None
     return SimulationReport(
         protocol=config.protocol,
         connected=connected,
@@ -329,7 +339,7 @@ def run_trial(config: SimConfig, trial_seed: int) -> SimulationReport:
         mean_energy_per_round=_lifetime_mean(energy_arr, lifetime),
         mean_delay_per_round=_lifetime_mean(delay_arr, lifetime),
         mean_energy_delay=_lifetime_mean(energy_arr * delay_arr, lifetime),
-        mean_leaf_count=_lifetime_mean(leaf_arr, lifetime) if emln else None,
+        mean_leaf_count=_lifetime_mean(leaf_arr, lifetime) if rounds.builds_tree else None,
     )
 
 
@@ -383,6 +393,7 @@ def run_experiment(config: SimConfig, workers: int = 1,
     else:
         reports = [run_trial(config, s) for s in seeds]
 
+    builds_tree = PROTOCOL_ROUNDS[config.protocol].builds_tree
     usable = [r for r in reports if r.connected]
     connectivity = len(usable) / len(reports)
     if usable:
@@ -392,14 +403,14 @@ def run_experiment(config: SimConfig, workers: int = 1,
         mean_energy = float(np.mean([r.mean_energy_per_round for r in usable]))
         mean_delay = float(np.mean([r.mean_delay_per_round for r in usable]))
         mean_ed = float(np.mean([r.mean_energy_delay for r in usable]))
-        if config.protocol == "emln":
+        if builds_tree:
             leaf_fraction = float(np.mean([r.mean_leaf_count for r in usable])
                                   / config.field.node_count)
         else:
             leaf_fraction = None
     else:
         mean_lifetime = sd_lifetime = mean_energy = mean_delay = mean_ed = float("nan")
-        leaf_fraction = float("nan") if config.protocol == "emln" else None
+        leaf_fraction = float("nan") if builds_tree else None
 
     aggregate = ExperimentAggregate(
         protocol=config.protocol,

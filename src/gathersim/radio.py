@@ -9,18 +9,13 @@ import numpy as np
 
 from .emln import GatherTree
 
-E_ELEC_DEFAULT = 50e-9       # J/bit, transmitter/receiver electronics
-EPS_AMP_DEFAULT = 100e-12    # J/bit/m^2, transmit amplifier (r^2 loss)
-E_FUSE_DEFAULT = 5e-9        # J/bit per fused signal
-PACKET_BITS_DEFAULT = 2000   # bits per data packet; aggregates keep this size
-
 
 @dataclass(frozen=True)
 class RadioParams:
-    e_elec: float = E_ELEC_DEFAULT
-    eps_amp: float = EPS_AMP_DEFAULT
-    e_fuse: float = E_FUSE_DEFAULT
-    packet_bits: int = PACKET_BITS_DEFAULT
+    e_elec: float = 50e-9       # J/bit, transmitter/receiver electronics
+    eps_amp: float = 100e-12    # J/bit/m^2, transmit amplifier (r^2 loss)
+    e_fuse: float = 5e-9        # J/bit per fused signal
+    packet_bits: int = 2000     # bits per data packet; aggregates keep this size
 
     def validate(self) -> None:
         if not all(map(math.isfinite, (self.e_elec, self.eps_amp, self.e_fuse))):
@@ -122,7 +117,5 @@ def tree_round_energy(tree: GatherTree, positions, sink, params: RadioParams) ->
 
     child_count = np.bincount(parents, minlength=n)
     rx = child_count * (params.e_elec * k)
-    inter = np.fromiter(tree.intermediate_set, dtype=np.int64, count=len(tree.intermediate_set))
-    fuse = np.zeros(n)
-    fuse[inter] = params.e_fuse * k * (child_count[inter] + 1)
+    fuse = np.where(tree.intermediate, params.e_fuse * k * (child_count + 1), 0.0)
     return EnergyLedger(tx, rx, fuse)

@@ -1,19 +1,33 @@
 """Loop versions of the EMLN round layers, kept as the reference for tests.
 
 ``construct_tree``, ``compute_delay`` and ``tree_round_energy`` below are the
-original implementations, copied unchanged. The vectorised versions in
-``gathersim.emln`` and ``gathersim.radio`` must match them field for field and
-byte for byte (tests/test_emln_reference.py).
+original implementations, copied unchanged. They build and read ``GatherTree``
+below, the tree record as it was then, with every view stored as a field. The
+vectorised versions in ``gathersim.emln`` and ``gathersim.radio`` must match
+them field for field and byte for byte (tests/test_emln_reference.py).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from gathersim.emln import GatherTree
 from gathersim.network import NetworkSnapshot
 from gathersim.radio import EnergyLedger, RadioParams, tx_energy
 from gathersim.seeding import make_rng
+
+
+@dataclass
+class GatherTree:
+    root: int
+    parent: np.ndarray
+    level: np.ndarray
+    children: tuple[tuple[int, ...], ...]
+    intermediate_set: frozenset[int]
+    leaf_set: frozenset[int]
+    nodes_at_level: tuple[tuple[int, ...], ...]
+    height: int
 
 
 def construct_tree(graph: NetworkSnapshot, energies, tie_seed: int) -> GatherTree | None:

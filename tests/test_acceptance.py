@@ -271,16 +271,8 @@ def random_gather_tree(rng, n, max_children=6):
         parent[v] = u
         level[v] = level[u] + 1
         kids[u].append(v)
-    height = int(level.max())
-    by_level = [[] for _ in range(height + 1)]
-    for u in range(n):
-        by_level[int(level[u])].append(u)
-    inter = frozenset([0] + [u for u in range(n) if kids[u]])
-    return GatherTree(
-        root=0, parent=parent, level=level,
-        children=tuple(tuple(sorted(k)) for k in kids),
-        intermediate_set=inter, leaf_set=frozenset(range(n)) - inter,
-        nodes_at_level=tuple(tuple(sorted(m)) for m in by_level), height=height)
+    intermediate = np.array([u == 0 or bool(kids[u]) for u in range(n)])
+    return GatherTree(root=0, parent=parent, level=level, intermediate=intermediate)
 
 
 def test_criterion_10_oracle_equivalence(emln_experiments, baseline_experiments):

@@ -28,6 +28,42 @@ def test_defaults_match_reference_setup():
     assert config.leach_p == 0.05
     assert config.rebuild_period == 1
     assert sweep is None
+    assert config == SimConfig(trials=10)
+
+
+# a value other than the default for every setting, and where it lands in SimConfig
+SETTING_CASES = {
+    "protocol": ("leach", "leach", lambda c: c.protocol),
+    "nodes": ("50", 50, lambda c: c.field.node_count),
+    "width": ("80", 80.0, lambda c: c.field.width),
+    "height": ("120", 120.0, lambda c: c.field.height),
+    "range": ("30", 30.0, lambda c: c.range_m),
+    "sink-x": ("10", 10.0, lambda c: c.field.sink_position[0]),
+    "sink-y": ("200", 200.0, lambda c: c.field.sink_position[1]),
+    "trials": ("3", 3, lambda c: c.trials),
+    "seed": ("7", 7, lambda c: c.master_seed),
+    "initial-energy": ("0.5", 0.5, lambda c: c.initial_energy),
+    "packet-bits": ("4000", 4000, lambda c: c.radio.packet_bits),
+    "e-elec": ("6e-08", 6e-08, lambda c: c.radio.e_elec),
+    "eps-amp": ("2e-10", 2e-10, lambda c: c.radio.eps_amp),
+    "e-fuse": ("1e-08", 1e-08, lambda c: c.radio.e_fuse),
+    "leach-p": ("0.1", 0.1, lambda c: c.leach_p),
+    "rebuild-period": ("2", 2, lambda c: c.rebuild_period),
+    "max-rounds": ("500", 500, lambda c: c.max_rounds),
+    "stop-rule": ("energy-exhausted", "energy-exhausted", lambda c: c.stop_rule),
+}
+
+
+@pytest.mark.parametrize("key", list(cli.SETTINGS))
+def test_setting_as_flag_equals_setting_in_config_file(key, tmp_path):
+    text, value, read = SETTING_CASES[key]
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key}={text}\n")
+    by_flag, _, _ = parse_config([f"--{key}", text])
+    by_file, _, _ = parse_config(["--config", str(cfg_file)])
+    assert by_flag == by_file
+    assert read(by_flag) == value != read(SimConfig(trials=10))
+    assert type(read(by_flag)) is type(value)
 
 
 def test_zero_trials_is_usage_error(capsys):
@@ -120,6 +156,21 @@ def test_json_mirror_carries_identical_values(tmp_path):
         assert rec[key] == value
 
 
+def test_json_writes_null_for_undefined_means(capsys):
+    # range 1 m disconnects every trial, so every mean is NaN
+    argv = ["--range", "1", "--trials", "2"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "emln,1.0,2,0.0,nan,nan,nan,nan,nan,nan"
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    assert main(argv + ["--format", "json"]) == 0
+    (rec,) = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert rec["connectivity"] == 0.0
+    assert all(rec[key] is None for key in AGGREGATE_COLUMNS[4:])
+
+
 def test_output_is_byte_identical_across_runs(tmp_path):
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     assert main(FAST + ["--out", str(out1)]) == 0
@@ -139,8 +190,10 @@ def test_per_round_schema(tmp_path):
 
 
 def test_per_round_incompatible_with_sweep(capsys):
-    assert main(FAST + ["--per-round", "--sweep", "15,20"]) == 2
-    assert main(FAST + ["--per-round", "--compare"]) == 2
+    for pair in (["--per-round", "--sweep", "15,20"], ["--per-round", "--compare"],
+                 ["--compare", "--sweep", "20,30"]):
+        assert main(FAST + pair) == 2
+        assert capsys.readouterr().err.startswith("gathersim: error:")
 
 
 def test_sweep_emits_one_row_per_range(tmp_path):

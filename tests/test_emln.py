@@ -12,7 +12,7 @@ from helpers_oracles import (min_slots_over_orderings, optimal_leaf_count,
                              optimal_leaf_count_by_tree_enumeration,
                              tree_delay_bruteforce)
 
-from gathersim import compute_delay, construct_tree, dump_tree, validate_tree
+from gathersim import Nodes, build_graph, compute_delay, construct_tree, dump_tree, validate_tree
 
 
 def build(adj, energies=None, tie_seed=0):
@@ -50,7 +50,7 @@ def test_single_node_tree():
     assert tree.intermediate_set == {0}
     assert tree.leaf_set == frozenset()
     assert tree.height == 0
-    assert tree.nodes_at_level == ((0,),)
+    assert tree.level.tolist() == [0]
     assert compute_delay(tree) == 0
 
 
@@ -119,7 +119,7 @@ def test_construction_deterministic():
     t1 = construct_tree(snap, energies, tie_seed=99)
     t2 = construct_tree(snap, energies, tie_seed=99)
     assert dump_tree(t1) == dump_tree(t2)
-    assert t1.nodes_at_level == t2.nodes_at_level
+    assert t1.level.tobytes() == t2.level.tobytes()
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=-6, max_value=6))
@@ -182,7 +182,7 @@ def test_delay_mixed_children_folds_ascending():
 
 def compute_delay_of_children(tree, node):
     # recompute child delays independently via the brute-force oracle
-    children = {u: list(tree.children[u]) for u in tree.spanned}
+    children = {u: list(tree.children[u]) for u in tree.intermediate_set | tree.leaf_set}
     return [tree_delay_bruteforce(children, v) for v in tree.children[node]]
 
 
@@ -206,10 +206,11 @@ def test_delay_matches_bruteforce_and_bounds(seed_val):
     snap = snapshot_from_adjacency(adj)
     tree = construct_tree(snap, rng.random(n) + 0.1, tie_seed=seed_val)
     delay = compute_delay(tree)
-    children = {u: list(tree.children[u]) for u in tree.spanned}
+    members = tree.intermediate_set | tree.leaf_set
+    children = {u: list(tree.children[u]) for u in members}
     assert delay == tree_delay_bruteforce(children, tree.root)
     assert delay >= tree.height
-    assert delay >= max(len(tree.children[u]) for u in tree.spanned)
+    assert delay >= max(len(tree.children[u]) for u in members)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=9), min_size=0, max_size=6))
@@ -231,22 +232,31 @@ def test_validate_rejects_tampered_trees():
     snap, tree = build(path_adjacency(4), energies=[4.0, 3.0, 2.0, 1.0])
     assert validate_tree(tree, snap)
 
-    bad_parent = dataclasses.replace(tree, parent=tree.parent.copy())
-    victim = next(v for v in bad_parent.spanned
-                  if v != bad_parent.root and bad_parent.parent[v] >= 0)
-    bad_parent.parent[victim] = victim  # self-parent edge not in the graph
-    assert not validate_tree(bad_parent, snap)
+    with pytest.raises(ValueError):
+        tree.parent[0] = 0  # the arrays are read-only; a tampered tree gets copies
 
-    bad_level = dataclasses.replace(tree, level=tree.level.copy())
-    bad_level.level[victim] += 1
-    assert not validate_tree(bad_level, snap)
+    def tampered(name, node, value):
+        array = getattr(tree, name).copy()
+        array[node] = value
+        return dataclasses.replace(tree, **{name: array})
 
-    bad_sets = dataclasses.replace(
-        tree, leaf_set=tree.leaf_set | {tree.root})  # overlaps intermediates
-    assert not validate_tree(bad_sets, snap)
+    victim = int(tree.level.argmax())  # the path's far end, under a non-root relay
+    relay = int(tree.parent[victim])
+    assert relay != tree.root
+    assert not validate_tree(tampered("parent", victim, victim), snap)  # a self-loop
+    assert not validate_tree(tampered("level", victim, tree.level[victim] + 1), snap)
+    assert not validate_tree(tampered("intermediate", relay, False), snap)  # a leaf with a child
 
-    bad_height = dataclasses.replace(tree, height=tree.height + 1)
-    assert not validate_tree(bad_height, snap)
+
+def test_validate_rejects_intermediate_flag_outside_the_tree():
+    # node 4 is dead, so the tree spans nodes 0-3 of the path
+    nodes = Nodes([(float(i), 0.0) for i in range(5)], np.ones(5), [True] * 4 + [False])
+    snap = build_graph(nodes, 1.5)
+    tree = construct_tree(snap, nodes.energies, 0)
+    assert validate_tree(tree, snap) and tree.level[4] == -1
+    flagged = tree.intermediate.copy()
+    flagged[4] = True
+    assert not validate_tree(dataclasses.replace(tree, intermediate=flagged), snap)
 
 
 def test_validate_rejects_foreign_graph():

@@ -1,12 +1,12 @@
 """The EMLN round layers against their loop reference, field for field.
 
 ``construct_tree``, ``compute_delay`` and ``tree_round_energy`` must give
-exactly what the loop versions in tests/reference_emln.py give: the same
-tree fields with the same element types, the same delay, and ledgers equal
-byte for byte. The cases cover geometric deployments at three ranges,
-equal energies (ties from round 1 on), random energies with and without
-exact zeros, dead nodes, disconnected graphs, a single node and one
-2,000-node deployment.
+exactly what the loop versions in tests/reference_emln.py give: the tree
+that module's record holds, read through the arrays and views, with the
+same element types, the same delay, and ledgers equal byte for byte. The
+cases cover geometric deployments at three ranges, equal energies (ties
+from round 1 on), random energies with and without exact zeros, dead
+nodes, disconnected graphs, a single node and one 2,000-node deployment.
 """
 
 import numpy as np
@@ -49,9 +49,12 @@ def assert_same_round(graph, energies, tie_seed: int, sink=SINK) -> GatherTree |
     for name in ("parent", "level"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.intermediate.dtype == bool
+    assert got.intermediate.tolist() == [v in want.intermediate_set for v in range(len(got.level))]
     # repr also tells a Python int from a numpy integer
-    for name in ("children", "nodes_at_level"):
-        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+    assert repr(got.children) == repr(want.children)
+    assert want.nodes_at_level == tuple(tuple(np.flatnonzero(got.level == lvl).tolist())
+                                        for lvl in range(got.height + 1))
     for name in ("intermediate_set", "leaf_set"):
         members = getattr(got, name)
         assert members == getattr(want, name), name

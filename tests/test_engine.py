@@ -6,6 +6,7 @@ import pytest
 
 from gathersim import (FieldConfig, NodeState, RadioParams, SimConfig, derive_seed,
                        run_experiment, run_trial)
+from gathersim import engine
 from gathersim.engine import range_sweep
 
 SMALL = SimConfig(field=FieldConfig(width=40.0, height=40.0, node_count=20,
@@ -180,11 +181,18 @@ def test_worker_pool_never_outnumbers_the_trials(monkeypatch):
     assert asked == [2, 2]
 
 
-def test_connectivity_fraction_counts_disconnected_trials():
+def test_connectivity_fraction_counts_disconnected_trials(monkeypatch):
     cfg = small(range_m=2.0, trials=4)
     agg = run_experiment(cfg).aggregate
     assert agg.connectivity == 0.0
     assert np.isnan(agg.mean_lifetime)
+    assert np.isnan(agg.mean_leaf_fraction)
+    # a baseline that finds no structure to gather over has no leaf fraction at all
+    monkeypatch.setattr(engine._DirectRounds, "block", lambda self, *args: None)
+    agg = run_experiment(small(protocol="direct", trials=4)).aggregate
+    assert agg.connectivity == 0.0
+    assert np.isnan(agg.mean_lifetime)
+    assert agg.mean_leaf_fraction is None
 
 
 def test_range_sweep_matches_individual_experiments():
