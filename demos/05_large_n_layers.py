@@ -48,8 +48,8 @@ def survey(n):
     if tree is not None:
         timed("tree_round_energy", tree_round_energy, tree, positions, sink, radio)
         timed("compute_delay", compute_delay, tree)
-    assignment, _ = timed("leach_elect", leach_elect, positions, alive, 0, 0.05, 5)
-    timed("leach_round", leach_round, assignment, positions, sink, radio)
+    head_of, _ = timed("leach_elect", leach_elect, positions, alive, 0, 0.05, 5)
+    timed("leach_round", leach_round, head_of, positions, sink, radio)
     chain = timed("build_chain", build_chain, positions, sink, alive)
     timed("pegasis_tdma_round", pegasis_tdma_round, chain, alive, 7, positions, sink, radio)
     timed("pegasis_cdma_round", pegasis_cdma_round, chain, alive, 7, positions, sink, radio)

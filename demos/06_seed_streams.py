@@ -4,18 +4,18 @@
 The engine takes each LEACH and PEGASIS round's generator from
 ``RoundStream``, which hashes round seeds in blocks as numpy's
 ``SeedSequence`` does and loads the resulting PCG64 state into one reused
-Generator; ``round_rngs`` walks that stream attempt by attempt. This script
-checks that seeding against numpy itself:
+Generator, re-seeded for each attempt. This script checks that seeding
+against numpy itself:
 
 1. ``pcg64_states`` against ``np.random.PCG64(s).state`` (which runs
    ``SeedSequence``) for 1,000,000 random 64-bit seeds plus the word-edge
    seeds 0, 1, 2^32 - 1, 2^32 and 2^64 - 1;
-2. the full ``bit_generator.state`` of every generator ``round_rngs`` yields
+2. the full ``bit_generator.state`` of ``RoundStream(trial_seed)(a)``
    against ``make_rng(derive_seed(trial_seed, a))``, for 200 attempts of
    each of 25 trial seeds, masked ones such as -1 and 2^64 + 5 among them.
 
 It then prints the time per round seed of ``make_rng(derive_seed(...))``
-and of ``round_rngs``. The check takes about half a minute; pass a seed
+and of ``RoundStream``, walked attempt by attempt. The check takes about half a minute; pass a seed
 count to change it, for example ``python demos/06_seed_streams.py 10000``.
 """
 
@@ -25,7 +25,7 @@ from time import perf_counter
 import numpy as np
 
 from gathersim import derive_seed, make_rng
-from gathersim.seeding import pcg64_states, round_rngs
+from gathersim.seeding import RoundStream, pcg64_states
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 CHUNK = 10_000
@@ -49,9 +49,9 @@ def check_states(count: int) -> int:
 
 def check_streams(trial_seeds, attempts: int) -> int:
     for trial_seed in trial_seeds:
-        stream = round_rngs(trial_seed)
+        stream = RoundStream(trial_seed)
         for a in range(1, attempts + 1):
-            state = next(stream).bit_generator.state
+            state = stream(a).bit_generator.state
             if state != make_rng(derive_seed(trial_seed, a)).bit_generator.state:
                 sys.exit(f"trial seed {trial_seed}, attempt {a}: states differ")
     return len(trial_seeds) * attempts
@@ -69,9 +69,9 @@ def fresh(rounds: int) -> None:
 
 
 def streamed(rounds: int) -> None:
-    stream = round_rngs(12345)
-    for _ in range(rounds):
-        next(stream)
+    stream = RoundStream(12345)
+    for a in range(1, rounds + 1):
+        stream(a)
 
 
 def main() -> None:
@@ -82,14 +82,14 @@ def main() -> None:
           f"(random plus {len(EDGE_SEEDS)} edge seeds), {perf_counter() - t0:.1f} s")
     trial_seeds = EDGE_SEEDS + [-1, 2**64 + 5] + [derive_seed(9, i) for i in range(18)]
     attempts = check_streams(trial_seeds, 200)
-    print(f"round_rngs == make_rng(derive_seed(t, a)) for {attempts:,} attempts "
+    print(f"RoundStream(t)(a) == make_rng(derive_seed(t, a)) for {attempts:,} attempts "
           f"of {len(trial_seeds)} trial seeds")
 
     rounds = 64 * 100
-    samples = {"make_rng(derive_seed)": [], "round_rngs": []}
+    samples = {"make_rng(derive_seed)": [], "RoundStream": []}
     for _ in range(5):  # interleaved, so a burst of host load hits both
         samples["make_rng(derive_seed)"].append(per_seed_us(fresh, rounds))
-        samples["round_rngs"].append(per_seed_us(streamed, rounds))
+        samples["RoundStream"].append(per_seed_us(streamed, rounds))
     for name, times in samples.items():
         times.sort()
         print(f"{name:>22}: {times[0]:.2f} us per round seed "

@@ -7,8 +7,8 @@ radio energy model (radio), the LEACH/PEGASIS/direct baselines
 module exposes the same machinery as a command-line tool.
 """
 
-from .baselines import (Chain, ClusterAssignment, build_chain, direct_round, leach_elect,
-                        leach_round, pegasis_cdma_round, pegasis_tdma_round)
+from .baselines import (build_chain, direct_round, leach_elect, leach_round, pegasis_cdma_round,
+                        pegasis_tdma_round)
 from .cli import compare_protocols, emit_results, main, parse_config
 from .emln import GatherTree, compute_delay, construct_tree, dump_tree, validate_tree
 from .engine import (PROTOCOLS, STOP_RULES, ExperimentAggregate, ExperimentResult,
@@ -16,21 +16,19 @@ from .engine import (PROTOCOLS, STOP_RULES, ExperimentAggregate, ExperimentResul
 from .network import (FieldConfig, NetworkSnapshot, Nodes, NodeState, alive_of, build_graph,
                       deploy, energies_of, is_connected, positions_of, read_placement,
                       write_placement)
-from .radio import (EnergyLedger, RadioParams, fuse_energy, rx_energy,
-                    tree_round_energy, tx_energy)
+from .radio import EnergyLedger, RadioParams, tree_round_energy, tx_cost
 from .seeding import derive_seed, make_rng, splitmix64
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "PROTOCOLS", "STOP_RULES", "Chain", "ClusterAssignment", "EnergyLedger",
-    "ExperimentAggregate", "ExperimentResult", "FieldConfig", "GatherTree",
-    "NetworkSnapshot", "NodeState", "Nodes", "RadioParams", "SimConfig",
-    "SimulationReport", "alive_of", "build_chain", "build_graph", "compare_protocols",
-    "compute_delay", "construct_tree", "deploy", "derive_seed", "direct_round",
-    "dump_tree", "emit_results", "energies_of", "fuse_energy", "is_connected",
-    "leach_elect", "leach_round", "main", "make_rng", "parse_config",
-    "pegasis_cdma_round", "pegasis_tdma_round", "positions_of", "range_sweep",
-    "read_placement", "run_experiment", "run_trial", "rx_energy", "splitmix64",
-    "tree_round_energy", "tx_energy", "validate_tree", "write_placement",
+    "PROTOCOLS", "STOP_RULES", "EnergyLedger", "ExperimentAggregate", "ExperimentResult",
+    "FieldConfig", "GatherTree", "NetworkSnapshot", "NodeState", "Nodes", "RadioParams",
+    "SimConfig", "SimulationReport", "alive_of", "build_chain", "build_graph",
+    "compare_protocols", "compute_delay", "construct_tree", "deploy", "derive_seed",
+    "direct_round", "dump_tree", "emit_results", "energies_of", "is_connected", "leach_elect",
+    "leach_round", "main", "make_rng", "parse_config", "pegasis_cdma_round",
+    "pegasis_tdma_round", "positions_of", "range_sweep", "read_placement", "run_experiment",
+    "run_trial", "splitmix64", "tree_round_energy", "tx_cost", "validate_tree",
+    "write_placement",
 ]

@@ -12,53 +12,13 @@ counted in the delay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .network import _pairs_within
-from .radio import EnergyLedger, RadioParams, hop_lengths, tx_cost, tx_energy
+from .radio import EnergyLedger, RadioParams, hop_lengths, tx_cost
 from .seeding import make_rng
-
-
-@dataclass(frozen=True)
-class Chain:
-    """Greedy nearest-neighbor ordering of node ids, built once per run.
-
-    The ids must be distinct and non-negative; a round checks that they are
-    below its node count.
-    """
-
-    order: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(set(self.order)) != len(self.order) or (self.order and self.ids.min() < 0):
-            raise ValueError("chain ids must be distinct non-negative node ids")
-
-    @cached_property
-    def ids(self) -> np.ndarray:
-        """``order`` as a read-only int64 array."""
-        ids = np.array(self.order, dtype=np.int64)
-        ids.flags.writeable = False
-        return ids
-
-
-@dataclass(frozen=True)
-class ClusterAssignment:
-    """Cluster heads plus each member's head for one round.
-
-    No head may also be a member, and every member's head must be a head.
-    """
-
-    heads: frozenset[int]
-    membership: dict[int, int]
-
-    def __post_init__(self):
-        if not self.heads.isdisjoint(self.membership):
-            raise ValueError("a cluster head cannot also be a member")
-        if not self.heads.issuperset(self.membership.values()):
-            raise ValueError("every member's head must be one of the heads")
 
 
 # Neighbour lists are built only while the grid search behind them meets at
@@ -102,9 +62,10 @@ def _neighbour_lists(pos: np.ndarray):
     return memoryview(bounds), memoryview(other[order])
 
 
-def build_chain(positions, sink, alive=None) -> Chain:
-    """Chain the nodes greedily, starting from the one farthest from the sink.
+def build_chain(positions, sink, alive=None) -> np.ndarray:
+    """Chain the alive nodes greedily, starting from the one farthest from the sink.
 
+    Returns the node ids in chain order, as a read-only int64 array.
     Repeatedly appends the unvisited node nearest to the last appended one;
     ties break toward the lower id. Each node appears exactly once. Hop
     lengths tend to grow toward the end of the chain, since the greedy rule
@@ -117,8 +78,9 @@ def build_chain(positions, sink, alive=None) -> Chain:
     scan of the unvisited nodes decides. Both compare the floats
     sqrt(dx*dx + dy*dy), so the chain is the one a scan at every step gives.
     """
-    positions = np.asarray(positions, dtype=float)
-    alive = np.ones(len(positions), dtype=bool) if alive is None else np.asarray(alive, dtype=bool)
+    if alive is None:
+        alive = np.ones(len(positions), dtype=bool)
+    positions, alive = _node_arrays(positions, alive)
     ids = np.flatnonzero(alive)
     if ids.size == 0:
         raise ValueError("need at least one alive node")
@@ -149,7 +111,9 @@ def build_chain(positions, sink, alive=None) -> Chain:
             # if every distance overflowed, take the lowest unvisited id
             cur = int(rest[best if dist[best] < np.inf else 0])
         steps.append(cur)
-    return Chain(tuple(ids[steps].tolist()))
+    chain = ids[steps]
+    chain.flags.writeable = False
+    return chain
 
 
 def _node_arrays(positions, alive) -> tuple[np.ndarray, np.ndarray]:
@@ -177,15 +141,20 @@ def _first_row(ledger: EnergyLedger, delays: np.ndarray) -> tuple[EnergyLedger, 
 class AliveChain:
     """A chain's alive nodes in chain order: what the rounds over one alive set share.
 
-    Dead nodes are bridged by skipping to the next alive node in chain order.
-    Chain position p is node ``sub[p]``. The leaders' sink transmissions are
+    ``chain`` holds node ids in chain order, as ``build_chain`` returns them;
+    they must be distinct, non-negative and below the node count. Dead nodes
+    are bridged by skipping to the next alive node in chain order. Chain
+    position p is node ``sub[p]``. The leaders' sink transmissions are
     memoised, since a leader is drawn again and again.
     """
 
-    def __init__(self, chain: Chain, alive, positions, sink, params: RadioParams):
+    def __init__(self, chain, alive, positions, sink, params: RadioParams):
         self.positions, alive = _node_arrays(positions, alive)
+        chain = np.asarray(chain, dtype=np.int64)
+        if (chain.size and chain.min() < 0) or (np.diff(np.sort(chain)) == 0).any():
+            raise ValueError("chain ids must be distinct non-negative node ids")
         try:
-            self.sub = chain.ids[alive[chain.ids]]
+            self.sub = chain[alive[chain]]
         except IndexError:
             raise ValueError("chain ids must be below the node count") from None
         if self.sub.size == 0:
@@ -229,7 +198,7 @@ class AliveChain:
         if lead not in self._sink_tx:
             # norm's 1-D path (a dot product): a sum of squares can differ in the last bit
             d_sink = float(np.linalg.norm(self.positions[self.sub[lead]] - self.sink))
-            self._sink_tx[lead] = tx_energy(self.params, self.params.packet_bits, d_sink)
+            self._sink_tx[lead] = tx_cost(self.params, self.params.packet_bits, d_sink)
         return self._sink_tx[lead]
 
     @cached_property
@@ -291,7 +260,7 @@ def pegasis_cdma_block(links: AliveChain, leaders) -> tuple[EnergyLedger, np.nda
     return links.ledgers(tx, receptions, leaders), np.full(len(leaders), (m - 1).bit_length())
 
 
-def pegasis_tdma_round(chain: Chain, alive, leader_seed: int | np.random.Generator,
+def pegasis_tdma_round(chain, alive, leader_seed: int | np.random.Generator,
                        positions, sink, params: RadioParams) -> tuple[EnergyLedger, int]:
     """One chain round: both sides relay toward a randomly chosen leader.
 
@@ -305,7 +274,7 @@ def pegasis_tdma_round(chain: Chain, alive, leader_seed: int | np.random.Generat
     return _first_row(*pegasis_tdma_block(links, [links.draw_leader(leader_seed)]))
 
 
-def pegasis_cdma_round(chain: Chain, alive, leader_seed: int | np.random.Generator,
+def pegasis_cdma_round(chain, alive, leader_seed: int | np.random.Generator,
                        positions, sink, params: RadioParams) -> tuple[EnergyLedger, int]:
     """One binary-aggregation round: ceil(log2 m) levels of parallel pairs.
 
@@ -351,19 +320,22 @@ def elect_heads(alive: np.ndarray, served: np.ndarray, round_index: int, p_head:
     return heads
 
 
-def nearest_heads(positions: np.ndarray, ids: np.ndarray, head_rows) -> np.ndarray:
-    """Row r: the nearest head of ``head_rows[r]`` (ascending ids) to each node of ``ids``.
+def cluster_rows(positions: np.ndarray, alive: np.ndarray, head_rows) -> np.ndarray:
+    """``cluster_block``'s ``head_of`` rows, one per election of ``head_rows`` (ascending ids).
 
-    Exact squared distances, ties to the lower head id. The search runs
-    over blocks of elections and nodes, so that memory stays O(elections x
-    nodes) beyond a fixed-size block.
+    Each alive node joins its nearest head, by exact squared distances with
+    ties to the lower head id; a head leads itself, whoever shares its spot,
+    and a dead node gets -1. The search runs over blocks of elections and
+    nodes, so that memory stays O(elections x nodes) beyond a fixed-size block.
     """
+    ids = np.flatnonzero(alive)
     sizes = np.array([h.size for h in head_rows])
     width = int(sizes.max())
     # pad each row with its last head: argmin keeps the first of equal minima
     ends = np.cumsum(sizes)
-    padded = np.concatenate(head_rows)[np.minimum(ends[:, None] - sizes[:, None]
-                                                  + np.arange(width), ends[:, None] - 1)]
+    elected = np.concatenate(head_rows)
+    padded = elected[np.minimum(ends[:, None] - sizes[:, None] + np.arange(width),
+                                ends[:, None] - 1)]
     hx, hy = positions[padded, 0], positions[padded, 1]
     x, y = positions[ids, 0], positions[ids, 1]
     nearest = np.empty((len(head_rows), ids.size), dtype=np.int64)
@@ -377,18 +349,21 @@ def nearest_heads(positions: np.ndarray, ids: np.ndarray, head_rows) -> np.ndarr
             dy *= dy
             dx += dy
             nearest[r:r + rows, lo:lo + span] = dx.argmin(axis=2)
-    return np.take_along_axis(padded, nearest, axis=1)
+    head_of = np.full((len(head_rows), len(alive)), -1)
+    head_of[:, ids] = np.take_along_axis(padded, nearest, axis=1)
+    head_of[np.repeat(np.arange(len(head_rows)), sizes), elected] = elected
+    return head_of
 
 
 def leach_elect(positions, alive, round_index: int, p_head: float,
                 seed: int | np.random.Generator, served: frozenset[int] = frozenset(),
-                ) -> tuple[ClusterAssignment, frozenset[int]]:
+                ) -> tuple[np.ndarray, frozenset[int]]:
     """Elect cluster heads for one round and assign members to them.
 
     The election is ``elect_heads``; members join their nearest head (ties
-    to the lower head id), as ``nearest_heads`` finds them. Returns the
-    assignment and the updated served set, which the caller carries between
-    rounds.
+    to the lower head id). Returns the (n,) ``head_of`` row that
+    ``leach_round`` takes, built by ``cluster_rows``, and the updated served
+    set, which the caller carries between rounds.
     """
     if not 0 < p_head <= 1:
         raise ValueError("p_head must be in (0, 1]")
@@ -402,12 +377,7 @@ def leach_elect(positions, alive, round_index: int, p_head: float,
     served_mask[served_ids] = True
 
     heads = elect_heads(alive, served_mask, round_index, p_head, make_rng(seed))
-    pool = alive.copy()
-    pool[heads] = False
-    member_ids = np.flatnonzero(pool)
-    nearest = nearest_heads(positions, member_ids, [heads])[0]
-    membership = dict(zip(member_ids.tolist(), nearest.tolist()))
-    return (ClusterAssignment(frozenset(heads.tolist()), membership),
+    return (cluster_rows(positions, alive, [heads])[0],
             frozenset(np.flatnonzero(served_mask).tolist()))
 
 
@@ -436,28 +406,30 @@ def cluster_block(head_of: np.ndarray, positions, sink_tx: np.ndarray,
     return EnergyLedger(tx, rx, fuse), counts.max(axis=1) + np.count_nonzero(is_head, axis=1)
 
 
-def leach_round(assignment: ClusterAssignment, positions, sink,
-                params: RadioParams) -> tuple[EnergyLedger, int]:
-    """Debit one cluster round and return its delay, as ``cluster_block`` does."""
-    if not assignment.heads:
-        raise ValueError("assignment must have at least one head")
+def leach_round(head_of, positions, sink, params: RadioParams) -> tuple[EnergyLedger, int]:
+    """Debit one cluster round over a ``head_of`` row, as ``cluster_block`` does.
+
+    ``head_of[u]`` is u's head, u itself for a head, or -1 for a node that
+    takes no part; there must be a head, and every participant's head must
+    be one.
+    """
     positions = np.asarray(positions, dtype=float)
     n = len(positions)
-    head_list = sorted(assignment.heads)
-    member_list = sorted(assignment.membership)
-    # every member's head is a head (checked by ClusterAssignment), so the
-    # extremes of both sorted lists bound every id
-    ends = (head_list[0], head_list[-1], *member_list[:1], *member_list[-1:])
-    if min(ends) < 0 or max(ends) >= n:
-        raise ValueError(f"cluster ids must be node ids below {n}")
-    heads = np.array(head_list)
-    head_of = np.full((1, n), -1)
-    head_of[0, heads] = heads
-    head_of[0, member_list] = list(map(assignment.membership.__getitem__, member_list))
+    head_of = np.asarray(head_of)
+    if head_of.shape != (n,) or head_of.dtype.kind not in "iu":
+        raise ValueError(f"expected {n} integer head ids, got {head_of.dtype} {head_of.shape}")
+    is_head = head_of == np.arange(n)
+    if not is_head.any():
+        raise ValueError("need at least one cluster head")
+    if head_of.min() < -1 or head_of.max() >= n:
+        raise ValueError(f"cluster ids must be -1 or node ids below {n}")
+    if not is_head[head_of[head_of >= 0]].all():
+        raise ValueError("every member's head must be one of the heads")
+    heads = np.flatnonzero(is_head)
     sink_tx = np.zeros(n)
     sink_tx[heads] = tx_cost(params, params.packet_bits,
                              hop_lengths(positions[heads], np.asarray(sink, dtype=float)))
-    return _first_row(*cluster_block(head_of, positions, sink_tx, params))
+    return _first_row(*cluster_block(head_of[None], positions, sink_tx, params))
 
 
 def direct_round(alive, positions, sink, params: RadioParams) -> tuple[EnergyLedger, int]:

@@ -109,12 +109,16 @@ def _with(value, path, new):
 def parse_config(argv=None):
     """Resolve flags, file, and defaults into a SimConfig plus run options.
 
-    Raises UsageError (or SystemExit via argparse) on unknown keys or
-    unparsable values. Warns on stderr when --range is given for a protocol
-    that ignores it.
+    Raises UsageError (or SystemExit via argparse) on unknown keys,
+    unparsable values or a config file it cannot read. Warns on stderr when
+    --range is given for a protocol that ignores it.
     """
     args = _build_parser().parse_args(argv)
-    file_values = read_config_file(args.config) if args.config else {}
+    try:
+        file_values = read_config_file(args.config) if args.config is not None else {}
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {args.config}: "
+                         f"{getattr(exc, 'strerror', None) or exc}") from None
     flag_values = {key: vars(args)[key] for key in SETTINGS if vars(args)[key] is not None}
     given = {**file_values, **flag_values}
     config = DEFAULT_CONFIG
@@ -125,11 +129,11 @@ def parse_config(argv=None):
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if ("range" in given and not PROTOCOL_ROUNDS[config.protocol].builds_tree
-            and not args.compare and not args.sweep):
+            and not args.compare and args.sweep is None):
         print(f"warning: --range is ignored for protocol {config.protocol}", file=sys.stderr)
 
     sweep = None
-    if args.sweep:
+    if args.sweep is not None:
         try:
             sweep = [float(part) for part in args.sweep.split(",") if part.strip()]
         except ValueError:

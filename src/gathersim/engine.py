@@ -7,8 +7,8 @@ from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
-from .baselines import (AliveChain, build_chain, cluster_block, direct_round,
-                        elect_heads, nearest_heads, pegasis_cdma_block, pegasis_tdma_block)
+from .baselines import (AliveChain, build_chain, cluster_block, cluster_rows, direct_round,
+                        elect_heads, pegasis_cdma_block, pegasis_tdma_block)
 from .emln import compute_delay, construct_tree
 from .network import FieldConfig, Nodes, NodeState, build_graph, deploy
 from .radio import RadioParams, hop_lengths, tree_round_energy, tx_cost
@@ -171,12 +171,8 @@ class _LeachRounds(_Rounds):
             self.served_before[row] = self.served
             heads.append(elect_heads(alive, self.served, round_index + row,
                                      self.config.leach_p, self.stream(attempt + row)))
-        ids = np.flatnonzero(alive)
-        head_of = np.full((rows, len(alive)), -1)
-        head_of[:, ids] = nearest_heads(positions, ids, heads)
-        elected = np.concatenate(heads)  # a head leads itself, whoever shares its spot
-        head_of[np.repeat(np.arange(rows), [h.size for h in heads]), elected] = elected
-        ledger, delays = cluster_block(head_of, positions, self.sink_tx, self.config.radio)
+        ledger, delays = cluster_block(cluster_rows(positions, alive, heads), positions,
+                                       self.sink_tx, self.config.radio)
         return ledger.per_node, delays, None
 
     def abandon(self, row: int) -> None:

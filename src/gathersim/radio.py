@@ -44,27 +44,6 @@ def hop_lengths(a, b) -> np.ndarray:
     return np.sqrt(np.add.reduce(diff * diff, axis=1))
 
 
-def tx_energy(params: RadioParams, bits: int, distance: float) -> float:
-    """Energy to transmit ``bits`` over ``distance`` meters."""
-    if bits < 0 or distance < 0:
-        raise ValueError("bits and distance must be >= 0")
-    return tx_cost(params, bits, distance)
-
-
-def rx_energy(params: RadioParams, bits: int) -> float:
-    """Energy to receive ``bits``; equals tx_energy at distance 0."""
-    if bits < 0:
-        raise ValueError("bits must be >= 0")
-    return params.e_elec * bits
-
-
-def fuse_energy(params: RadioParams, bits: int, signal_count: int) -> float:
-    """Energy to aggregate ``signal_count`` signals of ``bits`` each."""
-    if bits < 0 or signal_count < 0:
-        raise ValueError("bits and signal_count must be >= 0")
-    return params.e_fuse * bits * signal_count
-
-
 @dataclass
 class EnergyLedger:
     """Per-node energy debits for one round, split by activity.
@@ -113,7 +92,7 @@ def tree_round_energy(tree: GatherTree, positions, sink, params: RadioParams) ->
     # the root-to-sink hop keeps norm's 1-D path (a dot product): a hand-written
     # sum of squares can differ from it in the last bit
     d_sink = float(np.linalg.norm(positions[tree.root] - np.asarray(sink, dtype=float)))
-    tx[tree.root] = tx_energy(params, k, d_sink)
+    tx[tree.root] = tx_cost(params, k, d_sink)
 
     child_count = np.bincount(parents, minlength=n)
     rx = child_count * (params.e_elec * k)

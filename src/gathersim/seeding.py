@@ -11,7 +11,6 @@ this seeding, which NumPy NEP 19 keeps stable, is redone here.
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Iterator
 
 import numpy as np
@@ -123,11 +122,3 @@ class RoundStream:
         self._bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                             "has_uint32": 0, "uinteger": 0}
         return self._rng
-
-
-def round_rngs(trial_seed: int) -> Iterator[np.random.Generator]:
-    """Yield ``make_rng(derive_seed(trial_seed, a))`` for a = 1, 2, 3, ...
-
-    The items are ``RoundStream(trial_seed)``'s one Generator, re-seeded, so
-    use each before taking the next."""
-    return map(RoundStream(trial_seed), count(1))

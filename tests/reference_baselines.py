@@ -2,20 +2,69 @@
 
 ``leach_elect``, ``leach_round``, ``pegasis_tdma_round``,
 ``pegasis_cdma_round``, ``direct_round`` and their helpers below are the
-original implementations, copied unchanged. The array versions in
-``gathersim.baselines`` must match them byte for byte
+original implementations, copied unchanged. They read and build ``Chain``
+and ``ClusterAssignment`` below, the chain and cluster records as they were
+then, and debit with the checked scalar ``tx_energy``. The array versions
+in ``gathersim.baselines`` must match them byte for byte
 (tests/test_baselines_reference.py).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from gathersim.baselines import Chain, ClusterAssignment
-from gathersim.radio import EnergyLedger, RadioParams, tx_energy
+from gathersim.radio import EnergyLedger, RadioParams, tx_cost
 from gathersim.seeding import make_rng
+
+
+@dataclass(frozen=True)
+class Chain:
+    """Greedy nearest-neighbor ordering of node ids, built once per run.
+
+    The ids must be distinct and non-negative; a round checks that they are
+    below its node count.
+    """
+
+    order: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(set(self.order)) != len(self.order) or (self.order and self.ids.min() < 0):
+            raise ValueError("chain ids must be distinct non-negative node ids")
+
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """``order`` as a read-only int64 array."""
+        ids = np.array(self.order, dtype=np.int64)
+        ids.flags.writeable = False
+        return ids
+
+
+@dataclass(frozen=True)
+class ClusterAssignment:
+    """Cluster heads plus each member's head for one round.
+
+    No head may also be a member, and every member's head must be a head.
+    """
+
+    heads: frozenset[int]
+    membership: dict[int, int]
+
+    def __post_init__(self):
+        if not self.heads.isdisjoint(self.membership):
+            raise ValueError("a cluster head cannot also be a member")
+        if not self.heads.issuperset(self.membership.values()):
+            raise ValueError("every member's head must be one of the heads")
+
+
+def tx_energy(params: RadioParams, bits: int, distance: float) -> float:
+    """Energy to transmit ``bits`` over ``distance`` meters."""
+    if bits < 0 or distance < 0:
+        raise ValueError("bits and distance must be >= 0")
+    return tx_cost(params, bits, distance)
 
 
 def _alive_subchain(chain: Chain, alive) -> list[int]:

@@ -2,9 +2,10 @@
 
 ``construct_tree``, ``compute_delay`` and ``tree_round_energy`` below are the
 original implementations, copied unchanged. They build and read ``GatherTree``
-below, the tree record as it was then, with every view stored as a field. The
-vectorised versions in ``gathersim.emln`` and ``gathersim.radio`` must match
-them field for field and byte for byte (tests/test_emln_reference.py).
+below, the tree record as it was then, with every view stored as a field, and
+debit with the checked scalar ``tx_energy`` below. The vectorised versions in
+``gathersim.emln`` and ``gathersim.radio`` must match them field for field and
+byte for byte (tests/test_emln_reference.py).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gathersim.network import NetworkSnapshot
-from gathersim.radio import EnergyLedger, RadioParams, tx_energy
+from gathersim.radio import EnergyLedger, RadioParams, tx_cost
 from gathersim.seeding import make_rng
 
 
@@ -28,6 +29,13 @@ class GatherTree:
     leaf_set: frozenset[int]
     nodes_at_level: tuple[tuple[int, ...], ...]
     height: int
+
+
+def tx_energy(params: RadioParams, bits: int, distance: float) -> float:
+    """Energy to transmit ``bits`` over ``distance`` meters."""
+    if bits < 0 or distance < 0:
+        raise ValueError("bits and distance must be >= 0")
+    return tx_cost(params, bits, distance)
 
 
 def construct_tree(graph: NetworkSnapshot, energies, tie_seed: int) -> GatherTree | None:

@@ -2,25 +2,35 @@
 
 ``run_trial`` below is the round loop the engine ran before it debited
 rounds in blocks, copied unchanged; only the imports differ: the baseline
-round functions are the loop versions in tests/reference_baselines.py, so
-nothing here runs the block functions. The engine must give the same
+round functions are the loop versions in tests/reference_baselines.py and
+the chain is the loop ``build_chain`` of tests/reference_network.py, so
+nothing here runs the block functions, and ``round_rngs`` below walks the
+round seeds as the engine once did. The engine must give the same
 ``SimulationReport``, field for field and byte for byte
 (tests/test_engine_reference.py).
 """
 
 from __future__ import annotations
 
+from itertools import count
+
 import numpy as np
 
 from reference_baselines import (direct_round, leach_elect, leach_round, pegasis_cdma_round,
                                  pegasis_tdma_round)
+from reference_network import build_chain
 
-from gathersim.baselines import build_chain
 from gathersim.emln import compute_delay, construct_tree
 from gathersim.engine import SimConfig, SimulationReport
 from gathersim.network import Nodes, build_graph, deploy
 from gathersim.radio import tree_round_energy
-from gathersim.seeding import derive_seed, round_rngs
+from gathersim.seeding import RoundStream, derive_seed
+
+
+def round_rngs(trial_seed: int):
+    """Yield ``make_rng(derive_seed(trial_seed, a))`` for a = 1, 2, 3, ..., each
+    ``RoundStream(trial_seed)``'s one Generator re-seeded: use it before the next."""
+    return map(RoundStream(trial_seed), count(1))
 
 
 def _lifetime_mean(values, lifetime: int) -> float:

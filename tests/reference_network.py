@@ -3,10 +3,11 @@
 ``build_graph``, ``is_connected`` and ``build_chain`` below are the original
 O(n^2) implementations, copied unchanged except that ``build_graph`` no
 longer seeds a dense-matrix cache on the snapshot (the snapshot has none) and
-``is_connected`` builds its dense matrix from the adjacency lists itself. The
-grid-cell versions in ``gathersim.network`` and the neighbour-list chain in
-``gathersim.baselines`` must match them exactly
-(tests/test_network_reference.py).
+``is_connected`` builds its dense matrix from the adjacency lists itself.
+``build_chain`` returns the chain record of its time, ``Chain`` from
+tests/reference_baselines.py. The grid-cell versions in ``gathersim.network``
+and the neighbour-list chain in ``gathersim.baselines`` must match them
+exactly (tests/test_network_reference.py).
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from gathersim.baselines import Chain
+from reference_baselines import Chain
+
 from gathersim.network import NetworkSnapshot, NodeState, alive_of, positions_of
 
 

@@ -312,15 +312,15 @@ def test_criterion_10_oracle_equivalence(emln_experiments, baseline_experiments)
         for leader_pos in range(m):
             seed = next(s for s in range(20_000)
                         if int(gs.make_rng(s).integers(m)) == leader_pos)
-            leader = chain.order[leader_pos]
+            leader = int(chain[leader_pos])
             ledger, delay = pegasis_tdma_round(chain, alive, seed, pos, SINK, PARAMS)
-            slots, txs = tdma_schedule(list(chain.order), leader_pos)
+            slots, txs = tdma_schedule(chain.tolist(), leader_pos)
             ref = recount_relay_ledger(txs, leader, pos, SINK, PARAMS)
             peg_ok &= delay == slots == max(leader_pos, m - 1 - leader_pos)
             peg_ok &= all(np.allclose(a, b, rtol=1e-12, atol=0)
                           for a, b in zip((ledger.tx, ledger.rx, ledger.fuse), ref))
             ledger, delay = pegasis_cdma_round(chain, alive, seed, pos, SINK, PARAMS)
-            levels, txs = cdma_schedule(list(chain.order), leader)
+            levels, txs = cdma_schedule(chain.tolist(), leader)
             ref = recount_relay_ledger(txs, leader, pos, SINK, PARAMS)
             peg_ok &= delay == levels == int(np.ceil(np.log2(m))) and len(txs) == m - 1
             peg_ok &= all(np.allclose(a, b, rtol=1e-12, atol=0)

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from helpers_oracles import cdma_schedule, recount_relay_ledger, tdma_schedule
 
-from gathersim import (Chain, FieldConfig, RadioParams, build_chain, deploy,
-                       derive_seed, direct_round, fuse_energy, leach_elect,
-                       leach_round, make_rng, pegasis_cdma_round,
-                       pegasis_tdma_round, positions_of, tx_energy)
+from gathersim import (FieldConfig, RadioParams, build_chain, deploy, derive_seed,
+                       direct_round, leach_elect, leach_round, make_rng, pegasis_cdma_round,
+                       pegasis_tdma_round, positions_of, tx_cost)
 
 P = RadioParams()
 SINK = np.array([50.0, 300.0])
@@ -27,23 +26,34 @@ def random_layout(seed, n):
     return positions_of(nodes)
 
 
+def heads_of(head_of) -> set[int]:
+    return set(np.flatnonzero(head_of == np.arange(len(head_of))).tolist())
+
+
+def membership(head_of) -> dict[int, int]:
+    """Each member's head: the participants that do not head themselves."""
+    return {u: h for u, h in enumerate(head_of.tolist()) if h not in (-1, u)}
+
+
 # ----------------------------------------------------------------------- chain
 
 def test_chain_single_node():
-    assert build_chain(np.array([[1.0, 2.0]]), SINK).order == (0,)
+    chain = build_chain(np.array([[1.0, 2.0]]), SINK)
+    assert chain.tolist() == [0]
+    assert chain.dtype == np.int64 and not chain.flags.writeable
 
 
 def test_chain_three_collinear_nodes():
     # sink far beyond the right end, so the chain starts at x=0
     pos = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0]])
-    assert build_chain(pos, np.array([300.0, 0.0])).order == (0, 1, 2)
+    assert build_chain(pos, np.array([300.0, 0.0])).tolist() == [0, 1, 2]
 
 
 def test_chain_is_permutation_of_alive():
     pos = random_layout(0, 40)
     alive = np.ones(40, bool)
     alive[[3, 17]] = False
-    order = build_chain(pos, SINK, alive).order
+    order = build_chain(pos, SINK, alive).tolist()
     assert sorted(order) == sorted(set(range(40)) - {3, 17})
     assert all(a != b for a, b in zip(order, order[1:]))
 
@@ -53,8 +63,8 @@ def test_chain_second_half_hops_longer_on_average():
     firsts, seconds = [], []
     for s in range(1000):
         pos = random_layout(s, 100)
-        order = build_chain(pos, SINK).order
-        hops = np.linalg.norm(pos[list(order[1:])] - pos[list(order[:-1])], axis=1)
+        order = build_chain(pos, SINK)
+        hops = np.linalg.norm(pos[order[1:]] - pos[order[:-1]], axis=1)
         half = len(hops) // 2
         firsts.append(hops[:half].mean())
         seconds.append(hops[half:].mean())
@@ -65,9 +75,9 @@ def test_chain_second_half_hops_longer_on_average():
 
 def test_tdma_single_alive_node():
     pos = np.array([[50.0, 50.0]])
-    ledger, delay = pegasis_tdma_round(Chain((0,)), [True], 0, pos, SINK, P)
+    ledger, delay = pegasis_tdma_round([0], [True], 0, pos, SINK, P)
     assert delay == 0
-    expected = fuse_energy(P, 2000, 1) + tx_energy(P, 2000, 250.0)
+    expected = P.e_fuse * 2000 + tx_cost(P, 2000, 250.0)
     assert ledger.per_node[0] == pytest.approx(expected, rel=1e-12)
 
 
@@ -92,11 +102,11 @@ def test_tdma_matches_schedule_simulator(m):
     for leader_pos in range(m):
         seed = seed_for_leader(m, leader_pos)
         ledger, delay = pegasis_tdma_round(chain, alive, seed, pos, SINK, P)
-        slots, transmissions = tdma_schedule(list(chain.order), leader_pos)
+        slots, transmissions = tdma_schedule(chain.tolist(), leader_pos)
         assert delay == slots
         assert len(transmissions) == m - 1
         tx, rx, fuse = recount_relay_ledger(
-            transmissions, chain.order[leader_pos], pos, SINK, P)
+            transmissions, int(chain[leader_pos]), pos, SINK, P)
         assert np.allclose(ledger.tx, tx, rtol=1e-12, atol=0)
         assert np.allclose(ledger.rx, rx, rtol=1e-12, atol=0)
         assert np.allclose(ledger.fuse, fuse, rtol=1e-12, atol=0)
@@ -106,29 +116,29 @@ def test_tdma_bridges_dead_nodes():
     # a dead interior node is skipped: survivors relay over the gap
     pos = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [30.0, 0.0]])
     chain = build_chain(pos, np.array([500.0, 0.0]))
-    assert chain.order == (0, 1, 2, 3)
+    assert chain.tolist() == [0, 1, 2, 3]
     alive = np.array([True, False, True, True])
     seed = seed_for_leader(3, 2)  # leader = node 3 within the alive subchain
     ledger, delay = pegasis_tdma_round(chain, alive, seed, pos, SINK, P)
     assert delay == 2
     assert ledger.per_node[1] == 0.0
-    assert ledger.tx[0] == pytest.approx(tx_energy(P, 2000, 20.0), rel=1e-12)
+    assert ledger.tx[0] == pytest.approx(tx_cost(P, 2000, 20.0), rel=1e-12)
 
 
 def test_pegasis_requires_alive_node():
     with pytest.raises(ValueError):
-        pegasis_tdma_round(Chain((0,)), [False], 0, np.zeros((1, 2)), SINK, P)
+        pegasis_tdma_round([0], [False], 0, np.zeros((1, 2)), SINK, P)
     with pytest.raises(ValueError):
-        pegasis_cdma_round(Chain((0,)), [False], 0, np.zeros((1, 2)), SINK, P)
+        pegasis_cdma_round([0], [False], 0, np.zeros((1, 2)), SINK, P)
 
 
 # ---------------------------------------------------------------- pegasis cdma
 
 def test_cdma_single_alive_node():
     pos = np.array([[50.0, 50.0]])
-    ledger, delay = pegasis_cdma_round(Chain((0,)), [True], 0, pos, SINK, P)
+    ledger, delay = pegasis_cdma_round([0], [True], 0, pos, SINK, P)
     assert delay == 0
-    expected = fuse_energy(P, 2000, 1) + tx_energy(P, 2000, 250.0)
+    expected = P.e_fuse * 2000 + tx_cost(P, 2000, 250.0)
     assert ledger.per_node[0] == pytest.approx(expected, rel=1e-12)
 
 
@@ -147,7 +157,7 @@ def test_cdma_eight_nodes_is_seven_plus_sink_transmissions():
         seed = seed_for_leader(8, leader_pos)
         ledger, delay = pegasis_cdma_round(chain, np.ones(8, bool), seed, pos, SINK, P)
         assert delay == 3
-        levels, transmissions = cdma_schedule(list(chain.order), chain.order[leader_pos])
+        levels, transmissions = cdma_schedule(chain.tolist(), int(chain[leader_pos]))
         assert len(transmissions) == 7  # binary aggregation uses m - 1 sends
         assert np.count_nonzero(ledger.tx) == 8  # everyone transmits exactly once
 
@@ -159,9 +169,9 @@ def test_cdma_matches_schedule_simulator(m):
     alive = np.ones(m, bool)
     for leader_pos in range(m):
         seed = seed_for_leader(m, leader_pos)
-        leader = chain.order[leader_pos]
+        leader = int(chain[leader_pos])
         ledger, delay = pegasis_cdma_round(chain, alive, seed, pos, SINK, P)
-        levels, transmissions = cdma_schedule(list(chain.order), leader)
+        levels, transmissions = cdma_schedule(chain.tolist(), leader)
         assert delay == levels
         assert len(transmissions) == m - 1
         tx, rx, fuse = recount_relay_ledger(transmissions, leader, pos, SINK, P)
@@ -174,9 +184,9 @@ def test_cdma_matches_schedule_simulator(m):
 
 def test_leach_p_one_makes_everyone_head():
     pos = random_layout(2, 10)
-    assignment, served = leach_elect(pos, np.ones(10, bool), 0, 1.0, 3)
-    assert assignment.heads == set(range(10))
-    assert assignment.membership == {}
+    head_of, served = leach_elect(pos, np.ones(10, bool), 0, 1.0, 3)
+    assert heads_of(head_of) == set(range(10))
+    assert membership(head_of) == {}
     assert served == frozenset(range(10))
 
 
@@ -194,8 +204,8 @@ def test_leach_mean_heads_near_expected_fraction():
     served = frozenset()
     counts = []
     for r in range(400):
-        assignment, served = leach_elect(pos, alive, r, 0.05, derive_seed(55, r), served)
-        counts.append(len(assignment.heads))
+        head_of, served = leach_elect(pos, alive, r, 0.05, derive_seed(55, r), served)
+        counts.append(len(heads_of(head_of)))
     assert abs(np.mean(counts) - 5.0) <= 1.0
 
 
@@ -207,21 +217,20 @@ def test_leach_every_node_heads_once_per_epoch():
         heads_this_epoch = []
         for r in range(20):
             idx = epoch * 20 + r
-            assignment, served = leach_elect(pos, alive, idx, 0.05, derive_seed(66, idx), served)
-            heads_this_epoch.extend(assignment.heads)
+            head_of, served = leach_elect(pos, alive, idx, 0.05, derive_seed(66, idx), served)
+            heads_this_epoch.extend(heads_of(head_of))
         assert sorted(heads_this_epoch) == list(range(100))
 
 
 def test_leach_members_join_nearest_head():
     pos = np.array([[0.0, 0.0], [100.0, 0.0], [10.0, 0.0], [90.0, 0.0]])
-    assignment, _ = leach_elect(pos, np.ones(4, bool), 0, 1.0, 1)
-    # p = 1: all heads, so force a crafted assignment instead
-    from gathersim import ClusterAssignment
-    crafted = ClusterAssignment(frozenset({0, 1}), {2: 0, 3: 1})
+    head_of, _ = leach_elect(pos, np.ones(4, bool), 0, 1.0, 1)
+    # p = 1: all heads, so force a crafted row instead: heads 0 and 1, 2 joins 0, 3 joins 1
+    crafted = np.array([0, 1, 0, 1])
     ledger, delay = leach_round(crafted, pos, SINK, P)
     assert delay == 1 + 2
-    assert ledger.tx[2] == pytest.approx(tx_energy(P, 2000, 10.0), rel=1e-12)
-    assert ledger.tx[3] == pytest.approx(tx_energy(P, 2000, 10.0), rel=1e-12)
+    assert ledger.tx[2] == pytest.approx(tx_cost(P, 2000, 10.0), rel=1e-12)
+    assert ledger.tx[3] == pytest.approx(tx_cost(P, 2000, 10.0), rel=1e-12)
 
 
 def test_leach_membership_prefers_nearest():
@@ -229,37 +238,35 @@ def test_leach_membership_prefers_nearest():
     rng_seed = 0
     # search a seed electing exactly heads {0, 1} at round 0
     for rng_seed in range(5000):
-        assignment, _ = leach_elect(pos, np.ones(4, bool), 0, 0.5, rng_seed)
-        if assignment.heads == {0, 1}:
+        head_of, _ = leach_elect(pos, np.ones(4, bool), 0, 0.5, rng_seed)
+        if heads_of(head_of) == {0, 1}:
             break
-    assert assignment.heads == {0, 1}
-    assert assignment.membership == {2: 0, 3: 1}
+    assert heads_of(head_of) == {0, 1}
+    assert membership(head_of) == {2: 0, 3: 1}
 
 
 def test_leach_round_all_heads():
     pos = random_layout(5, 6)
-    assignment, _ = leach_elect(pos, np.ones(6, bool), 0, 1.0, 9)
-    ledger, delay = leach_round(assignment, pos, SINK, P)
+    head_of, _ = leach_elect(pos, np.ones(6, bool), 0, 1.0, 9)
+    ledger, delay = leach_round(head_of, pos, SINK, P)
     assert delay == 6  # no member slots, six serialized sink forwards
     assert np.all(ledger.rx == 0.0)
-    assert np.allclose(ledger.fuse, fuse_energy(P, 2000, 1), rtol=1e-12)
+    assert np.allclose(ledger.fuse, P.e_fuse * 2000, rtol=1e-12)
 
 
 def test_leach_round_single_head_with_members():
-    from gathersim import ClusterAssignment
     n = 100
     pos = random_layout(6, n)
-    membership = {i: 0 for i in range(1, n)}
-    ledger, delay = leach_round(ClusterAssignment(frozenset({0}), membership), pos, SINK, P)
+    ledger, delay = leach_round(np.zeros(n, dtype=np.int64), pos, SINK, P)  # all join node 0
     assert delay == 100  # 99 member slots + 1 sink slot
-    assert ledger.fuse[0] == pytest.approx(fuse_energy(P, 2000, 100), rel=1e-12)
+    assert ledger.fuse[0] == pytest.approx(P.e_fuse * 2000 * 100, rel=1e-12)
     assert ledger.rx[0] == pytest.approx(99 * 1.0e-4, rel=1e-12)
 
 
 def test_leach_transmission_count():
     pos = random_layout(7, 50)
-    assignment, _ = leach_elect(pos, np.ones(50, bool), 0, 0.1, 21)
-    ledger, _ = leach_round(assignment, pos, SINK, P)
+    head_of, _ = leach_elect(pos, np.ones(50, bool), 0, 0.1, 21)
+    ledger, _ = leach_round(head_of, pos, SINK, P)
     assert np.count_nonzero(ledger.tx) == 50  # members once each + heads to sink
 
 

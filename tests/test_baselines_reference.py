@@ -2,8 +2,8 @@
 
 ``leach_elect``, ``leach_round``, ``pegasis_tdma_round``,
 ``pegasis_cdma_round`` and ``direct_round`` must give exactly what the loop
-versions in tests/reference_baselines.py give: the same heads, membership
-(order and element types included) and served set, the same delay, and
+versions in tests/reference_baselines.py give: the ``head_of`` row of the
+reference's heads and membership, the same served set, the same delay, and
 ledgers equal byte for byte. The cases cover seeded deployments with and
 without dead nodes, whole LEACH epochs at three head probabilities, an
 eligible pool that runs out mid-epoch, nearest-head searches split into
@@ -19,9 +19,9 @@ import pytest
 
 import reference_baselines as ref
 
-from gathersim import (ClusterAssignment, FieldConfig, RadioParams, build_chain,
-                       deploy, derive_seed, direct_round, leach_elect, leach_round,
-                       make_rng, pegasis_cdma_round, pegasis_tdma_round, positions_of)
+from gathersim import (FieldConfig, RadioParams, build_chain, deploy, derive_seed,
+                       direct_round, leach_elect, leach_round, make_rng, pegasis_cdma_round,
+                       pegasis_tdma_round, positions_of)
 from gathersim import baselines
 
 P = RadioParams()
@@ -50,31 +50,37 @@ def assert_same_round(got, want):
     assert delay == expected_delay and type(delay) is int
 
 
-def assert_same_assignment(got: ClusterAssignment, want: ClusterAssignment):
-    assert got.heads == want.heads and type(got.heads) is frozenset
-    assert all(type(h) is int for h in got.heads)
-    # repr shows the insertion order and tells a Python int from a numpy one
-    assert repr(got.membership) == repr(want.membership)
+def head_row(assignment: ref.ClusterAssignment, n: int) -> np.ndarray:
+    """The ``head_of`` row of ``assignment``: heads lead themselves, members
+    their head, and any other node takes no part (-1)."""
+    head_of = np.full(n, -1)
+    for u in assignment.heads:
+        head_of[u] = u
+    for u, h in assignment.membership.items():
+        head_of[u] = h
+    return head_of
 
 
 def assert_same_election(positions, alive, round_index, p_head, seed, served, sink=SINK):
     """Elect and run one LEACH round both ways; return the new served set."""
     args = (positions, alive, round_index, p_head, seed, served)
-    assignment, got_served = leach_elect(*args)
+    head_of, got_served = leach_elect(*args)
     expected, want_served = ref.leach_elect(*args)
-    assert_same_assignment(assignment, expected)
+    want = head_row(expected, len(positions))
+    assert head_of.dtype == want.dtype and head_of.tobytes() == want.tobytes()
     assert got_served == want_served and type(got_served) is type(want_served)
     assert all(type(u) is int for u in got_served)
-    assert_same_round(leach_round(assignment, positions, sink, P),
+    assert_same_round(leach_round(head_of, positions, sink, P),
                       ref.leach_round(expected, positions, sink, P))
     return got_served
 
 
 def assert_same_chain_rounds(chain, alive, leader_seed, positions, sink=SINK):
+    old_chain = ref.Chain(tuple(chain.tolist()))
     for new, old in ((pegasis_tdma_round, ref.pegasis_tdma_round),
                      (pegasis_cdma_round, ref.pegasis_cdma_round)):
         assert_same_round(new(chain, alive, leader_seed, positions, sink, P),
-                          old(chain, alive, leader_seed, positions, sink, P))
+                          old(old_chain, alive, leader_seed, positions, sink, P))
 
 
 # ----------------------------------------------------------------------- leach
@@ -142,8 +148,8 @@ def test_leach_nearest_head_compares_squared_distances():
     alive = np.ones(3, bool)
     seed = next(s for s in range(1000)
                 if ref.leach_elect(positions, alive, 0, 0.5, s)[0].heads == {0, 1})
-    assignment = leach_elect(positions, alive, 0, 0.5, seed)[0]
-    assert assignment.membership == {2: 1}
+    head_of = leach_elect(positions, alive, 0, 0.5, seed)[0]
+    assert head_of.tolist() == [0, 1, 1]  # node 2 joins head 1
     assert_same_election(positions, alive, 0, 0.5, seed, frozenset())
 
 
@@ -159,11 +165,13 @@ def test_leach_nearest_head_search_in_many_blocks(block, monkeypatch):
 
 
 def test_leach_nearest_head_ties_go_to_the_lower_head():
-    # every member is equidistant from several heads on a lattice
-    positions = np.array([(float(x), float(y)) for x in range(0, 50, 5) for y in range(0, 50, 5)])
-    alive = np.ones(len(positions), bool)
-    for seed in range(30):
-        assert_same_election(positions, alive, 0, 0.3, seed, frozenset())
+    # every member is equidistant from several heads on a lattice; on the
+    # doubled lattice two heads can share a spot, and each still leads itself
+    lattice = np.array([(float(x), float(y)) for x in range(0, 50, 5) for y in range(0, 50, 5)])
+    for positions in (lattice, np.repeat(lattice, 2, axis=0)):
+        alive = np.ones(len(positions), bool)
+        for seed in range(30):
+            assert_same_election(positions, alive, 0, 0.3, seed, frozenset())
 
 
 def test_leach_round_hand_made_assignments_with_members_out_of_order():
@@ -174,12 +182,12 @@ def test_leach_round_hand_made_assignments_with_members_out_of_order():
         heads = ids[:heads_count].tolist()
         members = ids[heads_count:].tolist()  # shuffled insertion order
         membership = {u: heads[int(rng.integers(heads_count))] for u in members}
-        assignment = ClusterAssignment(frozenset(heads), membership)
-        assert_same_round(leach_round(assignment, positions, SINK, P),
+        assignment = ref.ClusterAssignment(frozenset(heads), membership)
+        assert_same_round(leach_round(head_row(assignment, 100), positions, SINK, P),
                           ref.leach_round(assignment, positions, SINK, P))
     # some nodes in neither role: they are dead and pay nothing
-    assignment = ClusterAssignment(frozenset({40, 2}), {90: 2, 7: 40, 8: 2, 1: 40})
-    assert_same_round(leach_round(assignment, positions, SINK, P),
+    assignment = ref.ClusterAssignment(frozenset({40, 2}), {90: 2, 7: 40, 8: 2, 1: 40})
+    assert_same_round(leach_round(head_row(assignment, 100), positions, SINK, P),
                       ref.leach_round(assignment, positions, SINK, P))
 
 
@@ -224,7 +232,7 @@ def test_pegasis_matches_reference_with_leader_at_ends_and_middle(m):
     positions = positions[:m + 3]
     chain = build_chain(positions, SINK)
     alive = np.ones(m + 3, bool)
-    alive[list(chain.order[1:4])] = False  # dead nodes inside the chain
+    alive[chain[1:4]] = False  # dead nodes inside the chain
     for seed in leader_seeds(m):
         assert_same_chain_rounds(chain, alive, seed, positions)
 
@@ -261,10 +269,11 @@ def test_leach_elect_of_20000_nodes_stays_far_below_the_dense_footprint():
     alive = np.ones(len(positions), bool)
     tracemalloc.start()
     try:
-        assignment, _ = leach_elect(positions, alive, 0, 0.05, 1)
+        head_of, _ = leach_elect(positions, alive, 0, 0.05, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 800 < len(assignment.heads) < 1200
-    assert len(assignment.membership) == 20_000 - len(assignment.heads)
+    heads = np.count_nonzero(head_of == np.arange(20_000))
+    assert 800 < heads < 1200
+    assert (head_of >= 0).all()  # the other 20,000 - heads nodes are members
     assert peak < 128 * 2**20, f"peak {peak / 2**20:.1f} MB"

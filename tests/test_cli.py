@@ -116,6 +116,20 @@ def test_bad_config_value_rejected(tmp_path):
     assert main(["--config", str(cfg_file)]) == 2
 
 
+@pytest.mark.parametrize("name, content", [
+    ("missing.cfg", None), (".", None), ("latin1.cfg", "# caf\xe9\nnodes=5\n".encode("latin-1")),
+    ("", None)])
+def test_unreadable_config_file_exits_2_naming_it(name, content, tmp_path, capsys):
+    path = str(tmp_path / name) if name else ""
+    if content is not None:
+        with open(path, "wb") as fh:
+            fh.write(content)
+    assert main(["--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"gathersim: error: cannot read config file {path}: ")
+
+
 def test_range_with_direct_warns_but_runs(capsys):
     config, _, _ = parse_config(["--protocol", "direct", "--range", "30"])
     assert "ignored" in capsys.readouterr().err
@@ -196,12 +210,16 @@ def test_per_round_incompatible_with_sweep(capsys):
         assert capsys.readouterr().err.startswith("gathersim: error:")
 
 
-def test_sweep_emits_one_row_per_range(tmp_path):
+def test_sweep_emits_one_row_per_range(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     ranges = "15,20,25,30,35,40,45,50"
     assert main(FAST + ["--sweep", ranges, "--out", str(out)]) == 0
     rows = read_aggregate_csv(out)
     assert [r.range_m for r in rows] == [15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0]
+    for empty in ("", ",", " , "):
+        # no "--range is ignored" warning either: the sweep sets the ranges
+        assert main(FAST + ["--protocol", "direct", "--range", "30", "--sweep", empty]) == 2
+        assert capsys.readouterr() == ("", "gathersim: error: --sweep list is empty\n")
 
 
 def test_compare_emits_five_rows(tmp_path):

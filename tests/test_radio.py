@@ -9,8 +9,8 @@ from conftest import random_geometric_snapshot, seeded_nodes, snapshot_from_adja
 from helpers_oracles import recount_tree_ledger
 
 from gathersim import (EnergyLedger, Nodes, NodeState, RadioParams, build_graph,
-                       construct_tree, energies_of, fuse_energy, positions_of, rx_energy,
-                       tree_round_energy, tx_energy)
+                       construct_tree, energies_of, leach_round, positions_of,
+                       tree_round_energy, tx_cost)
 
 P = RadioParams()
 
@@ -23,44 +23,43 @@ def test_radio_params_validation():
     RadioParams().validate()
 
 
-def test_tx_energy_values():
-    assert tx_energy(P, 0, 123.0) == 0.0
-    assert tx_energy(P, 2000, 25.0) == pytest.approx(2.25e-4, rel=1e-12)
-    assert tx_energy(P, 2000, 250.0) == pytest.approx(1.26e-2, rel=1e-12)
+def test_tx_cost_values():
+    assert tx_cost(P, 0, 123.0) == 0.0
+    assert tx_cost(P, 2000, 25.0) == pytest.approx(2.25e-4, rel=1e-12)
+    assert tx_cost(P, 2000, 250.0) == pytest.approx(1.26e-2, rel=1e-12)
 
 
-def test_rx_energy_values():
-    assert rx_energy(P, 0) == 0.0
-    assert rx_energy(P, 2000) == pytest.approx(1.0e-4, rel=1e-12)
+def test_rx_cost_values():
+    # every ledger debits a reception as e_elec * bits: tx_cost at distance 0
+    assert tx_cost(P, 0, 0.0) == 0.0
+    assert tx_cost(P, 2000, 0.0) == pytest.approx(1.0e-4, rel=1e-12)
 
 
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=50)
 def test_rx_equals_tx_at_zero_distance(bits):
-    assert rx_energy(P, bits) == tx_energy(P, bits, 0.0)
+    assert P.e_elec * bits == tx_cost(P, bits, 0.0)
 
 
-def test_fuse_energy_values():
-    assert fuse_energy(P, 2000, 0) == 0.0
-    assert fuse_energy(P, 2000, 3) == pytest.approx(3.0e-5, rel=1e-12)
+def cluster_fuse(members: int) -> np.ndarray:
+    """Fuse debits of one cluster round: node 0 heads ``members`` members."""
+    n = members + 1
+    ledger, _ = leach_round(np.zeros(n, dtype=np.int64), np.zeros((n, 2)), (0.0, 250.0), P)
+    return ledger.fuse
+
+
+def test_fuse_cost_values():
+    fuse = cluster_fuse(2)
+    assert fuse[1] == 0.0  # a member fuses no signal
+    assert fuse[0] == pytest.approx(3.0e-5, rel=1e-12)  # the head fuses 3
 
 
 @given(st.integers(min_value=0, max_value=1000), st.integers(min_value=0, max_value=1000))
 @settings(max_examples=50)
-def test_fuse_energy_additive_in_signals(a, b):
-    assert fuse_energy(P, 2000, a + b) == pytest.approx(
-        fuse_energy(P, 2000, a) + fuse_energy(P, 2000, b), rel=1e-12)
-
-
-def test_negative_inputs_rejected():
-    with pytest.raises(ValueError):
-        tx_energy(P, -1, 0.0)
-    with pytest.raises(ValueError):
-        tx_energy(P, 1, -0.1)
-    with pytest.raises(ValueError):
-        rx_energy(P, -1)
-    with pytest.raises(ValueError):
-        fuse_energy(P, 1, -1)
+def test_fuse_cost_additive_in_signals(a, b):
+    # a head with m members fuses m + 1 signals: a + 1 and b + 1 add up to (a + b + 1) + 1
+    assert cluster_fuse(a + b + 1)[0] == pytest.approx(
+        cluster_fuse(a)[0] + cluster_fuse(b)[0], rel=1e-12)
 
 
 def _tree_over(states, range_m):
@@ -75,7 +74,7 @@ def test_single_node_round_is_fuse_plus_sink_tx():
     nodes = [NodeState(0, (50.0, 50.0), 1.0)]
     _, tree = _tree_over(nodes, 10.0)
     ledger = tree_round_energy(tree, positions_of(Nodes.from_states(nodes)), (50.0, 300.0), P)
-    expected = fuse_energy(P, 2000, 1) + tx_energy(P, 2000, 250.0)
+    expected = P.e_fuse * 2000 + tx_cost(P, 2000, 250.0)
     assert ledger.per_node[0] == pytest.approx(expected, rel=1e-12)
     assert ledger.total == pytest.approx(expected, rel=1e-12)
 

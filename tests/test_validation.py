@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gathersim import (Chain, ClusterAssignment, FieldConfig, Nodes, NodeState, RadioParams,
-                       SimConfig, build_graph, direct_round, leach_elect, leach_round,
-                       pegasis_cdma_round, pegasis_tdma_round, read_placement)
+from gathersim import (FieldConfig, Nodes, NodeState, RadioParams, SimConfig, build_chain,
+                       build_graph, direct_round, leach_elect, leach_round, pegasis_cdma_round,
+                       pegasis_tdma_round, read_placement)
 from gathersim.cli import main
 
 
@@ -180,33 +180,42 @@ BASELINE_POSITIONS = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [30.0, 0.0]
 BASELINE_SINK = (50.0, 300.0)
 
 
-@pytest.mark.parametrize("heads, membership, match", [
-    ({0}, {1: 2}, "must be one of the heads"),           # the head of node 1 is no head
-    ({0, 1}, {1: 0, 2: 0}, "cannot also be a member"),   # node 1 would pay twice
+@pytest.mark.parametrize("head_of, match", [
+    ([0, 2, -1, -1], "must be one of the heads"),   # the head of node 1 is no head
+    ([1, 2, 0, 1], "at least one cluster head"),    # nobody heads themselves
+    ([-1, -1, -1, -1], "at least one cluster head"),
 ])
-def test_cluster_assignment_rejects_inconsistent_roles(heads, membership, match):
+def test_leach_round_rejects_inconsistent_roles(head_of, match):
     with pytest.raises(ValueError, match=match):
-        ClusterAssignment(frozenset(heads), membership)
+        leach_round(head_of, BASELINE_POSITIONS, BASELINE_SINK, RadioParams())
 
 
-@pytest.mark.parametrize("heads, membership", [
-    ({4}, {}), ({-1}, {}), ({0}, {4: 0}), ({0}, {-1: 0}), ({3}, {0: 3, 9: 3})])
-def test_leach_round_rejects_ids_outside_the_node_range(heads, membership):
-    assignment = ClusterAssignment(frozenset(heads), membership)
+@pytest.mark.parametrize("head_of", [
+    [0, 1, 2, 4], [0, 1, 2, -2], [0, 0, 0, 9], [0, -5, 0, 0]])
+def test_leach_round_rejects_ids_outside_the_node_range(head_of):
     with pytest.raises(ValueError, match="node ids below 4"):
-        leach_round(assignment, BASELINE_POSITIONS, BASELINE_SINK, RadioParams())
+        leach_round(head_of, BASELINE_POSITIONS, BASELINE_SINK, RadioParams())
+
+
+@pytest.mark.parametrize("head_of", [
+    [0, 0, 0], [0, 0, 0, 0, 0], [[0, 0, 0, 0]], [0.0, 0.0, 0.0, 0.0]])
+def test_leach_round_rejects_a_row_of_another_shape_or_type(head_of):
+    with pytest.raises(ValueError, match="expected 4 integer head ids"):
+        leach_round(head_of, BASELINE_POSITIONS, BASELINE_SINK, RadioParams())
 
 
 @pytest.mark.parametrize("order", [(0, 0, 0, 0), (1, 2, 1), (0, -1)])
 def test_chain_rejects_repeated_or_negative_ids(order):
-    with pytest.raises(ValueError, match="distinct non-negative"):
-        Chain(order)
+    for round_fn in (pegasis_tdma_round, pegasis_cdma_round):
+        with pytest.raises(ValueError, match="distinct non-negative"):
+            round_fn(order, [True] * 4, 1, BASELINE_POSITIONS, BASELINE_SINK, RadioParams())
 
 
 @pytest.mark.parametrize("alive", [[True] * 3, [True] * 5])
 def test_baselines_reject_alive_flags_of_another_length(alive):
-    chain = Chain((0, 1, 2, 3))
+    chain = [0, 1, 2, 3]
     calls = (
+        lambda: build_chain(BASELINE_POSITIONS, BASELINE_SINK, alive),
         lambda: leach_elect(BASELINE_POSITIONS, alive, 0, 0.5, 1),
         lambda: pegasis_tdma_round(chain, alive, 1, BASELINE_POSITIONS, BASELINE_SINK,
                                    RadioParams()),
@@ -226,7 +235,7 @@ def test_leach_elect_rejects_served_ids_outside_the_node_range(served):
 
 
 def test_pegasis_rejects_chain_ids_beyond_the_node_count():
-    chain = Chain((0, 1, 2, 3, 4))
+    chain = [0, 1, 2, 3, 4]
     for round_fn in (pegasis_tdma_round, pegasis_cdma_round):
         with pytest.raises(ValueError, match="below the node count"):
             round_fn(chain, [True] * 4, 1, BASELINE_POSITIONS, BASELINE_SINK, RadioParams())
