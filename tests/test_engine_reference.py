@@ -7,18 +7,24 @@ bits (NaN included). The cases cover the four baselines under both stop
 rules with ``max_rounds`` on both sides of a 64-attempt seed block, 30 to
 130 nodes, blocks of 1 to 64 rounds, head probabilities up to 1, injected
 nodes that are dead or start with no energy, and the tree protocol, whose
-blocks hold one round.
+blocks hold one round. A derandomized ``hypothesis`` test draws further
+configurations, checks ``run_experiment``'s reports too, and asserts
+invariants that need no reference.
 """
 
 import dataclasses
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import reference_engine as ref
 
-from gathersim import FieldConfig, NodeState, SimConfig, SimulationReport, derive_seed, run_trial
+from gathersim import (PROTOCOLS, FieldConfig, NodeState, SimConfig, SimulationReport,
+                       derive_seed, run_experiment, run_trial)
 from gathersim import engine
 
 BASELINES = ("leach", "pegasis-tdma", "pegasis-cdma", "direct")
@@ -103,3 +109,68 @@ def test_block_sizes_match_the_per_round_loop(protocol, block_rounds, monkeypatc
     config = SimConfig(field=FieldConfig(node_count=30), protocol=protocol,
                        initial_energy=0.05, stop_rule="energy-exhausted", max_rounds=150)
     assert_same_trials(config, trials=1)
+
+
+@st.composite
+def drawn_configs(draw, protocol: str, stop_rule: str) -> SimConfig:
+    """A small experiment: field, sink, node states, protocol, stop rule and caps."""
+    n = draw(st.integers(1, 130))
+    width, height = draw(st.floats(10.0, 200.0)), draw(st.floats(10.0, 200.0))
+    if draw(st.booleans()):  # sink inside the field
+        sink = (draw(st.floats(0.0, width)), draw(st.floats(0.0, height)))
+    else:
+        sink = (draw(st.floats(-50.0, width + 50.0)), height + draw(st.floats(1.0, 300.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    positions = rng.random((n, 2)) * (width, height)
+    scale = draw(st.sampled_from([0.02, 0.1, 0.5]))
+    energies = {
+        "equal": np.full(n, scale),
+        "random": scale * rng.random(n),
+        "ties": scale * rng.integers(1, 4, n) / 3,  # 1/3, 2/3 and 1 of the scale
+    }[draw(st.sampled_from(["equal", "random", "ties"]))]
+    energies[rng.random(n) < draw(st.sampled_from([0.0, 0.0, 0.0, 0.05]))] = 0.0
+    alive = rng.random(n) >= draw(st.sampled_from([0.0, 0.0, 0.1]))
+    states = tuple(NodeState(i, (float(x), float(y)), float(e), bool(a))
+                   for i, ((x, y), e, a) in enumerate(zip(positions, energies, alive)))
+    return SimConfig(
+        field=FieldConfig(width=width, height=height, node_count=n, sink_position=sink),
+        protocol=protocol,
+        # multiples of the range at which a uniform layout's graph gets connected
+        range_m=draw(st.sampled_from([0.9, 1.3, 1.8, 2.5]))
+        * math.sqrt(width * height * math.log(n + 1) / n / math.pi) + 1.0,
+        max_rounds=draw(st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129])),
+        trials=draw(st.integers(1, 4)),
+        master_seed=draw(st.integers(0, 2**32 - 1)),
+        rebuild_period=draw(st.integers(1, 4)),
+        stop_rule=stop_rule,
+        leach_p=draw(st.sampled_from([0.05, 0.3, 0.8, 1.0])),
+        nodes_override=states,
+    )
+
+
+def assert_invariants(config: SimConfig, report: SimulationReport):
+    alive = report.alive_per_round
+    assert (np.diff(alive) <= 0).all()
+    assert (report.final_energies >= 0).all()
+    assert report.lifetime <= report.completed_rounds <= config.max_rounds
+    if config.protocol == "emln":
+        assert (report.leaf_per_round <= alive - 1).all()
+    elif config.protocol == "pegasis-cdma":
+        assert report.delay_per_round.tolist() == [(m - 1).bit_length() for m in alive.tolist()]
+    elif config.protocol == "direct":
+        assert report.delay_per_round.tolist() == alive.tolist()
+
+
+@pytest.mark.parametrize("stop_rule", STOP_RULES)
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_drawn_configs_match_the_per_round_loop(protocol, stop_rule, data):
+    config = data.draw(drawn_configs(protocol, stop_rule))
+    seeds = [derive_seed(config.master_seed, trial) for trial in range(config.trials)]
+    want = [ref.run_trial(config, seed) for seed in seeds]
+    assert_same_report(run_trial(config, seeds[0]), want[0])
+    for got, expected in zip(run_experiment(config, keep_reports=True).reports, want):
+        assert_same_report(got, expected)
+        assert_invariants(config, got)
