@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_geometric_snapshot, seeded_nodes, snapshot_from_adjacency
+from conftest import random_geometric_snapshot, seeded_nodes
 from helpers_oracles import recount_tree_ledger
 
 from gathersim import (EnergyLedger, Nodes, NodeState, RadioParams, build_graph,

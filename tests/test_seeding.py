@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from gathersim import FieldConfig, SimConfig, derive_seed, make_rng, run_trial, splitmix64
+from gathersim import FieldConfig, SimConfig, derive_seed, make_rng, run_trial
 from gathersim.cli import PER_ROUND_COLUMNS, per_round_rows, render
 from gathersim.seeding import ROUND_BLOCK, RoundStream, seed_sequence_states
 
