@@ -356,29 +356,27 @@ def cluster_rows(positions: np.ndarray, alive: np.ndarray, head_rows) -> np.ndar
 
 
 def leach_elect(positions, alive, round_index: int, p_head: float,
-                seed: int | np.random.Generator, served: frozenset[int] = frozenset(),
-                ) -> tuple[np.ndarray, frozenset[int]]:
+                seed: int | np.random.Generator, served=None) -> tuple[np.ndarray, np.ndarray]:
     """Elect cluster heads for one round and assign members to them.
 
     The election is ``elect_heads``; members join their nearest head (ties
-    to the lower head id). Returns the (n,) ``head_of`` row that
-    ``leach_round`` takes, built by ``cluster_rows``, and the updated served
-    set, which the caller carries between rounds.
+    to the lower head id). ``served`` is the (n,) bool mask of the nodes
+    that have headed a cluster in this epoch, none if omitted. Returns the
+    (n,) ``head_of`` row that ``leach_round`` takes, built by
+    ``cluster_rows``, and the updated served mask, a new array, which the
+    caller carries between rounds.
     """
     if not 0 < p_head <= 1:
         raise ValueError("p_head must be in (0, 1]")
     positions, alive = _node_arrays(positions, alive)
     if not alive.any():
         raise ValueError("need at least one alive node")
-    served_ids = list(served)
-    if served_ids and (min(served_ids) < 0 or max(served_ids) >= len(alive)):
-        raise ValueError(f"served ids must be node ids below {len(alive)}")
-    served_mask = np.zeros(len(alive), dtype=bool)
-    served_mask[served_ids] = True
+    served = np.zeros(len(alive), dtype=bool) if served is None else np.array(served, dtype=bool)
+    if served.shape != alive.shape:
+        raise ValueError(f"served must be a mask of {len(alive)} flags, got shape {served.shape}")
 
-    heads = elect_heads(alive, served_mask, round_index, p_head, make_rng(seed))
-    return (cluster_rows(positions, alive, [heads])[0],
-            frozenset(np.flatnonzero(served_mask).tolist()))
+    heads = elect_heads(alive, served, round_index, p_head, make_rng(seed))
+    return cluster_rows(positions, alive, [heads])[0], served
 
 
 def cluster_block(head_of: np.ndarray, positions, sink_tx: np.ndarray,

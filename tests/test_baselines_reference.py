@@ -62,17 +62,23 @@ def head_row(assignment: ref.ClusterAssignment, n: int) -> np.ndarray:
 
 
 def assert_same_election(positions, alive, round_index, p_head, seed, served, sink=SINK):
-    """Elect and run one LEACH round both ways; return the new served set."""
-    args = (positions, alive, round_index, p_head, seed, served)
-    head_of, got_served = leach_elect(*args)
-    expected, want_served = ref.leach_elect(*args)
-    want = head_row(expected, len(positions))
+    """Elect and run one LEACH round both ways; return the reference's new served set.
+
+    The reference carries the served set as a frozenset of ids and
+    ``leach_elect`` as a bool mask over the nodes.
+    """
+    n = len(positions)
+    mask = np.isin(np.arange(n), list(served))
+    head_of, got_served = leach_elect(positions, alive, round_index, p_head, seed, mask)
+    expected, want_served = ref.leach_elect(positions, alive, round_index, p_head, seed, served)
+    want = head_row(expected, n)
     assert head_of.dtype == want.dtype and head_of.tobytes() == want.tobytes()
-    assert got_served == want_served and type(got_served) is type(want_served)
-    assert all(type(u) is int for u in got_served)
+    assert got_served.dtype == bool and got_served.shape == (n,)
+    assert got_served.tolist() == [u in want_served for u in range(n)]
+    assert mask.tolist() == [u in served for u in range(n)]  # the mask passed in is kept
     assert_same_round(leach_round(head_of, positions, sink, P),
                       ref.leach_round(expected, positions, sink, P))
-    return got_served
+    return want_served
 
 
 def assert_same_chain_rounds(chain, alive, leader_seed, positions, sink=SINK):

@@ -228,10 +228,10 @@ def test_baselines_reject_alive_flags_of_another_length(alive):
             call()
 
 
-@pytest.mark.parametrize("served", [{4}, {-1}, {0, 9}])
-def test_leach_elect_rejects_served_ids_outside_the_node_range(served):
-    with pytest.raises(ValueError, match="served ids must be node ids below 4"):
-        leach_elect(BASELINE_POSITIONS, [True] * 4, 1, 0.5, 1, frozenset(served))
+@pytest.mark.parametrize("served", [[True] * 3, [False] * 5, [[True]] * 4, frozenset({1})])
+def test_leach_elect_rejects_a_served_mask_of_another_shape(served):
+    with pytest.raises(ValueError, match="served must be a mask of 4 flags"):
+        leach_elect(BASELINE_POSITIONS, [True] * 4, 1, 0.5, 1, served)
 
 
 def test_pegasis_rejects_chain_ids_beyond_the_node_count():
