@@ -1,0 +1,82 @@
+#!/usr/bin/env python3
+"""Time EMLN trees grown one by one against trees grown in lockstep.
+
+The engine grows the trees of the trials that need one in the same step
+together, with ``construct_trees`` over their stacked graphs, when there
+are at least ``engine.LOCKSTEP_TREES`` of them, and one by one with
+``construct_tree`` otherwise. This script is the evidence for that
+constant. For T = 1, 2, 3, 4, 6, 10 and 48 trials of 100 nodes (default
+density, range 25 m) with mid-lifetime residual energies, it checks that
+every row of ``construct_trees`` is the tree ``construct_tree`` builds, and
+prints the time per tree of both, and of lockstep with the graphs stacked
+anew (which the engine does only when a member's graph changes). Each
+figure is the minimum over alternating samples. Pass a node count to time
+another size, for example ``python demos/07_trial_lockstep.py 2000``.
+"""
+
+import math
+import sys
+from time import perf_counter
+
+import numpy as np
+
+from gathersim import FieldConfig, build_graph, construct_tree, deploy, derive_seed
+from gathersim.emln import construct_trees
+from gathersim.engine import LOCKSTEP_TREES
+from gathersim.network import stack_graphs
+
+WIDTHS = (1, 2, 3, 4, 6, 10, 48)
+SAMPLES = 7
+
+
+def timed(fn, calls: int) -> float:
+    t0 = perf_counter()
+    for _ in range(calls):
+        fn()
+    return (perf_counter() - t0) / calls
+
+
+def main(n: int) -> None:
+    side = 10.0 * math.sqrt(n)
+    field = FieldConfig(width=side, height=side, node_count=n,
+                        sink_position=(side / 2, side + 200.0))
+    rng = np.random.default_rng(7)
+    print(f"{n} nodes, range 25 m; engine.LOCKSTEP_TREES = {LOCKSTEP_TREES}")
+    print(f"{'trees':>5} {'separate':>12} {'lockstep':>12} {'+ stacking':>12} {'speed':>6}")
+    for width in WIDTHS:
+        graphs = [build_graph(deploy(field, derive_seed(width, t)), 25.0) for t in range(width)]
+        # residual energies partway through a 0.03 J lifetime: no two alike
+        energies = 0.03 - 0.01 * rng.random((width, n))
+        seeds = [derive_seed(width, 1000 + t) for t in range(width)]
+        stacked = stack_graphs(graphs)
+
+        roots, parent, level, intermediate = construct_trees(stacked, energies, seeds)
+        for t in range(width):
+            tree = construct_tree(graphs[t], energies[t], seeds[t])
+            assert tree is not None and roots[t] == tree.root
+            assert np.array_equal(parent[t], tree.parent)
+            assert np.array_equal(level[t], tree.level)
+            assert np.array_equal(intermediate[t], tree.intermediate)
+
+        def separate():
+            for t in range(width):
+                construct_tree(graphs[t], energies[t], seeds[t])
+
+        def lockstep():
+            construct_trees(stacked, energies, seeds)
+
+        def restacked():
+            construct_trees(stack_graphs(graphs), energies, seeds)
+
+        calls = max(1, 2000 // (width * n))
+        best = {"separate": math.inf, "lockstep": math.inf, "restacked": math.inf}
+        for _ in range(SAMPLES):
+            for name, fn in (("separate", separate), ("lockstep", lockstep),
+                             ("restacked", restacked)):
+                best[name] = min(best[name], timed(fn, calls) / width)
+        print(f"{width:>5} {best['separate'] * 1e6:>9.1f} us {best['lockstep'] * 1e6:>9.1f} us "
+              f"{best['restacked'] * 1e6:>9.1f} us {best['separate'] / best['lockstep']:>5.2f}x")
+
+
+if __name__ == "__main__":
+    main(int(sys.argv[1]) if len(sys.argv) > 1 else 100)

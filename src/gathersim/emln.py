@@ -163,6 +163,131 @@ def construct_tree(graph: NetworkSnapshot, energies, tie_seed: int) -> GatherTre
     return GatherTree(root, parent, level, intermediate)
 
 
+def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.ndarray, ...]:
+    """Build the gathering trees of T trials in lockstep, one greedy step for all.
+
+    ``graph`` is block diagonal over T·n nodes, node v of trial t being
+    t·n + v (``stack_graphs``); ``energies`` is (T, n) and ``tie_seeds``
+    holds T seeds. Each step weighs every row at once and promotes, in each
+    row still growing, what ``construct_tree`` would promote: the row's
+    maximum-weight candidate, lowest id first, or one of its tied maxima
+    drawn from ``make_rng(tie_seeds[t])``, built when row t first ties. Each
+    row applies the zero-top and disconnected rules on its own, so row t is
+    exactly the tree ``construct_tree`` builds from trial t's graph,
+    energies and seed.
+
+    Returns ``(roots, parent, level, intermediate)``: the roots (T,), -1 for
+    a disconnected trial, whose row then holds a partial tree, and the
+    (T, n) arrays of ``GatherTree`` in local ids, so that row t's tree is
+    ``GatherTree(roots[t], parent[t], level[t], intermediate[t])``. A step
+    makes about the same few dozen numpy calls whatever T is, so T trees
+    cost little more than one; below a few trees ``construct_tree`` per
+    trial is faster (demos/07_trial_lockstep.py).
+    """
+    tie_seeds = list(tie_seeds)
+    trials = len(tie_seeds)
+    energies = np.asarray(energies, dtype=float)
+    size = graph.node_count
+    if not trials or size % trials or energies.shape != (trials, size // trials):
+        raise ValueError(f"expected energies of shape ({trials}, {size // max(trials, 1)}) "
+                         f"for {trials} trials of a {size}-node graph, got {energies.shape}")
+    if not (np.isfinite(energies) & (energies >= 0)).all():
+        raise ValueError("energies must be finite and >= 0")
+    n = size // trials
+    alive = graph.alive.reshape(trials, n)
+    if not alive.any(axis=1).all():
+        raise ValueError("a trial's graph has no alive node")
+
+    neighbors = graph.neighbor_arrays
+    # uncovered-neighbor counts, held as floats: count * energy is then the
+    # float product that construct_tree's int64 * float64 casts to
+    count = graph.degrees.astype(float)
+    count_rows = count.reshape(trials, n)
+    parent = np.full(size, -1, dtype=np.int64)
+    level = np.full(size, -1, dtype=np.int64)  # >= 0 exactly for covered nodes
+    intermediate = np.zeros(size, dtype=bool)
+    blocked = ~graph.alive  # not a candidate: for the root pick, dead; then not covered
+    blocked_rows = blocked.reshape(trials, n)
+    weights = np.empty((trials, n))
+    rows = np.arange(trials)
+    offset = rows * n
+    rngs: list = [None] * trials  # tie-break generators, built only when a row ties
+    connected = np.ones(trials, dtype=bool)
+    finished = np.zeros(trials, dtype=bool)  # complete or disconnected, all blocked
+    row_level = np.zeros(trials, dtype=np.int64)
+
+    def weigh() -> tuple[np.ndarray, np.ndarray]:
+        """Each row's max-weight candidate (lowest id first) and its weight, -1 for none."""
+        np.multiply(count_rows, energies, out=weights)
+        np.copyto(weights, -1.0, where=blocked_rows)
+        best = weights.argmax(axis=1)
+        return best, weights[rows, best]
+
+    def break_ties(growing: np.ndarray, best: np.ndarray, top: np.ndarray, done: int) -> None:
+        """Draw each growing row's pick among its tied maxima, where it has several.
+
+        The ``done`` finished rows weigh -1 throughout, n ties each; any
+        other tie shows as more matches than that.
+        """
+        if np.count_nonzero(weights == top[:, None]) > growing.size + n * done:
+            for t in growing.tolist():
+                tied = (weights[t] == top[t]).nonzero()[0]
+                if tied.size > 1:
+                    if rngs[t] is None:
+                        rngs[t] = make_rng(tie_seeds[t])
+                    best[t] = tied[rngs[t].integers(tied.size)]
+
+    best, top = weigh()
+    break_ties(rows, best, top, 0)
+    roots = best
+    blocked[:] = True
+    picked = offset + roots
+    level[picked] = 0
+    hit = [neighbors[u] for u in picked.tolist()]  # the roots are covered
+    growing, done = rows, 0
+    while growing.size:
+        intermediate[picked] = True
+        nb = np.concatenate([neighbors[u] for u in picked.tolist()])
+        new = nb[level[nb] < 0]
+        if new.size:
+            blocked[new] = False
+            row_level[growing] = level[picked]
+            row = new // n
+            parent[new] = best[row]  # each growing row's pick; its other entries are not read
+            level[new] = row_level[row] + 1
+            hit += [neighbors[v] for v in new.tolist()]
+        blocked[picked] = True
+        if hit:
+            np.subtract(count, np.bincount(np.concatenate(hit), minlength=size), out=count)
+            hit = []
+
+        best, top = weigh()
+        grows = top > 0
+        growing = grows.nonzero()[0]
+        if growing.size + done < trials:
+            # rows with no positive weight: complete, disconnected or under the zero-top rule
+            for t in (~grows & ~finished).nonzero()[0].tolist():
+                uncovered = bool((alive[t] & (level[t * n:(t + 1) * n] < 0)).any())
+                if uncovered and top[t] == 0:
+                    row_weights = weights[t]
+                    row_weights[count_rows[t] == 0] = -1.0
+                    best[t] = row_weights.argmax()
+                    top[t] = row_weights[best[t]]
+                if uncovered and top[t] >= 0:
+                    grows[t] = True
+                else:
+                    connected[t] = not uncovered
+                    finished[t] = blocked_rows[t] = True
+                    weights[t] = top[t] = -1.0
+                    done += 1
+            growing = grows.nonzero()[0]
+        break_ties(growing, best, top, done)
+        picked = offset[growing] + best[growing]
+
+    return (np.where(connected, roots, -1), parent.reshape(trials, n),
+            level.reshape(trials, n), intermediate.reshape(trials, n))
+
+
 def compute_delay(tree: GatherTree) -> int:
     """Time slots until the root holds the aggregate of the whole tree.
 
@@ -185,6 +310,47 @@ def compute_delay(tree: GatherTree) -> int:
             t = t + 1 if t >= d else d + 1  # max(t + 1, d + 1), without the call
         delay[u] = t
     return delay[tree.root]
+
+
+def compute_delays(roots, parent, level) -> np.ndarray:
+    """``compute_delay`` of each row of ``construct_trees``' output, as (T,) ints.
+
+    The same fold, a level at a time for all trees at once: a parent with
+    sorted child delays d_1 <= ... <= d_m gets max_i (d_i + m - i + 1). The
+    children of one level, grouped by parent, are sorted by delay inside
+    each group with one sort of (group, delay) keys. A disconnected row's
+    value is meaningless.
+    """
+    trials, n = parent.shape
+    parent, depth = parent.ravel(), level.ravel()
+    delay = np.zeros(trials * n, dtype=np.int64)
+    kids = np.flatnonzero(parent >= 0)  # every member but the roots, in global ids
+    if not kids.size:
+        return delay[:trials]
+    up = parent[kids] + kids // n * n
+    # deepest level first, then by parent: each parent's children form one run
+    order = np.argsort((n - depth[kids]) * (trials * n) + up)
+    kids, up = kids[order], up[order]
+    starts = np.ones(kids.size, dtype=bool)
+    np.not_equal(up[1:], up[:-1], out=starts[1:])
+    run = np.cumsum(starts) - 1
+    first = starts.nonzero()[0]
+    ends = np.append(first[1:], kids.size)
+    # a delay is below n, so run * (n + 1) + delay sorts by run, then by delay;
+    # the fold adds m - i + 1 to the i-th smallest of a run's m delays
+    key_base = run * (n + 1)
+    term = ends[run] - np.arange(kids.size) - key_base
+    depth = depth[up[first]]  # of each run's parent
+    levels = (depth[1:] != depth[:-1]).nonzero()[0] + 1
+    runs = [0] + levels.tolist() + [first.size]
+    bounds = first[runs[:-1]].tolist() + [kids.size]
+    for a, b, ra, rb in zip(bounds, bounds[1:], runs, runs[1:]):
+        keys = delay[kids[a:b]]
+        keys += key_base[a:b]
+        keys.sort()
+        keys += term[a:b]
+        delay[up[first[ra:rb]]] = np.maximum.reduceat(keys, first[ra:rb] - a)
+    return delay[np.arange(trials) * n + np.maximum(roots, 0)]
 
 
 def validate_tree(tree: GatherTree, graph: NetworkSnapshot) -> bool:

@@ -9,9 +9,9 @@ import numpy as np
 
 from .baselines import (AliveChain, build_chain, cluster_block, cluster_rows, direct_round,
                         elect_heads, pegasis_cdma_block, pegasis_tdma_block)
-from .emln import compute_delay, construct_tree
-from .network import FieldConfig, Nodes, NodeState, build_graph, deploy
-from .radio import RadioParams, hop_lengths, tree_round_energy, tx_cost
+from .emln import compute_delay, compute_delays, construct_tree, construct_trees
+from .network import FieldConfig, Nodes, NodeState, build_graph, deploy, stack_graphs
+from .radio import RadioParams, hop_lengths, tree_round_energy, trees_round_energy, tx_cost
 from .seeding import RoundStream, derive_seed
 
 STOP_RULES = ("first-death", "energy-exhausted")
@@ -97,6 +97,14 @@ def _lifetime_mean(values, lifetime: int) -> float:
 # blocks pay off when many rounds pass between deaths.
 BLOCK_ROUNDS = 64
 BLOCK_ENTRIES = 1 << 10
+# Trials are stepped together in groups of at most LOCKSTEP_ENTRIES nodes
+# (trials times nodes per trial, at least one trial). When LOCKSTEP_TREES or
+# more EMLN trials of a group, with one node count, sink and radio, need a
+# tree in the same step, they grow them together (emln.construct_trees);
+# fewer grow them one by one (emln.construct_tree), which is faster for one
+# or two trees at 100 nodes and for one tree of 2,000 (demos/07_trial_lockstep.py).
+LOCKSTEP_TREES = 3
+LOCKSTEP_ENTRIES = 1 << 15
 
 
 class _Rounds:
@@ -112,6 +120,7 @@ class _Rounds:
     """
 
     builds_tree = False  # a tree protocol's reports count leaves
+    stale = False  # a tree protocol's next block needs a new tree (see _grow_trees)
 
     def __init__(self, config: SimConfig, trial_seed: int, nodes: Nodes, sink: np.ndarray):
         self.config, self.trial_seed, self.nodes, self.sink = config, trial_seed, nodes, sink
@@ -119,34 +128,34 @@ class _Rounds:
 
 
 class _EmlnRounds(_Rounds):
-    """One round per block: each tree depends on the energies left by the last."""
+    """One round per block: each tree depends on the energies left by the last.
+
+    While ``stale``, the runner builds the next tree (``_grow_trees``) and
+    hands its round, or None if the graph is disconnected, to ``take``.
+    """
 
     builds_tree = True
 
     def __init__(self, *args):
         super().__init__(*args)
         self.graph = self.round = None
-        self.rounds_on_tree = 0
+        self.rounds_on_tree = self.config.rebuild_period
         self.rows = 1
 
+    @property
+    def stale(self) -> bool:
+        return self.rounds_on_tree >= self.config.rebuild_period
+
+    def take(self, tree_round) -> None:
+        self.round, self.rounds_on_tree = tree_round, 0
+
     def block(self, attempt: int, round_index: int, rows: int):
-        config = self.config
-        if self.round is None or self.rounds_on_tree >= config.rebuild_period:
-            if self.graph is None:
-                self.graph = build_graph(self.nodes, config.range_m)
-            tree = construct_tree(self.graph, self.nodes.energies,
-                                  tie_seed=derive_seed(self.trial_seed, attempt))
-            self.rounds_on_tree = 0
-            if tree is None:
-                return None
-            ledger = tree_round_energy(tree, self.nodes.positions, self.sink, config.radio)
-            leaves = np.count_nonzero(tree.level >= 0) - np.count_nonzero(tree.intermediate)
-            self.round = (ledger.per_node[None], [compute_delay(tree)], [leaves])
         self.rounds_on_tree += 1
         return self.round
 
     def abandon(self, row: int) -> None:
-        self.graph = self.round = None
+        self.graph = None
+        self.rounds_on_tree = self.config.rebuild_period
 
 
 class _LeachRounds(_Rounds):
@@ -234,6 +243,194 @@ PROTOCOL_ROUNDS = {
 PROTOCOLS = tuple(PROTOCOL_ROUNDS)
 
 
+class _Trial:
+    """One cell of the runner: a trial's node state, its protocol's rounds and its histories.
+
+    ``step`` runs the trial's next block; ``live`` says whether there is one.
+    """
+
+    def __init__(self, config: SimConfig, trial_seed: int):
+        if config.nodes_override is not None:
+            nodes = Nodes.from_states(config.nodes_override)
+        else:
+            nodes = deploy(config.field, derive_seed(trial_seed, 0), config.initial_energy)
+        self.config, self.trial_seed = config, trial_seed
+        # the round loop debits energies and clears alive flags in place
+        self.energies, self.alive = nodes.energies, nodes.alive
+        self.initial_total = float(self.energies.sum())
+        sink = np.asarray(config.field.sink_position, dtype=float)
+        self.rounds = PROTOCOL_ROUNDS[config.protocol](config, trial_seed, nodes, sink)
+        self.connected = True
+        self.energy_hist: list[float] = []
+        self.delay_hist: list[int] = []
+        self.alive_hist: list[int] = []
+        self.residual_hist: list[float] = []
+        self.leaf_hist: list[int] = []
+        self.first_death_at: int | None = None
+        self.completed = 0
+        self.attempt = 0  # abandoned rounds consume their attempt too
+        self.n_alive = int(self.alive.sum())
+        self.live = self.n_alive > 0
+
+    def step(self) -> None:
+        config, rounds, energies, alive = self.config, self.rounds, self.energies, self.alive
+        n = len(energies)
+        rows = min(rounds.rows, config.max_rounds - self.completed)
+        block = rounds.block(self.attempt + 1, self.completed, rows)
+        if block is None:
+            if self.completed == 0:
+                self.connected = False
+            self.live = False  # no spanning structure left to gather over
+            return
+        debits, delays, leaves = block
+        # stack[0]: the energies, then each round's debits; stack[1]: the energies
+        # after each round. C order throughout: row sums of another layout can
+        # differ in the last bit
+        stack = np.empty((2, rows + 1, n))
+        stack[0, 0] = energies
+        stack[0, 1:] = debits
+        levels = np.subtract.accumulate(stack[0], axis=0, out=stack[1])
+        dying = (levels[:-1] < stack[0, 1:]) & alive
+        broke = dying.any(axis=1).nonzero()[0]
+        done = int(broke[0]) if broke.size else rows
+
+        spent, residual = np.add.reduce(stack[:, 1:done + 1], axis=2).tolist()
+        self.energy_hist += spent
+        self.residual_hist += residual
+        self.delay_hist.extend(delays[:done])
+        self.alive_hist += [self.n_alive] * done
+        if leaves is not None:
+            self.leaf_hist += leaves[:done]
+        energies[:] = levels[done]
+        self.completed += done
+        self.attempt += done
+        if done < rows:
+            # abandon the round: no debits are applied, the broke nodes die
+            self.attempt += 1
+            if self.first_death_at is None:
+                self.first_death_at = self.completed
+            if config.stop_rule == "first-death":
+                self.live = False
+                return
+            alive[dying[done]] = False
+            self.n_alive = int(alive.sum())
+            rounds.abandon(done)
+        self.live = self.completed < config.max_rounds and self.n_alive > 0
+
+    def report(self) -> SimulationReport:
+        completed, builds_tree = self.completed, self.rounds.builds_tree
+        lifetime = self.first_death_at if self.first_death_at is not None else completed
+        energy_arr = np.asarray(self.energy_hist, dtype=float)
+        delay_arr = np.asarray(self.delay_hist, dtype=np.int64)
+        leaf_arr = np.asarray(self.leaf_hist, dtype=np.int64) if builds_tree else None
+        return SimulationReport(
+            protocol=self.config.protocol,
+            connected=self.connected,
+            lifetime=lifetime,
+            energy_per_round=energy_arr,
+            delay_per_round=delay_arr,
+            alive_per_round=np.asarray(self.alive_hist, dtype=np.int64),
+            residual_total_per_round=np.asarray(self.residual_hist, dtype=float),
+            initial_total=self.initial_total,
+            final_energies=self.energies,
+            leaf_per_round=leaf_arr,
+            mean_energy_per_round=_lifetime_mean(energy_arr, lifetime),
+            mean_delay_per_round=_lifetime_mean(delay_arr, lifetime),
+            mean_energy_delay=_lifetime_mean(energy_arr * delay_arr, lifetime),
+            mean_leaf_count=_lifetime_mean(leaf_arr, lifetime) if builds_tree else None,
+        )
+
+
+def _grow_trees(trials: list[_Trial], stacks: dict) -> None:
+    """Hand each trial's EMLN rounds its next tree's round: debits, delay and leaf count.
+
+    Trials with one node count, sink and radio grow their trees together
+    when there are at least LOCKSTEP_TREES of them, and one by one
+    otherwise. ``stacks`` keeps, per such kind of trial, the last stacked
+    graph and its members' graphs; it is stacked again only when a member's
+    graph differs.
+    """
+    alike: dict = {}
+    for trial in trials:
+        rounds = trial.rounds
+        if rounds.graph is None:
+            rounds.graph = build_graph(rounds.nodes, rounds.config.range_m)
+        key = (len(trial.energies), tuple(trial.config.field.sink_position), trial.config.radio)
+        alike.setdefault(key, []).append(trial)
+    for key, group in alike.items():
+        _, sink, radio = key
+        seeds = [derive_seed(t.trial_seed, t.attempt + 1) for t in group]
+        if len(group) < LOCKSTEP_TREES:
+            for trial, seed in zip(group, seeds):
+                rounds = trial.rounds
+                tree = construct_tree(rounds.graph, trial.energies, tie_seed=seed)
+                if tree is None:
+                    rounds.take(None)
+                    continue
+                ledger = tree_round_energy(tree, rounds.nodes.positions, rounds.sink, radio)
+                leaves = np.count_nonzero(tree.level >= 0) - np.count_nonzero(tree.intermediate)
+                rounds.take((ledger.per_node[None], [compute_delay(tree)], [leaves]))
+            continue
+        graphs = [t.rounds.graph for t in group]
+        members, stacked = stacks.get(key, ((), None))
+        if len(members) != len(graphs) or any(a is not b for a, b in zip(members, graphs)):
+            stacked = stack_graphs(graphs)
+            stacks[key] = graphs, stacked
+        roots, parent, level, intermediate = construct_trees(
+            stacked, np.stack([t.energies for t in group]), seeds)
+        debits = trees_round_energy(roots, parent, intermediate, stacked.positions, sink,
+                                    radio).per_node
+        delays = compute_delays(roots, parent, level).tolist()
+        leaves = (np.count_nonzero(level >= 0, axis=1)
+                  - np.count_nonzero(intermediate, axis=1)).tolist()
+        for t, trial in enumerate(group):
+            trial.rounds.take((debits[t:t + 1], [delays[t]], [leaves[t]])
+                              if roots[t] >= 0 else None)
+
+
+def _run_group(cells: list[tuple[SimConfig, int]]) -> list[SimulationReport]:
+    """Step the trials of (config, trial seed) cells together until every one has ended."""
+    trials = [_Trial(config, seed) for config, seed in cells]
+    stacks: dict = {}
+    live = [t for t in trials if t.live]
+    while live:
+        stale = [t for t in live if t.rounds.stale]
+        if stale:
+            _grow_trees(stale, stacks)
+        for trial in live:
+            trial.step()
+        live = [t for t in live if t.live]
+    return [t.report() for t in trials]
+
+
+def _run_cells(cells: list[tuple[SimConfig, int]]) -> list[SimulationReport]:
+    """The cells' reports, in order, stepped in groups of at most LOCKSTEP_ENTRIES nodes."""
+    reports, group, entries = [], [], 0
+    for cell in cells:
+        if group and entries + cell[0].field.node_count > LOCKSTEP_ENTRIES:
+            reports += _run_group(group)
+            group, entries = [], 0
+        group.append(cell)
+        entries += cell[0].field.node_count
+    return reports + _run_group(group)
+
+
+def _run(cells: list[tuple[SimConfig, int]], workers: int) -> list[SimulationReport]:
+    """``_run_cells`` over ``workers`` processes, each taking every workers-th cell."""
+    workers = min(workers, len(cells))  # a pool may start all its workers at once
+    if workers <= 1:
+        return _run_cells(cells)
+    # imported here: the pool's modules take about 2 MB that a serial run never uses
+    from concurrent.futures import ProcessPoolExecutor
+
+    reports: list = [None] * len(cells)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = pool.map(_run_cells, [cells[i::workers] for i in range(workers)])
+        for i, part in enumerate(parts):
+            reports[i::workers] = part
+    return reports
+
+
 def run_trial(config: SimConfig, trial_seed: int) -> SimulationReport:
     """Simulate one deployment until first death, exhaustion, or the cap.
 
@@ -253,90 +450,12 @@ def run_trial(config: SimConfig, trial_seed: int) -> SimulationReport:
     A tree-protocol trial whose graph is disconnected in round 1 runs no
     rounds and is flagged ``connected=False``; aggregation excludes it from
     everything except the connectivity fraction.
+
+    This is the runner's one-cell case: ``run_experiment`` and
+    ``range_sweep`` step many trials together and give the same reports.
     """
     config.validate()
-    if config.nodes_override is not None:
-        nodes = Nodes.from_states(config.nodes_override)
-    else:
-        nodes = deploy(config.field, derive_seed(trial_seed, 0), config.initial_energy)
-    # the round loop debits energies and clears alive flags in place
-    energies, alive = nodes.energies, nodes.alive
-    n = len(energies)
-    sink = np.asarray(config.field.sink_position, dtype=float)
-    initial_total = float(energies.sum())
-    rounds = PROTOCOL_ROUNDS[config.protocol](config, trial_seed, nodes, sink)
-    connected = True
-
-    energy_hist: list[float] = []
-    delay_hist: list[int] = []
-    alive_hist: list[int] = []
-    residual_hist: list[float] = []
-    leaf_hist: list[int] = []
-    first_death_at: int | None = None
-    completed = 0
-    attempt = 0  # abandoned rounds consume their attempt too
-    n_alive = int(alive.sum())
-
-    while completed < config.max_rounds and n_alive:
-        rows = min(rounds.rows, config.max_rounds - completed)
-        block = rounds.block(attempt + 1, completed, rows)
-        if block is None:
-            if completed == 0:
-                connected = False
-            break  # no spanning structure left to gather over
-        debits, delays, leaves = block
-        # stack[0]: the energies, then each round's debits; stack[1]: the energies
-        # after each round. C order throughout: row sums of another layout can
-        # differ in the last bit
-        stack = np.empty((2, rows + 1, n))
-        stack[0, 0] = energies
-        stack[0, 1:] = debits
-        levels = np.subtract.accumulate(stack[0], axis=0, out=stack[1])
-        dying = (levels[:-1] < stack[0, 1:]) & alive
-        broke = dying.any(axis=1).nonzero()[0]
-        done = int(broke[0]) if broke.size else rows
-
-        spent, residual = np.add.reduce(stack[:, 1:done + 1], axis=2).tolist()
-        energy_hist += spent
-        residual_hist += residual
-        delay_hist.extend(delays[:done])
-        alive_hist += [n_alive] * done
-        if leaves is not None:
-            leaf_hist += leaves[:done]
-        energies[:] = levels[done]
-        completed += done
-        attempt += done
-        if done < rows:
-            # abandon the round: no debits are applied, the broke nodes die
-            attempt += 1
-            if first_death_at is None:
-                first_death_at = completed
-            if config.stop_rule == "first-death":
-                break
-            alive[dying[done]] = False
-            n_alive = int(alive.sum())
-            rounds.abandon(done)
-
-    lifetime = first_death_at if first_death_at is not None else completed
-    energy_arr = np.asarray(energy_hist, dtype=float)
-    delay_arr = np.asarray(delay_hist, dtype=np.int64)
-    leaf_arr = np.asarray(leaf_hist, dtype=np.int64) if rounds.builds_tree else None
-    return SimulationReport(
-        protocol=config.protocol,
-        connected=connected,
-        lifetime=lifetime,
-        energy_per_round=energy_arr,
-        delay_per_round=delay_arr,
-        alive_per_round=np.asarray(alive_hist, dtype=np.int64),
-        residual_total_per_round=np.asarray(residual_hist, dtype=float),
-        initial_total=initial_total,
-        final_energies=energies,
-        leaf_per_round=leaf_arr,
-        mean_energy_per_round=_lifetime_mean(energy_arr, lifetime),
-        mean_delay_per_round=_lifetime_mean(delay_arr, lifetime),
-        mean_energy_delay=_lifetime_mean(energy_arr * delay_arr, lifetime),
-        mean_leaf_count=_lifetime_mean(leaf_arr, lifetime) if rounds.builds_tree else None,
-    )
+    return _run_cells([(config, trial_seed)])[0]
 
 
 @dataclass(frozen=True)
@@ -361,34 +480,8 @@ class ExperimentResult:
     reports: list[SimulationReport] | None
 
 
-def _trial_task(args: tuple[SimConfig, int]) -> SimulationReport:
-    return run_trial(*args)
-
-
-def run_experiment(config: SimConfig, workers: int = 1,
-                   keep_reports: bool = False) -> ExperimentResult:
-    """Run ``config.trials`` independent trials and aggregate them.
-
-    Trial i uses seed derive_seed(master_seed, i), so any subset of trials
-    reproduces identically and protocols compared under one master seed see
-    identical deployments. Reduction runs in ascending trial order whatever
-    the execution order or degree of parallelism, keeping aggregates
-    bit-stable. Disconnected trials count only toward the connectivity
-    fraction.
-    """
-    config.validate()
-    seeds = [derive_seed(config.master_seed, i) for i in range(config.trials)]
-    workers = min(workers, config.trials)  # a pool may start all its workers at once
-    if workers > 1:
-        # imported here: the pool's modules take about 2 MB that a serial run never uses
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, config.trials // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_trial_task, [(config, s) for s in seeds], chunksize=chunk))
-    else:
-        reports = [run_trial(config, s) for s in seeds]
-
+def _aggregate(config: SimConfig, reports: list[SimulationReport]) -> ExperimentAggregate:
+    """Reduce trial reports, in ascending trial order, to one aggregate row."""
     builds_tree = PROTOCOL_ROUNDS[config.protocol].builds_tree
     usable = [r for r in reports if r.connected]
     connectivity = len(usable) / len(reports)
@@ -408,7 +501,7 @@ def run_experiment(config: SimConfig, workers: int = 1,
         mean_lifetime = sd_lifetime = mean_energy = mean_delay = mean_ed = float("nan")
         leaf_fraction = float("nan") if builds_tree else None
 
-    aggregate = ExperimentAggregate(
+    return ExperimentAggregate(
         protocol=config.protocol,
         range_m=config.range_m,
         trials=config.trials,
@@ -420,15 +513,39 @@ def run_experiment(config: SimConfig, workers: int = 1,
         mean_energy_delay=mean_ed,
         mean_leaf_fraction=leaf_fraction,
     )
-    return ExperimentResult(aggregate, reports if keep_reports else None)
+
+
+def run_experiment(config: SimConfig, workers: int = 1,
+                   keep_reports: bool = False) -> ExperimentResult:
+    """Run ``config.trials`` independent trials and aggregate them.
+
+    Trial i uses seed derive_seed(master_seed, i), so any subset of trials
+    reproduces identically and protocols compared under one master seed see
+    identical deployments. The trials are the runner's cells, stepped
+    together (``run_trial`` gives each one's report alone). Reduction runs
+    in ascending trial order whatever the execution order or degree of
+    parallelism, keeping aggregates bit-stable. Disconnected trials count
+    only toward the connectivity fraction.
+    """
+    config.validate()
+    seeds = [derive_seed(config.master_seed, i) for i in range(config.trials)]
+    reports = _run([(config, s) for s in seeds], workers)
+    return ExperimentResult(_aggregate(config, reports), reports if keep_reports else None)
 
 
 def range_sweep(config: SimConfig, ranges, workers: int = 1) -> list[ExperimentAggregate]:
-    """One experiment per transmission range, all under identical seeds."""
+    """One experiment per transmission range, all under identical seeds.
+
+    Every range's trials are cells of one run, stepped together.
+    """
     ranges = list(ranges)
     if not ranges:
         raise ValueError("range list must be nonempty")
-    return [
-        run_experiment(replace(config, range_m=float(r)), workers=workers).aggregate
-        for r in ranges
-    ]
+    configs = [replace(config, range_m=float(r)) for r in ranges]
+    for swept in configs:
+        swept.validate()
+    seeds = [derive_seed(config.master_seed, i) for i in range(config.trials)]
+    reports = _run([(swept, s) for swept in configs for s in seeds], workers)
+    trials = config.trials
+    return [_aggregate(swept, reports[i * trials:(i + 1) * trials])
+            for i, swept in enumerate(configs)]

@@ -227,6 +227,24 @@ def build_graph(nodes: Nodes, range_m: float) -> NetworkSnapshot:
     return NetworkSnapshot(positions, alive, float(range_m), indptr, indices)
 
 
+def stack_graphs(graphs: Sequence[NetworkSnapshot]) -> NetworkSnapshot:
+    """One block-diagonal snapshot of graphs over n nodes each: node v of graph t is t·n + v.
+
+    Its ``range_m`` is the largest of theirs, so no edge is longer.
+    """
+    n = graphs[0].node_count
+    if any(g.node_count != n for g in graphs):
+        raise ValueError("stacked graphs must have the same node count")
+    sizes = [g.indices.size for g in graphs]
+    starts = np.cumsum([0] + sizes).tolist()
+    indptr = np.concatenate([g.indptr[:-1] + s for g, s in zip(graphs, starts)] + [starts[-1:]])
+    indices = np.concatenate([g.indices for g in graphs]) + np.repeat(
+        np.arange(len(graphs)) * n, sizes)
+    return NetworkSnapshot(np.concatenate([g.positions for g in graphs]),
+                           np.concatenate([g.alive for g in graphs]),
+                           max(g.range_m for g in graphs), indptr, indices)
+
+
 def is_connected(graph: NetworkSnapshot) -> bool:
     """True iff every alive node is reachable from every other alive node.
 

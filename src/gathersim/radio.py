@@ -98,3 +98,30 @@ def tree_round_energy(tree: GatherTree, positions, sink, params: RadioParams) ->
     rx = child_count * (params.e_elec * k)
     fuse = np.where(tree.intermediate, params.e_fuse * k * (child_count + 1), 0.0)
     return EnergyLedger(tx, rx, fuse)
+
+
+def trees_round_energy(roots, parent, intermediate, positions, sink,
+                       params: RadioParams) -> EnergyLedger:
+    """``tree_round_energy`` of each row of ``construct_trees``' output, as (T, n) rows.
+
+    ``positions`` are the T·n positions of the stacked graph. Each float is
+    computed as ``tree_round_energy`` computes it, so every row is that
+    function's ledger byte for byte; one ``bincount`` counts the children of
+    all trees. A disconnected row (root -1) holds no meaningful debits.
+    """
+    trials, n = parent.shape
+    k = params.packet_bits
+    parent = parent.ravel()
+    non_root = np.flatnonzero(parent >= 0)
+    parents = parent[non_root] + non_root // n * n
+    tx = np.zeros(trials * n)
+    tx[non_root] = tx_cost(params, k, hop_lengths(positions[non_root], positions[parents]))
+    sink = np.asarray(sink, dtype=float)
+    for root in (np.flatnonzero(roots >= 0) * n + roots[roots >= 0]).tolist():
+        # norm's 1-D path, root by root, as in tree_round_energy
+        tx[root] = tx_cost(params, k, float(np.linalg.norm(positions[root] - sink)))
+
+    child_count = np.bincount(parents, minlength=trials * n)
+    rx = child_count * (params.e_elec * k)
+    fuse = np.where(intermediate.ravel(), params.e_fuse * k * (child_count + 1), 0.0)
+    return EnergyLedger(*(a.reshape(trials, n) for a in (tx, rx, fuse)))

@@ -7,16 +7,22 @@ same element types, the same delay, and ledgers equal byte for byte. The
 cases cover geometric deployments at three ranges, equal energies (ties
 from round 1 on), random energies with and without exact zeros, dead
 nodes, disconnected graphs, a single node and one 2,000-node deployment.
+``construct_trees``, ``compute_delays`` and ``trees_round_energy`` take the
+same inputs stacked, 1, 3 or 10 trials at a time, and each row must be the
+reference's tree, delay and ledger.
 """
 
 import numpy as np
 import pytest
 
 import reference_emln as ref
-from conftest import random_geometric_snapshot
+from conftest import random_geometric_snapshot, seeded_nodes
 
 from gathersim import (FieldConfig, GatherTree, Nodes, RadioParams, build_graph,
                        compute_delay, construct_tree, deploy, derive_seed, tree_round_energy)
+from gathersim.emln import compute_delays, construct_trees
+from gathersim.network import stack_graphs
+from gathersim.radio import trees_round_energy
 
 SEEDS = range(60)
 SINK = (50.0, 300.0)
@@ -27,6 +33,10 @@ def energies_for(mode: str, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if mode == "equal":
         return np.full(n, 0.03)
+    if mode == "none":
+        return np.zeros(n)
+    if mode == "012":
+        return rng.integers(0, 3, n).astype(float)
     energies = rng.random(n) * 0.03
     if mode == "zeros":
         energies[rng.random(n) < 0.3] = 0.0
@@ -118,3 +128,63 @@ def test_two_thousand_nodes_match_reference():
     energies = energies_for("random", field.node_count, 5)
     tree = assert_same_round(graph, energies, derive_seed(5, 1), sink=field.sink_position)
     assert tree is not None
+
+
+@pytest.mark.parametrize("mode", ["equal", "random", "zeros", "012", "none"])
+@pytest.mark.parametrize("trials", [1, 3, 10])
+def test_lockstep_rows_match_reference(trials, mode):
+    # 30 trials in stacks of `trials`, each stack of one node count, its graphs
+    # of ranges 15, 20 and 25 m with 10% of the nodes dead
+    connected = disconnected = 0
+    for first in range(0, 30, trials):
+        n = (30, 100, 160)[first % 3]
+        graphs, energies, seeds = [], [], []
+        for seed in range(first, first + trials):
+            nodes = seeded_nodes(seed, n)
+            dead = np.random.default_rng(seed).random(n) < 0.1
+            dead[seed % n] = False  # keep one node alive
+            graphs.append(build_graph(Nodes(nodes.positions, nodes.energies, ~dead),
+                                      (15.0, 20.0, 25.0)[seed % 3]))
+            energies.append(energies_for(mode, n, seed))
+            seeds.append(derive_seed(seed, 1))
+        stacked = stack_graphs(graphs)
+        roots, parent, level, intermediate = construct_trees(stacked, np.array(energies), seeds)
+        assert roots.dtype == parent.dtype == level.dtype == np.int64
+        assert intermediate.dtype == bool
+        delays = compute_delays(roots, parent, level)
+        ledger = trees_round_energy(roots, parent, intermediate, stacked.positions, SINK, P)
+        for t, graph in enumerate(graphs):
+            want = ref.construct_tree(graph, energies[t], seeds[t])
+            if want is None:
+                assert roots[t] == -1
+                disconnected += 1
+                continue
+            connected += 1
+            assert roots[t] == want.root
+            assert parent[t].tobytes() == want.parent.tobytes()
+            assert level[t].tobytes() == want.level.tobytes()
+            assert intermediate[t].tolist() == [v in want.intermediate_set for v in range(n)]
+            assert delays[t] == ref.compute_delay(want)
+            expected = ref.tree_round_energy(want, graph.positions, SINK, P)
+            for name in ("tx", "rx", "fuse", "per_node"):
+                assert getattr(ledger, name)[t].tobytes() == getattr(expected, name).tobytes()
+    assert connected > 0 and disconnected > 0
+
+
+def test_lockstep_rejects_inputs_that_do_not_fit_the_stack():
+    graphs = [random_geometric_snapshot(seed) for seed in range(3)]
+    stacked = stack_graphs(graphs)
+    energies = np.full((3, 100), 0.03)
+    with pytest.raises(ValueError, match="shape"):
+        construct_trees(stacked, energies[:2], [1, 2, 3])
+    with pytest.raises(ValueError, match="shape"):
+        construct_trees(stacked, energies, [])
+    with pytest.raises(ValueError, match="finite"):
+        construct_trees(stacked, np.where(np.eye(3, 100, dtype=bool), np.nan, energies),
+                        [1, 2, 3])
+    nodes = seeded_nodes(0)
+    dead = build_graph(Nodes(nodes.positions, nodes.energies, np.zeros(100, dtype=bool)), 25.0)
+    with pytest.raises(ValueError, match="no alive node"):
+        construct_trees(stack_graphs([graphs[0], dead]), energies[:2], [1, 2])
+    with pytest.raises(ValueError, match="node count"):
+        stack_graphs([graphs[0], random_geometric_snapshot(0, n=50)])

@@ -7,7 +7,8 @@ bits (NaN included). The cases cover the four baselines under both stop
 rules with ``max_rounds`` on both sides of a 64-attempt seed block, 30 to
 130 nodes, blocks of 1 to 64 rounds, head probabilities up to 1, injected
 nodes that are dead or start with no energy, and the tree protocol, whose
-blocks hold one round. A derandomized ``hypothesis`` test draws further
+blocks hold one round. EMLN experiments of 1 to 12 trials cover trees grown
+one by one and in lockstep, in several groups of trials. A derandomized ``hypothesis`` test draws further
 configurations, checks ``run_experiment``'s reports too, and asserts
 invariants that need no reference.
 """
@@ -109,6 +110,46 @@ def test_block_sizes_match_the_per_round_loop(protocol, block_rounds, monkeypatc
     config = SimConfig(field=FieldConfig(node_count=30), protocol=protocol,
                        initial_energy=0.05, stop_rule="energy-exhausted", max_rounds=150)
     assert_same_trials(config, trials=1)
+
+
+TREE_CONFIG = SimConfig(field=FieldConfig(width=40.0, height=40.0, node_count=20,
+                                          sink_position=(20.0, 120.0)),
+                        range_m=18.0, initial_energy=0.02)
+
+
+@pytest.mark.parametrize("stop_rule", STOP_RULES)
+@pytest.mark.parametrize("rebuild_period", [1, 3])
+@pytest.mark.parametrize("trials", [1, 2, 3, 12])
+def test_lockstep_tree_experiments_match_the_per_round_loop(trials, rebuild_period, stop_rule,
+                                                            monkeypatch):
+    # groups of at most 5 trials: 12 trials run as three groups of 5, 5 and 2
+    monkeypatch.setattr(engine, "LOCKSTEP_ENTRIES", 5 * 20)
+    config = dataclasses.replace(TREE_CONFIG, trials=trials, rebuild_period=rebuild_period,
+                                 stop_rule=stop_rule, master_seed=trials)
+    reports = run_experiment(config, keep_reports=True).reports
+    for trial, got in enumerate(reports):
+        assert_same_report(got, ref.run_trial(config, derive_seed(config.master_seed, trial)))
+
+
+def test_range_sweep_trees_grown_together_match_one_by_one(monkeypatch):
+    # a sweep steps every range's trials together: its lockstep trees
+    # stack graphs of two ranges
+    config = dataclasses.replace(TREE_CONFIG, trials=4, stop_rule="energy-exhausted")
+    swept = engine.range_sweep(config, [14.0, 18.0])
+    monkeypatch.setattr(engine, "LOCKSTEP_TREES", config.trials + 1)
+    assert swept == [run_experiment(dataclasses.replace(config, range_m=r)).aggregate
+                     for r in (14.0, 18.0)]
+
+
+@pytest.mark.parametrize("protocol", ["emln", "leach"])
+def test_worker_processes_give_the_serial_reports(protocol):
+    config = dataclasses.replace(TREE_CONFIG, protocol=protocol, trials=7,
+                                 stop_rule="energy-exhausted")
+    serial = run_experiment(config, workers=1, keep_reports=True)
+    parallel = run_experiment(config, workers=2, keep_reports=True)
+    assert parallel.aggregate == serial.aggregate
+    for got, want in zip(parallel.reports, serial.reports, strict=True):
+        assert_same_report(got, want)
 
 
 @st.composite
