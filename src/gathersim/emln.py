@@ -180,9 +180,10 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
     a disconnected trial, whose row then holds a partial tree, and the
     (T, n) arrays of ``GatherTree`` in local ids, so that row t's tree is
     ``GatherTree(roots[t], parent[t], level[t], intermediate[t])``. A step
-    makes about the same few dozen numpy calls whatever T is, so T trees
-    cost little more than one; below a few trees ``construct_tree`` per
-    trial is faster (demos/07_trial_lockstep.py).
+    makes the same few dozen numpy calls whatever T is, so where their
+    overhead is the cost, as at 100 nodes, many trees cost little more than
+    one; for one or two trees ``construct_tree`` is faster
+    (demos/07_trial_lockstep.py).
     """
     tie_seeds = list(tie_seeds)
     trials = len(tie_seeds)
@@ -198,13 +199,14 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
     if not alive.any(axis=1).all():
         raise ValueError("a trial's graph has no alive node")
 
-    neighbors = graph.neighbor_arrays
+    indptr, indices, degrees = graph.indptr, graph.indices, graph.degrees
     # uncovered-neighbor counts, held as floats: count * energy is then the
     # float product that construct_tree's int64 * float64 casts to
-    count = graph.degrees.astype(float)
+    count = degrees.astype(float)
     count_rows = count.reshape(trials, n)
     parent = np.full(size, -1, dtype=np.int64)
     level = np.full(size, -1, dtype=np.int64)  # >= 0 exactly for covered nodes
+    level_rows = level.reshape(trials, n)
     intermediate = np.zeros(size, dtype=bool)
     blocked = ~graph.alive  # not a candidate: for the root pick, dead; then not covered
     blocked_rows = blocked.reshape(trials, n)
@@ -215,6 +217,16 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
     connected = np.ones(trials, dtype=bool)
     finished = np.zeros(trials, dtype=bool)  # complete or disconnected, all blocked
     row_level = np.zeros(trials, dtype=np.int64)
+
+    def neighbors_of(ids: np.ndarray) -> np.ndarray:
+        """The neighbor lists of the (nonempty) ``ids``, one after another."""
+        counts = degrees[ids]
+        ends = counts.cumsum()
+        return indices[np.arange(ends[-1]) + np.repeat(indptr[ids] - ends + counts, counts)]
+
+    def cover(ids: np.ndarray) -> None:
+        """Debit the uncovered-neighbor counts of the newly covered ``ids``' neighbors."""
+        np.subtract(count, np.bincount(neighbors_of(ids), minlength=size), out=count)
 
     def weigh() -> tuple[np.ndarray, np.ndarray]:
         """Each row's max-weight candidate (lowest id first) and its weight, -1 for none."""
@@ -229,13 +241,14 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
         The ``done`` finished rows weigh -1 throughout, n ties each; any
         other tie shows as more matches than that.
         """
-        if np.count_nonzero(weights == top[:, None]) > growing.size + n * done:
-            for t in growing.tolist():
-                tied = (weights[t] == top[t]).nonzero()[0]
-                if tied.size > 1:
-                    if rngs[t] is None:
-                        rngs[t] = make_rng(tie_seeds[t])
-                    best[t] = tied[rngs[t].integers(tied.size)]
+        is_best = weights == top[:, None]
+        if np.count_nonzero(is_best) > growing.size + n * done:
+            tied_rows = growing[np.count_nonzero(is_best[growing], axis=1) > 1]
+            for t in tied_rows.tolist():
+                tied = is_best[t].nonzero()[0]
+                if rngs[t] is None:
+                    rngs[t] = make_rng(tie_seeds[t])
+                best[t] = tied[rngs[t].integers(tied.size)]
 
     best, top = weigh()
     break_ties(rows, best, top, 0)
@@ -243,11 +256,11 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
     blocked[:] = True
     picked = offset + roots
     level[picked] = 0
-    hit = [neighbors[u] for u in picked.tolist()]  # the roots are covered
+    cover(picked)
     growing, done = rows, 0
     while growing.size:
         intermediate[picked] = True
-        nb = np.concatenate([neighbors[u] for u in picked.tolist()])
+        nb = neighbors_of(picked)
         new = nb[level[nb] < 0]
         if new.size:
             blocked[new] = False
@@ -255,37 +268,35 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
             row = new // n
             parent[new] = best[row]  # each growing row's pick; its other entries are not read
             level[new] = row_level[row] + 1
-            hit += [neighbors[v] for v in new.tolist()]
+            cover(new)
         blocked[picked] = True
-        if hit:
-            np.subtract(count, np.bincount(np.concatenate(hit), minlength=size), out=count)
-            hit = []
 
         best, top = weigh()
         grows = top > 0
         growing = grows.nonzero()[0]
         if growing.size + done < trials:
             # rows with no positive weight: complete, disconnected or under the zero-top rule
-            for t in (~grows & ~finished).nonzero()[0].tolist():
-                uncovered = bool((alive[t] & (level[t * n:(t + 1) * n] < 0)).any())
-                if uncovered and top[t] == 0:
-                    row_weights = weights[t]
-                    row_weights[count_rows[t] == 0] = -1.0
-                    best[t] = row_weights.argmax()
-                    top[t] = row_weights[best[t]]
-                if uncovered and top[t] >= 0:
-                    grows[t] = True
-                else:
-                    connected[t] = not uncovered
-                    finished[t] = blocked_rows[t] = True
-                    weights[t] = top[t] = -1.0
-                    done += 1
+            quiet = (~grows & ~finished).nonzero()[0]
+            uncovered = (alive[quiet] & (level_rows[quiet] < 0)).any(axis=1)
+            for t in quiet[uncovered & (top[quiet] == 0)].tolist():
+                row_weights = weights[t]
+                row_weights[count_rows[t] == 0] = -1.0
+                best[t] = row_weights.argmax()
+                top[t] = row_weights[best[t]]
+            revived = uncovered & (top[quiet] >= 0)
+            grows[quiet[revived]] = True
+            ending = quiet[~revived]
+            connected[ending] = ~uncovered[~revived]
+            finished[ending] = True
+            blocked_rows[ending] = True
+            weights[ending] = top[ending] = -1.0
+            done += ending.size
             growing = grows.nonzero()[0]
         break_ties(growing, best, top, done)
         picked = offset[growing] + best[growing]
 
-    return (np.where(connected, roots, -1), parent.reshape(trials, n),
-            level.reshape(trials, n), intermediate.reshape(trials, n))
+    return (np.where(connected, roots, -1), parent.reshape(trials, n), level_rows,
+            intermediate.reshape(trials, n))
 
 
 def compute_delay(tree: GatherTree) -> int:

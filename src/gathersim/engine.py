@@ -101,9 +101,9 @@ BLOCK_ENTRIES = 1 << 10
 # (trials times nodes per trial, at least one trial). When LOCKSTEP_TREES or
 # more EMLN trials of a group, with one node count, sink and radio, need a
 # tree in the same step, they grow them together (emln.construct_trees);
-# fewer grow them one by one (emln.construct_tree), which is faster for one
-# or two trees at 100 nodes and for one tree of 2,000 (demos/07_trial_lockstep.py).
-LOCKSTEP_TREES = 3
+# fewer grow them one by one (emln.construct_tree), which was faster for up
+# to three trees at 100 nodes (demos/07_trial_lockstep.py).
+LOCKSTEP_TREES = 4
 LOCKSTEP_ENTRIES = 1 << 15
 
 

@@ -119,7 +119,7 @@ TREE_CONFIG = SimConfig(field=FieldConfig(width=40.0, height=40.0, node_count=20
 
 @pytest.mark.parametrize("stop_rule", STOP_RULES)
 @pytest.mark.parametrize("rebuild_period", [1, 3])
-@pytest.mark.parametrize("trials", [1, 2, 3, 12])
+@pytest.mark.parametrize("trials", [1, 2, 3, 4, 12])
 def test_lockstep_tree_experiments_match_the_per_round_loop(trials, rebuild_period, stop_rule,
                                                             monkeypatch):
     # groups of at most 5 trials: 12 trials run as three groups of 5, 5 and 2
