@@ -1,4 +1,4 @@
-"""Protocol table, round loop in blocks, lifetime determination, multi-trial aggregation."""
+"""Protocol table, round loop in blocks, trials in lockstep, lifetime, multi-trial aggregation."""
 
 from __future__ import annotations
 

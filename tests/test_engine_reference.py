@@ -8,9 +8,10 @@ rules with ``max_rounds`` on both sides of a 64-attempt seed block, 30 to
 130 nodes, blocks of 1 to 64 rounds, head probabilities up to 1, injected
 nodes that are dead or start with no energy, and the tree protocol, whose
 blocks hold one round. EMLN experiments of 1 to 12 trials cover trees grown
-one by one and in lockstep, in several groups of trials. A derandomized ``hypothesis`` test draws further
-configurations, checks ``run_experiment``'s reports too, and asserts
-invariants that need no reference.
+one by one and in lockstep, in several groups of trials. A derandomized
+``hypothesis`` test draws further configurations, checks
+``run_experiment``'s reports too, and asserts invariants that need no
+reference.
 """
 
 import dataclasses
