@@ -2,16 +2,17 @@
 """Time EMLN trees grown one by one against trees grown in lockstep.
 
 The engine grows the trees of the trials that need one in the same step
-together, with ``construct_trees`` over their stacked graphs, when there
-are at least ``engine.LOCKSTEP_TREES`` of them, and one by one with
-``construct_tree`` otherwise. This script is the evidence for that
-constant. For T = 1, 2, 3, 4, 6, 10 and 48 trials of 100 nodes (default
-density, range 25 m) with mid-lifetime residual energies, it checks that
-every row of ``construct_trees`` is the tree ``construct_tree`` builds, and
-prints the time per tree of both, and of lockstep with the graphs stacked
-anew (which the engine does only when a member's graph changes). Each
-figure is the minimum over alternating samples. Pass a node count to time
-another size, for example ``python demos/07_trial_lockstep.py 2000``.
+together, with ``construct_trees`` over their stacked graphs, however few
+they are. A lockstep step makes about as many numpy calls for one tree as
+for ten, so ``construct_tree`` stays the single-tree API: this script shows
+by how much it wins for one tree and where lockstep takes over. For
+T = 1, 2, 3, 4, 6, 10 and 48 trials of 100 nodes (default density, range
+25 m) with mid-lifetime residual energies, it checks that every row of
+``construct_trees`` is the tree ``construct_tree`` builds, and prints the
+time per tree of both, and of lockstep with the graphs stacked anew (which
+the engine does only when a member's graph or the set of members changes).
+Each figure is the minimum over alternating samples. Pass a node count to
+time another size, for example ``python demos/07_trial_lockstep.py 2000``.
 """
 
 import math
@@ -22,7 +23,6 @@ import numpy as np
 
 from gathersim import FieldConfig, build_graph, construct_tree, deploy, derive_seed
 from gathersim.emln import construct_trees
-from gathersim.engine import LOCKSTEP_TREES
 from gathersim.network import stack_graphs
 
 WIDTHS = (1, 2, 3, 4, 6, 10, 48)
@@ -41,7 +41,7 @@ def main(n: int) -> None:
     field = FieldConfig(width=side, height=side, node_count=n,
                         sink_position=(side / 2, side + 200.0))
     rng = np.random.default_rng(7)
-    print(f"{n} nodes, range 25 m; engine.LOCKSTEP_TREES = {LOCKSTEP_TREES}")
+    print(f"{n} nodes, range 25 m")
     print(f"{'trees':>5} {'separate':>12} {'lockstep':>12} {'+ stacking':>12} {'speed':>6}")
     for width in WIDTHS:
         graphs = [build_graph(deploy(field, derive_seed(width, t)), 25.0) for t in range(width)]

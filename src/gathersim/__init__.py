@@ -9,10 +9,11 @@ module exposes the same machinery as a command-line tool.
 
 from .baselines import (build_chain, direct_round, leach_elect, leach_round, pegasis_cdma_round,
                         pegasis_tdma_round)
-from .cli import compare_protocols, emit_results, main, parse_config
+from .cli import emit_results, main, parse_config
 from .emln import GatherTree, compute_delay, construct_tree, dump_tree, validate_tree
 from .engine import (PROTOCOLS, STOP_RULES, ExperimentAggregate, ExperimentResult,
-                     SimConfig, SimulationReport, range_sweep, run_experiment, run_trial)
+                     SimConfig, SimulationReport, compare_protocols, range_sweep,
+                     run_experiment, run_trial)
 from .network import (FieldConfig, NetworkSnapshot, Nodes, NodeState, alive_of, build_graph,
                       deploy, energies_of, is_connected, positions_of, read_placement,
                       write_placement)

@@ -18,7 +18,7 @@ from dataclasses import replace
 from functools import cache
 
 from .engine import (PROTOCOL_ROUNDS, PROTOCOLS, STOP_RULES, ExperimentAggregate, SimConfig,
-                     SimulationReport, range_sweep, run_experiment)
+                     SimulationReport, compare_protocols, range_sweep, run_experiment)
 
 AGGREGATE_COLUMNS = ("protocol", "range", "trials", "connectivity", "mean_lifetime",
                      "sd_lifetime", "mean_energy_per_round", "mean_delay_per_round",
@@ -150,14 +150,6 @@ def parse_config(argv=None):
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
     return config, args, sweep
-
-
-def compare_protocols(config: SimConfig, workers: int = 1) -> list[ExperimentAggregate]:
-    """Run all five protocols over identical deployments and seeds."""
-    return [
-        run_experiment(replace(config, protocol=p), workers=workers).aggregate
-        for p in PROTOCOLS
-    ]
 
 
 def _format_cell(value):

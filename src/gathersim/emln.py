@@ -38,15 +38,11 @@ class GatherTree:
             array.flags.writeable = False
 
     @cached_property
-    def child_index(self) -> tuple[list[int], list[int]]:
-        """``(ids, bounds)``: node u's children are ``ids[bounds[u]:bounds[u + 1]]``, ascending."""
-        order = np.argsort(self.parent, kind="stable")
-        bounds = np.searchsorted(self.parent[order], np.arange(len(order) + 1))
-        return order.tolist(), bounds.tolist()
-
-    @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
-        ids, bounds = self.child_index
+        """Each node's children, ascending."""
+        order = np.argsort(self.parent, kind="stable")
+        ids = order.tolist()
+        bounds = np.searchsorted(self.parent[order], np.arange(len(ids) + 1)).tolist()
         return tuple(tuple(ids[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @cached_property
@@ -182,8 +178,7 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
     ``GatherTree(roots[t], parent[t], level[t], intermediate[t])``. A step
     makes the same few dozen numpy calls whatever T is, so where their
     overhead is the cost, as at 100 nodes, many trees cost little more than
-    one; for one or two trees ``construct_tree`` is faster
-    (demos/07_trial_lockstep.py).
+    one.
     """
     tie_seeds = list(tie_seeds)
     trials = len(tie_seeds)
@@ -308,19 +303,10 @@ def compute_delay(tree: GatherTree) -> int:
     order of their own delay, folding t = max(t + 1, child_delay + 1); for
     sorted child delays d_1 <= ... <= d_m this equals
     max_i (d_i + m - i + 1), and the ascending order minimizes it over all
-    orderings. Only intermediates have children, so they are the only nodes
-    visited, deepest first; the root's value is the per-round delay.
+    orderings. The root's value is the per-round delay: ``compute_delays``
+    of the tree as a batch of one.
     """
-    ids, bounds = tree.child_index
-    delay = [0] * len(tree.parent)
-    depth = tree.level.tolist()
-    for u in sorted(np.flatnonzero(tree.intermediate).tolist(), key=depth.__getitem__,
-                    reverse=True):
-        t = 0
-        for d in sorted([delay[v] for v in ids[bounds[u]:bounds[u + 1]]]):
-            t = t + 1 if t >= d else d + 1  # max(t + 1, d + 1), without the call
-        delay[u] = t
-    return delay[tree.root]
+    return int(compute_delays(np.array([tree.root]), tree.parent[None], tree.level[None])[0])
 
 
 def compute_delays(roots, parent, level) -> np.ndarray:

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field, replace
+from itertools import islice
 
 import numpy as np
 
 from .baselines import (AliveChain, build_chain, cluster_block, cluster_rows, direct_round,
                         elect_heads, pegasis_cdma_block, pegasis_tdma_block)
-from .emln import compute_delay, compute_delays, construct_tree, construct_trees
+from .emln import compute_delays, construct_trees
 from .network import FieldConfig, Nodes, NodeState, build_graph, deploy, stack_graphs
-from .radio import RadioParams, hop_lengths, tree_round_energy, trees_round_energy, tx_cost
+from .radio import RadioParams, hop_lengths, trees_round_energy, tx_cost
 from .seeding import RoundStream, derive_seed
 
 STOP_RULES = ("first-death", "energy-exhausted")
@@ -98,12 +99,7 @@ def _lifetime_mean(values, lifetime: int) -> float:
 BLOCK_ROUNDS = 64
 BLOCK_ENTRIES = 1 << 10
 # Trials are stepped together in groups of at most LOCKSTEP_ENTRIES nodes
-# (trials times nodes per trial, at least one trial). When LOCKSTEP_TREES or
-# more EMLN trials of a group, with one node count, sink and radio, need a
-# tree in the same step, they grow them together (emln.construct_trees);
-# fewer grow them one by one (emln.construct_tree), which was faster for up
-# to three trees at 100 nodes (demos/07_trial_lockstep.py).
-LOCKSTEP_TREES = 4
+# (trials times nodes per trial, at least one trial).
 LOCKSTEP_ENTRIES = 1 << 15
 
 
@@ -345,10 +341,9 @@ def _grow_trees(trials: list[_Trial], stacks: dict) -> None:
     """Hand each trial's EMLN rounds its next tree's round: debits, delay and leaf count.
 
     Trials with one node count, sink and radio grow their trees together
-    when there are at least LOCKSTEP_TREES of them, and one by one
-    otherwise. ``stacks`` keeps, per such kind of trial, the last stacked
-    graph and its members' graphs; it is stacked again only when a member's
-    graph differs.
+    (``construct_trees``), however few they are. ``stacks`` keeps, per such
+    kind of trial, the last stacked graph and its members' graphs; it is
+    stacked again only when a member's graph differs.
     """
     alike: dict = {}
     for trial in trials:
@@ -359,23 +354,12 @@ def _grow_trees(trials: list[_Trial], stacks: dict) -> None:
         alike.setdefault(key, []).append(trial)
     for key, group in alike.items():
         _, sink, radio = key
-        seeds = [derive_seed(t.trial_seed, t.attempt + 1) for t in group]
-        if len(group) < LOCKSTEP_TREES:
-            for trial, seed in zip(group, seeds):
-                rounds = trial.rounds
-                tree = construct_tree(rounds.graph, trial.energies, tie_seed=seed)
-                if tree is None:
-                    rounds.take(None)
-                    continue
-                ledger = tree_round_energy(tree, rounds.nodes.positions, rounds.sink, radio)
-                leaves = np.count_nonzero(tree.level >= 0) - np.count_nonzero(tree.intermediate)
-                rounds.take((ledger.per_node[None], [compute_delay(tree)], [leaves]))
-            continue
         graphs = [t.rounds.graph for t in group]
         members, stacked = stacks.get(key, ((), None))
         if len(members) != len(graphs) or any(a is not b for a, b in zip(members, graphs)):
             stacked = stack_graphs(graphs)
             stacks[key] = graphs, stacked
+        seeds = [derive_seed(t.trial_seed, t.attempt + 1) for t in group]
         roots, parent, level, intermediate = construct_trees(
             stacked, np.stack([t.energies for t in group]), seeds)
         debits = trees_round_energy(roots, parent, intermediate, stacked.positions, sink,
@@ -451,8 +435,9 @@ def run_trial(config: SimConfig, trial_seed: int) -> SimulationReport:
     rounds and is flagged ``connected=False``; aggregation excludes it from
     everything except the connectivity fraction.
 
-    This is the runner's one-cell case: ``run_experiment`` and
-    ``range_sweep`` step many trials together and give the same reports.
+    This is the runner's one-cell case: ``run_experiment``,
+    ``range_sweep`` and ``compare_protocols`` step many trials together and
+    give the same reports.
     """
     config.validate()
     return _run_cells([(config, trial_seed)])[0]
@@ -515,6 +500,15 @@ def _aggregate(config: SimConfig, reports: list[SimulationReport]) -> Experiment
     )
 
 
+def _run_grid(configs: list[SimConfig], workers: int) -> list[list[SimulationReport]]:
+    """Each config's trial reports, trial i seeded derive_seed(master_seed, i), in one run."""
+    for config in configs:
+        config.validate()
+    reports = iter(_run([(config, derive_seed(config.master_seed, i))
+                         for config in configs for i in range(config.trials)], workers))
+    return [list(islice(reports, config.trials)) for config in configs]
+
+
 def run_experiment(config: SimConfig, workers: int = 1,
                    keep_reports: bool = False) -> ExperimentResult:
     """Run ``config.trials`` independent trials and aggregate them.
@@ -527,9 +521,7 @@ def run_experiment(config: SimConfig, workers: int = 1,
     parallelism, keeping aggregates bit-stable. Disconnected trials count
     only toward the connectivity fraction.
     """
-    config.validate()
-    seeds = [derive_seed(config.master_seed, i) for i in range(config.trials)]
-    reports = _run([(config, s) for s in seeds], workers)
+    reports = _run_grid([config], workers)[0]
     return ExperimentResult(_aggregate(config, reports), reports if keep_reports else None)
 
 
@@ -538,14 +530,16 @@ def range_sweep(config: SimConfig, ranges, workers: int = 1) -> list[ExperimentA
 
     Every range's trials are cells of one run, stepped together.
     """
-    ranges = list(ranges)
-    if not ranges:
-        raise ValueError("range list must be nonempty")
     configs = [replace(config, range_m=float(r)) for r in ranges]
-    for swept in configs:
-        swept.validate()
-    seeds = [derive_seed(config.master_seed, i) for i in range(config.trials)]
-    reports = _run([(swept, s) for swept in configs for s in seeds], workers)
-    trials = config.trials
-    return [_aggregate(swept, reports[i * trials:(i + 1) * trials])
-            for i, swept in enumerate(configs)]
+    if not configs:
+        raise ValueError("range list must be nonempty")
+    return [_aggregate(c, reports) for c, reports in zip(configs, _run_grid(configs, workers))]
+
+
+def compare_protocols(config: SimConfig, workers: int = 1) -> list[ExperimentAggregate]:
+    """One experiment per protocol, all over identical deployments and seeds.
+
+    Every protocol's trials are cells of one run, stepped together.
+    """
+    configs = [replace(config, protocol=p) for p in PROTOCOLS]
+    return [_aggregate(c, reports) for c, reports in zip(configs, _run_grid(configs, workers))]

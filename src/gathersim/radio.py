@@ -77,37 +77,24 @@ def tree_round_energy(tree: GatherTree, positions, sink, params: RadioParams) ->
     with c children pays c receptions, fusion of c + 1 signals (children's
     packets plus its own reading), and one transmission to its parent; for
     the root the upstream hop goes to the sink. All hop distances are the
-    actual Euclidean separations.
+    actual Euclidean separations. The ledger is row 0 of
+    ``trees_round_energy`` over the tree as a batch of one.
     """
     positions = np.asarray(positions, dtype=float)
-    n = len(positions)
-    if tree.parent.shape != (n,):
+    if tree.parent.shape != (len(positions),):
         raise ValueError("tree does not match the node set")
-    k = params.packet_bits
-
-    non_root = np.flatnonzero(tree.parent >= 0)
-    parents = tree.parent[non_root]
-    tx = np.zeros(n)
-    tx[non_root] = tx_cost(params, k, hop_lengths(positions[non_root], positions[parents]))
-    # the root-to-sink hop keeps norm's 1-D path (a dot product): a hand-written
-    # sum of squares can differ from it in the last bit
-    d_sink = float(np.linalg.norm(positions[tree.root] - np.asarray(sink, dtype=float)))
-    tx[tree.root] = tx_cost(params, k, d_sink)
-
-    child_count = np.bincount(parents, minlength=n)
-    rx = child_count * (params.e_elec * k)
-    fuse = np.where(tree.intermediate, params.e_fuse * k * (child_count + 1), 0.0)
-    return EnergyLedger(tx, rx, fuse)
+    batch = trees_round_energy(np.array([tree.root]), tree.parent[None], tree.intermediate[None],
+                               positions, sink, params)
+    return EnergyLedger(batch.tx[0], batch.rx[0], batch.fuse[0])
 
 
 def trees_round_energy(roots, parent, intermediate, positions, sink,
                        params: RadioParams) -> EnergyLedger:
     """``tree_round_energy`` of each row of ``construct_trees``' output, as (T, n) rows.
 
-    ``positions`` are the T·n positions of the stacked graph. Each float is
-    computed as ``tree_round_energy`` computes it, so every row is that
-    function's ledger byte for byte; one ``bincount`` counts the children of
-    all trees. A disconnected row (root -1) holds no meaningful debits.
+    ``positions`` are the T·n positions of the stacked graph; one
+    ``bincount`` counts the children of all trees. A disconnected row
+    (root -1) holds no meaningful debits.
     """
     trials, n = parent.shape
     k = params.packet_bits
@@ -118,7 +105,8 @@ def trees_round_energy(roots, parent, intermediate, positions, sink,
     tx[non_root] = tx_cost(params, k, hop_lengths(positions[non_root], positions[parents]))
     sink = np.asarray(sink, dtype=float)
     for root in (np.flatnonzero(roots >= 0) * n + roots[roots >= 0]).tolist():
-        # norm's 1-D path, root by root, as in tree_round_energy
+        # the root-to-sink hop keeps norm's 1-D path (a dot product), root by
+        # root: a hand-written sum of squares can differ from it in the last bit
         tx[root] = tx_cost(params, k, float(np.linalg.norm(positions[root] - sink)))
 
     child_count = np.bincount(parents, minlength=trials * n)

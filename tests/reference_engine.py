@@ -2,12 +2,14 @@
 
 ``run_trial`` below is the round loop the engine ran before it debited
 rounds in blocks, copied unchanged; only the imports differ: the baseline
-round functions are the loop versions in tests/reference_baselines.py and
-the chain is the loop ``build_chain`` of tests/reference_network.py, so
-nothing here runs the block functions, and ``round_rngs`` below walks the
-round seeds as the engine once did. The engine must give the same
-``SimulationReport``, field for field and byte for byte
-(tests/test_engine_reference.py).
+round functions are the loop versions in tests/reference_baselines.py, the
+chain is the loop ``build_chain`` of tests/reference_network.py, and the
+tree, its delay and its ledger come from the loop ``construct_tree``,
+``compute_delay`` and ``tree_round_energy`` of tests/reference_emln.py, so
+nothing here runs the block or lockstep functions it is checked against,
+and ``round_rngs`` below walks the round seeds as the engine once did. The
+engine must give the same ``SimulationReport``, field for field and byte
+for byte (tests/test_engine_reference.py).
 """
 
 from __future__ import annotations
@@ -18,12 +20,11 @@ import numpy as np
 
 from reference_baselines import (direct_round, leach_elect, leach_round, pegasis_cdma_round,
                                  pegasis_tdma_round)
+from reference_emln import compute_delay, construct_tree, tree_round_energy
 from reference_network import build_chain
 
-from gathersim.emln import compute_delay, construct_tree
 from gathersim.engine import SimConfig, SimulationReport
 from gathersim.network import Nodes, build_graph, deploy
-from gathersim.radio import tree_round_energy
 from gathersim.seeding import RoundStream, derive_seed
 
 

@@ -154,6 +154,15 @@ def test_parallel_workers_match_serial():
     assert serial == parallel
 
 
+def test_compare_protocols_workers_match_serial():
+    # every protocol's trials are cells of one run, so the workers share them
+    cfg = small(trials=3, stop_rule="energy-exhausted")
+    serial = engine.compare_protocols(cfg, workers=1)
+    assert engine.compare_protocols(cfg, workers=2) == serial
+    assert serial == [run_experiment(dataclasses.replace(cfg, protocol=p)).aggregate
+                      for p in engine.PROTOCOLS]
+
+
 def test_worker_pool_never_outnumbers_the_trials(monkeypatch):
     # a process pool may start all its workers at the first task, so the
     # pool is never asked for more workers than there are trials

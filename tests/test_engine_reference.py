@@ -8,7 +8,7 @@ rules with ``max_rounds`` on both sides of a 64-attempt seed block, 30 to
 130 nodes, blocks of 1 to 64 rounds, head probabilities up to 1, injected
 nodes that are dead or start with no energy, and the tree protocol, whose
 blocks hold one round. EMLN experiments of 1 to 12 trials cover trees grown
-one by one and in lockstep, in several groups of trials. A derandomized
+in lockstep by groups of 1 to 5 trials. A derandomized
 ``hypothesis`` test draws further configurations, checks
 ``run_experiment``'s reports too, and asserts invariants that need no
 reference.
@@ -123,7 +123,8 @@ TREE_CONFIG = SimConfig(field=FieldConfig(width=40.0, height=40.0, node_count=20
 @pytest.mark.parametrize("trials", [1, 2, 3, 4, 12])
 def test_lockstep_tree_experiments_match_the_per_round_loop(trials, rebuild_period, stop_rule,
                                                             monkeypatch):
-    # groups of at most 5 trials: 12 trials run as three groups of 5, 5 and 2
+    # groups of at most 5 trials: 12 trials run as three groups of 5, 5 and 2;
+    # every group grows its trees in lockstep, 1 to 5 at a step as trials end
     monkeypatch.setattr(engine, "LOCKSTEP_ENTRIES", 5 * 20)
     config = dataclasses.replace(TREE_CONFIG, trials=trials, rebuild_period=rebuild_period,
                                  stop_rule=stop_rule, master_seed=trials)
@@ -132,12 +133,11 @@ def test_lockstep_tree_experiments_match_the_per_round_loop(trials, rebuild_peri
         assert_same_report(got, ref.run_trial(config, derive_seed(config.master_seed, trial)))
 
 
-def test_range_sweep_trees_grown_together_match_one_by_one(monkeypatch):
-    # a sweep steps every range's trials together: its lockstep trees
-    # stack graphs of two ranges
+def test_range_sweep_trees_grown_together_match_one_by_one():
+    # a sweep steps every range's trials together, so its lockstep trees
+    # stack graphs of two ranges; an experiment per range stacks one range's
     config = dataclasses.replace(TREE_CONFIG, trials=4, stop_rule="energy-exhausted")
     swept = engine.range_sweep(config, [14.0, 18.0])
-    monkeypatch.setattr(engine, "LOCKSTEP_TREES", config.trials + 1)
     assert swept == [run_experiment(dataclasses.replace(config, range_m=r)).aggregate
                      for r in (14.0, 18.0)]
 
