@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .network import _pairs_within
-from .radio import EnergyLedger, RadioParams, hop_lengths, tx_cost
+from .radio import EnergyLedger, RadioParams, dot_hop_lengths, hop_lengths, tx_cost
 from .seeding import make_rng
 
 
@@ -144,8 +144,8 @@ class AliveChain:
     ``chain`` holds node ids in chain order, as ``build_chain`` returns them;
     they must be distinct, non-negative and below the node count. Dead nodes
     are bridged by skipping to the next alive node in chain order. Chain
-    position p is node ``sub[p]``. The leaders' sink transmissions are
-    memoised, since a leader is drawn again and again.
+    position p is node ``sub[p]``. ``sink_tx[p]`` is what position p pays to
+    send to the sink as leader, computed for every position at once.
     """
 
     def __init__(self, chain, alive, positions, sink, params: RadioParams):
@@ -159,9 +159,9 @@ class AliveChain:
             raise ValueError("chain ids must be below the node count") from None
         if self.sub.size == 0:
             raise ValueError("need at least one alive node")
-        self.sink = np.asarray(sink, dtype=float)
         self.params = params
-        self._sink_tx: dict[int, float] = {}
+        hops = dot_hop_lengths(self.positions[self.sub], np.asarray(sink, dtype=float))
+        self.sink_tx = tx_cost(params, params.packet_bits, hops)
         # no node receives more than ceil(log2 m) packets in a round
         most = self.sub.size.bit_length() + 2
         k = params.packet_bits
@@ -186,20 +186,13 @@ class AliveChain:
         aggregate to the sink.
         """
         rows = np.arange(len(leaders))
-        tx[rows, leaders] = [self._leader_tx(lead) for lead in leaders.tolist()]
+        tx[rows, leaders] = self.sink_tx[leaders]
         rx = self._rx_sums[receptions]
         receptions[rows, leaders] += 1
         fuse = self._fuse_sums[receptions]
         ledger = EnergyLedger.empty((len(leaders), len(self.positions)))
         ledger.tx[:, self.sub], ledger.rx[:, self.sub], ledger.fuse[:, self.sub] = tx, rx, fuse
         return ledger
-
-    def _leader_tx(self, lead: int) -> float:
-        if lead not in self._sink_tx:
-            # norm's 1-D path (a dot product): a sum of squares can differ in the last bit
-            d_sink = float(np.linalg.norm(self.positions[self.sub[lead]] - self.sink))
-            self._sink_tx[lead] = tx_cost(self.params, self.params.packet_bits, d_sink)
-        return self._sink_tx[lead]
 
     @cached_property
     def _tdma_hops(self) -> tuple[np.ndarray, np.ndarray]:

@@ -242,7 +242,10 @@ PROTOCOLS = tuple(PROTOCOL_ROUNDS)
 class _Trial:
     """One cell of the runner: a trial's node state, its protocol's rounds and its histories.
 
-    ``step`` runs the trial's next block; ``live`` says whether there is one.
+    ``next_block`` asks the protocol for the trial's next block; the runner
+    debits it (``_debit``, together with the group's other blocks of its
+    shape) and the trial applies the outcome with ``apply``. ``live`` says
+    whether there is a next block.
     """
 
     def __init__(self, config: SimConfig, trial_seed: int):
@@ -268,39 +271,35 @@ class _Trial:
         self.n_alive = int(self.alive.sum())
         self.live = self.n_alive > 0
 
-    def step(self) -> None:
-        config, rounds, energies, alive = self.config, self.rounds, self.energies, self.alive
-        n = len(energies)
-        rows = min(rounds.rows, config.max_rounds - self.completed)
-        block = rounds.block(self.attempt + 1, self.completed, rows)
+    def next_block(self):
+        """The next block's debits (rows, n), delays and leaf counts, or None if the trial ends."""
+        rows = min(self.rounds.rows, self.config.max_rounds - self.completed)
+        block = self.rounds.block(self.attempt + 1, self.completed, rows)
         if block is None:
             if self.completed == 0:
                 self.connected = False
             self.live = False  # no spanning structure left to gather over
-            return
-        debits, delays, leaves = block
-        # stack[0]: the energies, then each round's debits; stack[1]: the energies
-        # after each round. C order throughout: row sums of another layout can
-        # differ in the last bit
-        stack = np.empty((2, rows + 1, n))
-        stack[0, 0] = energies
-        stack[0, 1:] = debits
-        levels = np.subtract.accumulate(stack[0], axis=0, out=stack[1])
-        dying = (levels[:-1] < stack[0, 1:]) & alive
-        broke = dying.any(axis=1).nonzero()[0]
-        done = int(broke[0]) if broke.size else rows
+        return block
 
-        spent, residual = np.add.reduce(stack[:, 1:done + 1], axis=2).tolist()
-        self.energy_hist += spent
-        self.residual_hist += residual
+    def apply(self, block, done: int, spent: list, residual: list, levels, dying) -> None:
+        """Take the first ``done`` rounds of ``block``, and abandon the next if there is one.
+
+        ``spent`` and ``residual`` are the block's per-round debit and
+        residual totals, ``levels`` the energies after round ``done`` and
+        ``dying`` the (rows, n) flags of the nodes that could not pay.
+        """
+        config = self.config
+        _, delays, leaves = block
+        self.energy_hist += spent[:done]
+        self.residual_hist += residual[:done]
         self.delay_hist.extend(delays[:done])
         self.alive_hist += [self.n_alive] * done
         if leaves is not None:
             self.leaf_hist += leaves[:done]
-        energies[:] = levels[done]
+        self.energies[:] = levels
         self.completed += done
         self.attempt += done
-        if done < rows:
+        if done < len(spent):
             # abandon the round: no debits are applied, the broke nodes die
             self.attempt += 1
             if self.first_death_at is None:
@@ -308,9 +307,9 @@ class _Trial:
             if config.stop_rule == "first-death":
                 self.live = False
                 return
-            alive[dying[done]] = False
-            self.n_alive = int(alive.sum())
-            rounds.abandon(done)
+            self.alive[dying[done]] = False
+            self.n_alive = int(self.alive.sum())
+            self.rounds.abandon(done)
         self.live = self.completed < config.max_rounds and self.n_alive > 0
 
     def report(self) -> SimulationReport:
@@ -361,19 +360,45 @@ def _grow_trees(trials: list[_Trial], stacks: dict) -> None:
             stacks[key] = graphs, stacked
         seeds = [derive_seed(t.trial_seed, t.attempt + 1) for t in group]
         roots, parent, level, intermediate = construct_trees(
-            stacked, np.stack([t.energies for t in group]), seeds)
+            stacked, np.array([t.energies for t in group]), seeds)
         debits = trees_round_energy(roots, parent, intermediate, stacked.positions, sink,
                                     radio).per_node
         delays = compute_delays(roots, parent, level).tolist()
         leaves = (np.count_nonzero(level >= 0, axis=1)
                   - np.count_nonzero(intermediate, axis=1)).tolist()
-        for t, trial in enumerate(group):
-            trial.rounds.take((debits[t:t + 1], [delays[t]], [leaves[t]])
-                              if roots[t] >= 0 else None)
+        for t, (trial, root) in enumerate(zip(group, roots.tolist())):
+            trial.rounds.take((debits[t:t + 1], [delays[t]], [leaves[t]]) if root >= 0 else None)
+
+
+def _debit(trials: list[_Trial], blocks: list) -> None:
+    """Debit each trial's block, all of one shape (rows, n), and have each trial apply its own.
+
+    The energies and debits are stacked into one C-ordered (T, rows + 1, n)
+    array: one ``np.subtract.accumulate`` gives every trial's energies
+    after each round, the same floats as debiting round by round, and one
+    ``np.add.reduce`` over the last axis every round's debit and residual
+    totals (row sums of another layout can differ in the last bit). A
+    trial's first round in which an alive node cannot pay is abandoned.
+    """
+    rows, n = blocks[0][0].shape
+    stack = np.empty((2, len(trials), rows + 1, n))  # [0]: energies, debits; [1]: levels
+    stack[0, :, 0] = [t.energies for t in trials]
+    stack[0, :, 1:] = [block[0] for block in blocks]
+    levels = np.subtract.accumulate(stack[0], axis=1, out=stack[1])
+    dying = (levels[:, :-1] < stack[0, :, 1:]) & np.array([t.alive for t in trials])[:, None]
+    broke = dying.any(axis=2)
+    done = np.where(broke.any(axis=1), broke.argmax(axis=1), rows).tolist()
+    spent, residual = np.add.reduce(stack[:, :, 1:], axis=3).tolist()
+    for t, trial in enumerate(trials):
+        trial.apply(blocks[t], done[t], spent[t], residual[t], levels[t, done[t]], dying[t])
 
 
 def _run_group(cells: list[tuple[SimConfig, int]]) -> list[SimulationReport]:
-    """Step the trials of (config, trial seed) cells together until every one has ended."""
+    """Step the trials of (config, trial seed) cells together until every one has ended.
+
+    A step grows the trees the EMLN trials need, gathers every live
+    trial's next block and debits the blocks of each shape together.
+    """
     trials = [_Trial(config, seed) for config, seed in cells]
     stacks: dict = {}
     live = [t for t in trials if t.live]
@@ -381,8 +406,15 @@ def _run_group(cells: list[tuple[SimConfig, int]]) -> list[SimulationReport]:
         stale = [t for t in live if t.rounds.stale]
         if stale:
             _grow_trees(stale, stacks)
+        shapes: dict = {}
         for trial in live:
-            trial.step()
+            block = trial.next_block()
+            if block is not None:
+                pending = shapes.setdefault(block[0].shape, ([], []))
+                pending[0].append(trial)
+                pending[1].append(block)
+        for pending in shapes.values():
+            _debit(*pending)
         live = [t for t in live if t.live]
     return [t.report() for t in trials]
 
@@ -426,10 +458,12 @@ def run_trial(config: SimConfig, trial_seed: int) -> SimulationReport:
     election structures are rebuilt without the dead) until nobody is left,
     the gathering structure disconnects, or ``max_rounds`` is reached.
 
-    Rounds are debited a block at a time: one ``np.subtract.accumulate``
-    over the energies and the block's debits gives the energies after each
+    Rounds are debited a block at a time: ``np.subtract.accumulate`` over
+    the energies and the block's debits gives the energies after each
     round, the same floats as debiting round by round, and the first round
-    some alive node cannot pay is the abandoned one.
+    some alive node cannot pay is the abandoned one. The runner debits the
+    blocks of one shape of all the trials it steps together in one such
+    call (``_debit``).
 
     A tree-protocol trial whose graph is disconnected in round 1 runs no
     rounds and is flagged ``connected=False``; aggregation excludes it from

@@ -38,10 +38,25 @@ def tx_cost(params: RadioParams, bits: int, distance):
 def hop_lengths(a, b) -> np.ndarray:
     """Row-wise Euclidean distances between positions ``a`` and ``b``.
 
-    The values ``np.linalg.norm(a - b, axis=1)`` gives, without its overhead.
+    The values ``np.linalg.norm(a - b, axis=1)`` gives for positions in the
+    plane, without its overhead: dx² + dy² as one addition, which is what a
+    reduction over two columns adds, only without its per-row loop.
     """
     diff = a - b
-    return np.sqrt(np.add.reduce(diff * diff, axis=1))
+    diff *= diff
+    return np.sqrt(diff[:, 0] + diff[:, 1])
+
+
+def dot_hop_lengths(a, b) -> np.ndarray:
+    """Row-wise Euclidean distances with the bits of ``np.linalg.norm(a[i] - b[i])``.
+
+    One stacked dot product runs norm's 1-D path (the BLAS dot) for every
+    row at once. Tree roots and PEGASIS leaders take their hop to the sink
+    from it, with the bits the recorded outputs hold: ``hop_lengths``' sum
+    of squares differs in the last bit for about one row in ten.
+    """
+    diff = a - b
+    return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
 
 
 @dataclass
@@ -102,12 +117,12 @@ def trees_round_energy(roots, parent, intermediate, positions, sink,
     non_root = np.flatnonzero(parent >= 0)
     parents = parent[non_root] + non_root // n * n
     tx = np.zeros(trials * n)
-    tx[non_root] = tx_cost(params, k, hop_lengths(positions[non_root], positions[parents]))
-    sink = np.asarray(sink, dtype=float)
-    for root in (np.flatnonzero(roots >= 0) * n + roots[roots >= 0]).tolist():
-        # the root-to-sink hop keeps norm's 1-D path (a dot product), root by
-        # root: a hand-written sum of squares can differ from it in the last bit
-        tx[root] = tx_cost(params, k, float(np.linalg.norm(positions[root] - sink)))
+    # take: a fancy index of (n, 2) rows costs about ten times as much
+    tx[non_root] = tx_cost(params, k, hop_lengths(positions.take(non_root, axis=0),
+                                                  positions.take(parents, axis=0)))
+    tops = np.flatnonzero(roots >= 0) * n + roots[roots >= 0]
+    tx[tops] = tx_cost(params, k, dot_hop_lengths(positions.take(tops, axis=0),
+                                                  np.asarray(sink, dtype=float)))
 
     child_count = np.bincount(parents, minlength=trials * n)
     rx = child_count * (params.e_elec * k)

@@ -11,6 +11,7 @@ from helpers_oracles import recount_tree_ledger
 from gathersim import (EnergyLedger, Nodes, NodeState, RadioParams, build_graph,
                        construct_tree, energies_of, leach_round, positions_of,
                        tree_round_energy, tx_cost)
+from gathersim.radio import dot_hop_lengths
 
 P = RadioParams()
 
@@ -39,6 +40,20 @@ def test_rx_cost_values():
 @settings(max_examples=50)
 def test_rx_equals_tx_at_zero_distance(bits):
     assert P.e_elec * bits == tx_cost(P, bits, 0.0)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 39, 5000])
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 250.0, 1e150])
+@pytest.mark.parametrize("offset", [0.0, -0.8])
+def test_dot_hop_lengths_are_norm_bit_for_bit(rows, scale, offset):
+    # sink hops keep the bits of np.linalg.norm on one row, a BLAS dot product;
+    # a sum of squares differs in the last bit for about one hop in ten
+    rng = np.random.default_rng(rows)
+    a = (rng.random((rows, 2)) + offset) * scale
+    for b in (np.array([0.31, -1.9]) * scale, (rng.random((rows, 2)) + offset) * scale):
+        want = np.array([np.linalg.norm(row - other) for row, other in
+                         zip(a, np.broadcast_to(b, a.shape))])
+        assert dot_hop_lengths(a, b).tobytes() == want.tobytes()
 
 
 def cluster_fuse(members: int) -> np.ndarray:
