@@ -9,8 +9,9 @@ by how much it wins for one tree and where lockstep takes over. For
 T = 1, 2, 3, 4, 6, 10 and 48 trials of 100 nodes (default density, range
 25 m) with mid-lifetime residual energies, it checks that every row of
 ``construct_trees`` is the tree ``construct_tree`` builds, and prints the
-time per tree of both, and of lockstep with the graphs stacked anew (which
-the engine does only when a member's graph or the set of members changes).
+time per tree of both, and of lockstep with the graphs stacked anew and
+their neighbor table built anew (which the engine does only when a member's
+graph or the set of members changes).
 Each figure is the minimum over alternating samples. Pass a node count to
 time another size, for example ``python demos/07_trial_lockstep.py 2000``.
 """

@@ -160,7 +160,7 @@ class AliveChain:
         if self.sub.size == 0:
             raise ValueError("need at least one alive node")
         self.params = params
-        hops = dot_hop_lengths(self.positions[self.sub], np.asarray(sink, dtype=float))
+        hops = dot_hop_lengths(self.positions.take(self.sub, axis=0), np.asarray(sink, dtype=float))
         self.sink_tx = tx_cost(params, params.packet_bits, hops)
         # no node receives more than ceil(log2 m) packets in a round
         most = self.sub.size.bit_length() + 2
@@ -173,9 +173,9 @@ class AliveChain:
 
     def hop_tx(self, senders, receivers) -> np.ndarray:
         """Transmit cost from each sender to its receiver, both chain positions."""
-        pos = self.positions
-        return tx_cost(self.params, self.params.packet_bits,
-                       hop_lengths(pos[self.sub[senders]], pos[self.sub[receivers]]))
+        pos, sub = self.positions, self.sub
+        hops = hop_lengths(pos.take(sub[senders], axis=0), pos.take(sub[receivers], axis=0))
+        return tx_cost(self.params, self.params.packet_bits, hops)
 
     def ledgers(self, tx: np.ndarray, receptions: np.ndarray,
                 leaders: np.ndarray) -> EnergyLedger:
@@ -390,7 +390,8 @@ def cluster_block(head_of: np.ndarray, positions, sink_tx: np.ndarray,
     r, members = np.nonzero((head_of >= 0) & ~is_head)
     their_heads = head_of[r, members]
     tx = np.where(is_head, sink_tx, 0.0)
-    tx[r, members] = tx_cost(params, k, hop_lengths(positions[members], positions[their_heads]))
+    tx[r, members] = tx_cost(params, k, hop_lengths(positions.take(members, axis=0),
+                                                    positions.take(their_heads, axis=0)))
     counts = np.bincount(r * n + their_heads, minlength=rows * n).reshape(rows, n)
     rx = _repeated_sums(float(params.e_elec * k), int(counts.max()))[counts]
     fuse = np.where(is_head, params.e_fuse * k * (counts + 1), 0.0)
@@ -419,7 +420,8 @@ def leach_round(head_of, positions, sink, params: RadioParams) -> tuple[EnergyLe
     heads = np.flatnonzero(is_head)
     sink_tx = np.zeros(n)
     sink_tx[heads] = tx_cost(params, params.packet_bits,
-                             hop_lengths(positions[heads], np.asarray(sink, dtype=float)))
+                             hop_lengths(positions.take(heads, axis=0),
+                                         np.asarray(sink, dtype=float)))
     return _first_row(*cluster_block(head_of[None], positions, sink_tx, params))
 
 
@@ -433,6 +435,6 @@ def direct_round(alive, positions, sink, params: RadioParams) -> tuple[EnergyLed
     ledger = EnergyLedger.empty(len(alive))
     ids = np.flatnonzero(alive)
     if ids.size:
-        d = hop_lengths(positions[ids], np.asarray(sink, dtype=float))
+        d = hop_lengths(positions.take(ids, axis=0), np.asarray(sink, dtype=float))
         ledger.tx[ids] = tx_cost(params, params.packet_bits, d)
     return ledger, int(ids.size)

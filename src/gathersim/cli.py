@@ -152,14 +152,6 @@ def parse_config(argv=None):
     return config, args, sweep
 
 
-def _format_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)  # shortest round-trip representation
-    return str(value)
-
-
 def aggregate_row(agg: ExperimentAggregate) -> list:
     return [agg.protocol, agg.range_m, agg.trials, agg.connectivity, agg.mean_lifetime,
             agg.sd_lifetime, agg.mean_energy_per_round, agg.mean_delay_per_round,
@@ -168,19 +160,22 @@ def aggregate_row(agg: ExperimentAggregate) -> list:
 
 def per_round_rows(reports: list[SimulationReport]):
     for trial, report in enumerate(reports):
-        for i in range(report.completed_rounds):
-            yield [trial, i + 1, float(report.energy_per_round[i]),
-                   int(report.delay_per_round[i]), int(report.alive_per_round[i])]
+        rounds = report.completed_rounds
+        yield from zip([trial] * rounds, range(1, rounds + 1), report.energy_per_round.tolist(),
+                       report.delay_per_round.tolist(), report.alive_per_round.tolist())
 
 
 def render(rows, columns, fmt: str) -> str:
-    """Render rows as CSV (header + shortest-round-trip floats) or JSON (null for NaN)."""
+    """Render rows as CSV (header + shortest-round-trip floats) or JSON (null for NaN).
+
+    ``csv`` writes None as an empty cell and any float, numpy's included,
+    as its shortest round-trip text.
+    """
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
+        writer.writerows(rows)
         return buf.getvalue()
     if fmt == "json":  # JSON has no NaN or infinity: such a float is written as null
         records = [{key: None if isinstance(v, float) and not math.isfinite(v) else v

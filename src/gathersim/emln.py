@@ -179,6 +179,13 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
     makes the same few dozen numpy calls whatever T is, so where their
     overhead is the cost, as at 100 nodes, many trees cost little more than
     one.
+
+    The neighbor lists come from ``graph.neighbor_table``, built on first
+    use and cached on the snapshot, so a caller that grows many rounds of
+    trees reuses one stacked graph. A step gathers the table rows of its
+    picks, and of the nodes they cover, with one index each; the sentinel id
+    T·n pads the rows, and its level of 0 makes it count as covered. Only
+    lists longer than the table's width read the rest from the CSR arrays.
     """
     tie_seeds = list(tie_seeds)
     trials = len(tie_seeds)
@@ -195,13 +202,18 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
         raise ValueError("a trial's graph has no alive node")
 
     indptr, indices, degrees = graph.indptr, graph.indices, graph.degrees
+    table, spills = graph.neighbor_table
+    width = table.shape[1]
     # uncovered-neighbor counts, held as floats: count * energy is then the
-    # float product that construct_tree's int64 * float64 casts to
-    count = degrees.astype(float)
-    count_rows = count.reshape(trials, n)
+    # float product that construct_tree's int64 * float64 casts to; the
+    # sentinel's slot, the last, takes the sentinel's debits and is never read
+    count = np.append(degrees, 0.0)
+    count_rows = count[:size].reshape(trials, n)
     parent = np.full(size, -1, dtype=np.int64)
-    level = np.full(size, -1, dtype=np.int64)  # >= 0 exactly for covered nodes
-    level_rows = level.reshape(trials, n)
+    # >= 0 exactly for covered nodes; the sentinel, at level 0, counts as covered
+    level = np.full(size + 1, -1, dtype=np.int64)
+    level[size] = 0
+    level_rows = level[:size].reshape(trials, n)
     intermediate = np.zeros(size, dtype=bool)
     blocked = ~graph.alive  # not a candidate: for the root pick, dead; then not covered
     blocked_rows = blocked.reshape(trials, n)
@@ -214,14 +226,24 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
     row_level = np.zeros(trials, dtype=np.int64)
 
     def neighbors_of(ids: np.ndarray) -> np.ndarray:
-        """The neighbor lists of the (nonempty) ``ids``, one after another."""
-        counts = degrees[ids]
-        ends = counts.cumsum()
-        return indices[np.arange(ends[-1]) + np.repeat(indptr[ids] - ends + counts, counts)]
+        """The neighbors of ``ids``, with sentinels, in no set order.
+
+        One gather of their table rows; the lists longer than the table's
+        width add the rest of their neighbors from the CSR arrays.
+        """
+        nb = table.take(ids, axis=0).ravel()
+        if spills:
+            long = ids[degrees[ids] > width]
+            if long.size:
+                counts = degrees[long] - width
+                ends = counts.cumsum()
+                starts = indptr[long] + width - ends + counts
+                nb = np.concatenate((nb, indices[np.arange(ends[-1]) + np.repeat(starts, counts)]))
+        return nb
 
     def cover(ids: np.ndarray) -> None:
         """Debit the uncovered-neighbor counts of the newly covered ``ids``' neighbors."""
-        np.subtract(count, np.bincount(neighbors_of(ids), minlength=size), out=count)
+        np.subtract(count, np.bincount(neighbors_of(ids), minlength=size + 1), out=count)
 
     def weigh() -> tuple[np.ndarray, np.ndarray]:
         """Each row's max-weight candidate (lowest id first) and its weight, -1 for none."""

@@ -166,7 +166,8 @@ class _LeachRounds(_Rounds):
         self.sink_tx = np.zeros(len(alive))
         ids = np.flatnonzero(alive)
         radio = self.config.radio
-        self.sink_tx[ids] = tx_cost(radio, radio.packet_bits, hop_lengths(positions[ids], self.sink))
+        self.sink_tx[ids] = tx_cost(radio, radio.packet_bits,
+                                    hop_lengths(positions.take(ids, axis=0), self.sink))
 
     def block(self, attempt: int, round_index: int, rows: int):
         positions, alive = self.nodes.positions, self.nodes.alive
@@ -373,24 +374,26 @@ def _grow_trees(trials: list[_Trial], stacks: dict) -> None:
 def _debit(trials: list[_Trial], blocks: list) -> None:
     """Debit each trial's block, all of one shape (rows, n), and have each trial apply its own.
 
-    The energies and debits are stacked into one C-ordered (T, rows + 1, n)
-    array: one ``np.subtract.accumulate`` gives every trial's energies
-    after each round, the same floats as debiting round by round, and one
-    ``np.add.reduce`` over the last axis every round's debit and residual
-    totals (row sums of another layout can differ in the last bit). A
-    trial's first round in which an alive node cannot pay is abandoned.
+    The energies and debits are stacked into one C-ordered (rows + 1, T, n)
+    array, round by round: one ``np.subtract.accumulate`` down the rounds,
+    whose inner loop runs over all T·n nodes at once, gives every trial's
+    energies after each round, the same floats as debiting round by round,
+    and one ``np.add.reduce`` over the last axis every round's debit and
+    residual totals (row sums of another layout can differ in the last
+    bit). A trial's first round in which an alive node cannot pay is
+    abandoned.
     """
     rows, n = blocks[0][0].shape
-    stack = np.empty((2, len(trials), rows + 1, n))  # [0]: energies, debits; [1]: levels
-    stack[0, :, 0] = [t.energies for t in trials]
-    stack[0, :, 1:] = [block[0] for block in blocks]
-    levels = np.subtract.accumulate(stack[0], axis=1, out=stack[1])
-    dying = (levels[:, :-1] < stack[0, :, 1:]) & np.array([t.alive for t in trials])[:, None]
+    stack = np.empty((2, rows + 1, len(trials), n))  # [0]: energies, debits; [1]: levels
+    stack[0, 0] = [t.energies for t in trials]
+    stack[0, 1:].transpose(1, 0, 2)[...] = [block[0] for block in blocks]
+    levels = np.subtract.accumulate(stack[0], axis=0, out=stack[1])
+    dying = (levels[:-1] < stack[0, 1:]) & np.array([t.alive for t in trials])
     broke = dying.any(axis=2)
-    done = np.where(broke.any(axis=1), broke.argmax(axis=1), rows).tolist()
-    spent, residual = np.add.reduce(stack[:, :, 1:], axis=3).tolist()
+    done = np.where(broke.any(axis=0), broke.argmax(axis=0), rows).tolist()
+    spent, residual = np.add.reduce(stack[:, 1:], axis=3).transpose(0, 2, 1).tolist()
     for t, trial in enumerate(trials):
-        trial.apply(blocks[t], done[t], spent[t], residual[t], levels[t, done[t]], dying[t])
+        trial.apply(blocks[t], done[t], spent[t], residual[t], levels[done[t], t], dying[:, t])
 
 
 def _run_group(cells: list[tuple[SimConfig, int]]) -> list[SimulationReport]:

@@ -114,6 +114,8 @@ class NetworkSnapshot:
 
     An edge joins two distinct alive nodes at most ``range_m`` apart. Node
     u's neighbours are ``indices[indptr[u]:indptr[u + 1]]``, ascending.
+    ``neighbor_table`` pads them to one width, so that ``construct_trees``
+    gathers the lists of many nodes with one index.
     """
 
     positions: np.ndarray
@@ -139,6 +141,27 @@ class NetworkSnapshot:
         """Per-node neighbour ids as slices of ``indices`` (views, not copies)."""
         bounds = self.indptr.tolist()
         return tuple(self.indices[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def neighbor_table(self) -> tuple[np.ndarray, bool]:
+        """``(table, spills)``: the neighbour lists padded to one width with the sentinel id n.
+
+        Row u of the (n + 1, width) table lists u's neighbours, ascending,
+        then n; row n holds only n. The width is the largest degree, capped
+        so that the table holds at most 4 (nnz + n + 1) entries, nnz being
+        ``indices.size``: no layout makes it O(n^2). ``spills`` says whether
+        some list is longer than the width; such a row holds its first
+        ``width`` neighbours.
+        """
+        n, degrees, indices = self.node_count, self.degrees, self.indices
+        most = int(degrees.max(initial=0))
+        width = min(most, 4 * (indices.size + n + 1) // (n + 1))
+        if width < most:  # keep each list's first width entries
+            indices = indices[np.arange(indices.size) - np.repeat(self.indptr[:-1], degrees) < width]
+        table = np.full((n + 1, width), n, dtype=np.int64)
+        table[:n][np.arange(width) < degrees[:, None]] = indices  # row by row, in CSR order
+        table.flags.writeable = False
+        return table, width < most
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import read_aggregate_csv
+import gathersim
 from gathersim import NodeState, cli, compare_protocols, parse_config
 from gathersim.cli import AGGREGATE_COLUMNS, PER_ROUND_COLUMNS, aggregate_row, main, render
 from gathersim.engine import FieldConfig, SimConfig
@@ -136,8 +142,38 @@ def test_range_with_direct_warns_but_runs(capsys):
     assert config.protocol == "direct"
 
 
+# The top-level modules that importing gathersim adds to a process that has
+# imported numpy. Each spawn of the CLI imports them, so a new one costs start-up
+# time: a change that needs one adds it here and records what it costs.
+IMPORTED_AFTER_NUMPY = {"__future__", "_csv", "_json", "argparse", "copy", "csv", "dataclasses",
+                        "gathersim", "gettext", "json"}
+
+
+def test_import_adds_no_module_beyond_the_known_set():
+    code = ("import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import gathersim\n"
+            "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
+    # the child imports the same gathersim as this process, installed or not
+    src = str(Path(gathersim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "gathersim" in added
+    assert added <= IMPORTED_AFTER_NUMPY, sorted(added - IMPORTED_AFTER_NUMPY)
+
+
 def test_empty_rows_render_header_only():
     assert render([], AGGREGATE_COLUMNS, "csv") == ",".join(AGGREGATE_COLUMNS) + "\n"
+
+
+def test_csv_writes_floats_as_shortest_round_trip_text():
+    rows = [["emln", np.float64(0.1), 0.1 + 0.2, float("nan"), np.int64(3), None]]
+    text = render(rows, AGGREGATE_COLUMNS[:6], "csv")
+    assert text.splitlines()[1] == "emln,0.1,0.30000000000000004,nan,3,"
 
 
 def test_aggregate_roundtrip(tmp_path):

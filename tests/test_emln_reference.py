@@ -9,7 +9,9 @@ from round 1 on), random energies with and without exact zeros, dead
 nodes, disconnected graphs, a single node and one 2,000-node deployment.
 ``construct_trees``, ``compute_delays`` and ``trees_round_energy`` take the
 same inputs stacked, 1, 3 or 10 trials at a time, and each row must be the
-reference's tree, delay and ledger.
+reference's tree, delay and ledger. A stack of clumped layouts, whose
+longest neighbor lists spill past the width of ``neighbor_table``, must
+give the reference's trees too, and the CLI's default graphs must not spill.
 """
 
 import numpy as np
@@ -169,6 +171,60 @@ def test_lockstep_rows_match_reference(trials, mode):
             for name in ("tx", "rx", "fuse", "per_node"):
                 assert getattr(ledger, name)[t].tobytes() == getattr(expected, name).tobytes()
     assert connected > 0 and disconnected > 0
+
+
+def clumped_graph(seed: int):
+    """150 nodes within 1 m of one spot and 850 spread over 400 x 400 m, range 25 m."""
+    rng = np.random.default_rng(seed)
+    positions = np.concatenate((200.0 + rng.random((150, 2)) * 0.7, rng.random((850, 2)) * 400.0))
+    return build_graph(Nodes(positions, np.full(1000, 0.03), np.ones(1000, dtype=bool)), 25.0)
+
+
+def assert_table_holds_the_lists(graph) -> bool:
+    """The table's bound and rows against the CSR lists; returns whether it spills."""
+    table, spills = graph.neighbor_table
+    size, width = graph.node_count, table.shape[1]
+    assert table.dtype == np.int64 and table.shape[0] == size + 1
+    assert table.size <= 4 * (graph.indices.size + size + 1)
+    assert spills == (graph.degrees > width).any()
+    assert (table[size] == size).all()
+    for u, nbrs in enumerate(graph.neighbor_arrays):
+        kept = min(nbrs.size, width)
+        assert table[u, :kept].tolist() == nbrs[:kept].tolist() and (table[u, kept:] == size).all()
+    return spills
+
+
+@pytest.mark.parametrize("mode", ["equal", "random"])
+def test_clumped_stack_spills_and_rows_match_reference(mode):
+    # seed 1's spread nodes are not all connected
+    graphs = [clumped_graph(seed) for seed in (0, 1, 3)]
+    stacked = stack_graphs(graphs)
+    assert assert_table_holds_the_lists(stacked)
+    energies = [energies_for(mode, 1000, seed) for seed in range(3)]
+    seeds = [derive_seed(seed, 1) for seed in range(3)]
+    roots, parent, level, intermediate = construct_trees(stacked, np.array(energies), seeds)
+    assert (parent < 1000).all()  # local ids: the sentinel, 3,000, never shows
+    connected = 0
+    for t, graph in enumerate(graphs):
+        want = ref.construct_tree(graph, energies[t], seeds[t])
+        if want is None:
+            assert roots[t] == -1
+            continue
+        connected += 1
+        assert roots[t] == want.root
+        assert parent[t].tobytes() == want.parent.tobytes()
+        assert level[t].tobytes() == want.level.tobytes()
+        assert intermediate[t].tolist() == [v in want.intermediate_set for v in range(1000)]
+    assert connected == 2
+
+
+def test_cli_default_graphs_do_not_spill():
+    # each of the 10 trials of seeds 1-50 at the CLI defaults, alone and stacked
+    for master in range(1, 51):
+        graphs = [build_graph(deploy(FieldConfig(), derive_seed(derive_seed(master, i), 0)), 25.0)
+                  for i in range(10)]
+        for graph in graphs + [stack_graphs(graphs)]:
+            assert not assert_table_holds_the_lists(graph)
 
 
 def test_lockstep_rejects_inputs_that_do_not_fit_the_stack():
