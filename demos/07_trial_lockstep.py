@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Time EMLN trees grown one by one against trees grown in lockstep.
 
-The engine grows the trees of the trials that need one in the same step
-together, with ``construct_trees`` over their stacked graphs, however few
-they are. A lockstep step makes about as many numpy calls for one tree as
-for ten, so ``construct_tree`` stays the single-tree API: this script shows
-by how much it wins for one tree and where lockstep takes over. For
+``construct_tree`` is the one-row case of ``construct_trees``: one call
+grows one tree. The engine grows the trees of the trials that need one in
+the same step together, with one ``construct_trees`` call over their
+stacked graphs, however few they are. A lockstep step makes about as many
+numpy calls for one tree as for ten, so this script shows what T trees cost
+as T one-row calls ("separate") and as one T-row call ("lockstep"). For
 T = 1, 2, 3, 4, 6, 10 and 48 trials of 100 nodes (default density, range
-25 m) with mid-lifetime residual energies, it checks that every row of
-``construct_trees`` is the tree ``construct_tree`` builds, and prints the
-time per tree of both, and of lockstep with the graphs stacked anew and
-their neighbor table built anew (which the engine does only when a member's
-graph or the set of members changes).
+25 m) with mid-lifetime residual energies, it checks that every row of the
+T-row call is the tree of the one-row call, and prints the time per tree of
+both, and of lockstep with the graphs stacked anew and their neighbor table
+built anew (which the engine does only when a member's graph or the set of
+members changes). The one-row calls reuse each graph's cached table.
 Each figure is the minimum over alternating samples. Pass a node count to
 time another size, for example ``python demos/07_trial_lockstep.py 2000``.
 """

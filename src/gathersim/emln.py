@@ -73,90 +73,16 @@ def construct_tree(graph: NetworkSnapshot, energies, tie_seed: int) -> GatherTre
     Ties on the weight (compared exactly, no epsilon) are broken uniformly
     at random, deterministically per ``tie_seed``. A covered node with zero
     energy still qualifies as a candidate: its weight is simply 0. Energies
-    must be finite and non-negative.
+    must be finite and non-negative. This is the one-row case of
+    ``construct_trees``.
     """
-    n = graph.node_count
     energies = np.asarray(energies, dtype=float)
-    if energies.shape != (n,):
-        raise ValueError(f"expected {n} energies, got array of shape {energies.shape}")
-    if not (np.isfinite(energies) & (energies >= 0)).all():
-        raise ValueError("energies must be finite and >= 0")
-    alive = graph.alive
-    n_alive = int(np.count_nonzero(alive))
-    if n_alive == 0:
-        raise ValueError("graph has no alive node")
-
-    neighbors = graph.neighbor_arrays
-    # uncovered-neighbor counts, updated as coverage grows; equal to what a
-    # full recount against the covered set would give at every iteration
-    uncovered_count = graph.degrees.copy()
-    rng = None  # tie-break generator, built only when a tie shows up
-
-    parent = np.full(n, -1, dtype=np.int64)
-    level = np.full(n, -1, dtype=np.int64)  # >= 0 exactly for covered nodes
-    intermediate = np.zeros(n, dtype=bool)
-    candidate = alive.copy()  # for the root pick; then covered and not intermediate
-
-    def pick_max(root_pick: bool = False) -> int:
-        """Max-weight candidate (lowest id first), or -1 if there is none.
-
-        A candidate's weight is >= 0, so the -1 given to the others never
-        wins, and tied ids come out ascending, as a scan over the candidates
-        gives. After the root pick a candidate needs an uncovered neighbor;
-        one without weighs 0, so it can only tie the top when the top is 0,
-        and only then is it masked out.
-        """
-        nonlocal rng
-        weights = np.where(candidate, uncovered_count * energies, -1.0)
-        best = int(weights.argmax())
-        top = weights.item(best)
-        if top == 0 and not root_pick:
-            weights[uncovered_count == 0] = -1.0
-            best = int(weights.argmax())
-            top = weights.item(best)
-        if top < 0:
-            return -1
-        is_best = weights == top
-        if np.count_nonzero(is_best) > 1:
-            tied = np.flatnonzero(is_best)
-            if rng is None:
-                rng = make_rng(tie_seed)
-            best = int(tied[rng.integers(tied.size)])
-        return best
-
-    def promote(u: int, hit: list[np.ndarray]) -> int:
-        """Make ``u`` intermediate and adopt its uncovered neighbors one level down.
-
-        ``hit`` holds the neighbor lists of nodes covered just before, whose
-        uncovered counts are debited together with those of the adopted nodes.
-        Returns how many nodes were adopted.
-        """
-        intermediate[u] = True
-        candidate[u] = False
-        nb = neighbors[u]
-        new = nb[level[nb] < 0]
-        if new.size:
-            candidate[new] = True
-            parent[new] = u
-            level[new] = level.item(u) + 1
-            hit = hit + [neighbors[v] for v in new.tolist()]
-        if hit:
-            np.subtract(uncovered_count, np.bincount(np.concatenate(hit), minlength=n),
-                        out=uncovered_count)
-        return new.size
-
-    root = pick_max(root_pick=True)
-    candidate[:] = False
-    level[root] = 0
-    n_covered = 1 + promote(root, [neighbors[root]])
-
-    while n_covered < n_alive:
-        node = pick_max()
-        if node < 0:
-            return None
-        n_covered += promote(node, [])
-
-    return GatherTree(root, parent, level, intermediate)
+    if energies.shape != (graph.node_count,):
+        raise ValueError(f"expected {graph.node_count} energies, got array of shape "
+                         f"{energies.shape}")
+    roots, parent, level, intermediate = construct_trees(graph, energies[None], [tie_seed])
+    root = int(roots[0])
+    return None if root < 0 else GatherTree(root, parent[0], level[0], intermediate[0])
 
 
 def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.ndarray, ...]:
@@ -165,12 +91,11 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
     ``graph`` is block diagonal over T·n nodes, node v of trial t being
     t·n + v (``stack_graphs``); ``energies`` is (T, n) and ``tie_seeds``
     holds T seeds. Each step weighs every row at once and promotes, in each
-    row still growing, what ``construct_tree`` would promote: the row's
-    maximum-weight candidate, lowest id first, or one of its tied maxima
-    drawn from ``make_rng(tie_seeds[t])``, built when row t first ties. Each
-    row applies the zero-top and disconnected rules on its own, so row t is
-    exactly the tree ``construct_tree`` builds from trial t's graph,
-    energies and seed.
+    row still growing, the greedy pick that ``construct_tree`` describes: the
+    row's maximum-weight candidate, lowest id first, or one of its tied
+    maxima drawn from ``make_rng(tie_seeds[t])``, built when row t first
+    ties. Each row applies the zero-top and disconnected rules on its own,
+    so row t is the tree of trial t's graph, energies and seed alone.
 
     Returns ``(roots, parent, level, intermediate)``: the roots (T,), -1 for
     a disconnected trial, whose row then holds a partial tree, and the
@@ -205,7 +130,7 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
     table, spills = graph.neighbor_table
     width = table.shape[1]
     # uncovered-neighbor counts, held as floats: count * energy is then the
-    # float product that construct_tree's int64 * float64 casts to; the
+    # float product that an int64 count times a float64 energy casts to; the
     # sentinel's slot, the last, takes the sentinel's debits and is never read
     count = np.append(degrees, 0.0)
     count_rows = count[:size].reshape(trials, n)
@@ -215,14 +140,16 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
     level[size] = 0
     level_rows = level[:size].reshape(trials, n)
     intermediate = np.zeros(size, dtype=bool)
-    blocked = ~graph.alive  # not a candidate: for the root pick, dead; then not covered
-    blocked_rows = blocked.reshape(trials, n)
+    # 0.0 for a candidate (for the root pick, alive; then covered and not yet
+    # intermediate), -inf otherwise: added to a weight >= 0, 0.0 keeps its bits
+    floor = np.where(graph.alive, 0.0, -np.inf)
+    floor_rows = floor.reshape(trials, n)
     weights = np.empty((trials, n))
     rows = np.arange(trials)
     offset = rows * n
     rngs: list = [None] * trials  # tie-break generators, built only when a row ties
     connected = np.ones(trials, dtype=bool)
-    finished = np.zeros(trials, dtype=bool)  # complete or disconnected, all blocked
+    finished = np.zeros(trials, dtype=bool)  # complete or disconnected
     row_level = np.zeros(trials, dtype=np.int64)
 
     def neighbors_of(ids: np.ndarray) -> np.ndarray:
@@ -246,31 +173,28 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
         np.subtract(count, np.bincount(neighbors_of(ids), minlength=size + 1), out=count)
 
     def weigh() -> tuple[np.ndarray, np.ndarray]:
-        """Each row's max-weight candidate (lowest id first) and its weight, -1 for none."""
+        """Each row's max-weight candidate (lowest id first) and its weight, -inf for none."""
         np.multiply(count_rows, energies, out=weights)
-        np.copyto(weights, -1.0, where=blocked_rows)
+        np.add(weights, floor_rows, out=weights)
         best = weights.argmax(axis=1)
         return best, weights[rows, best]
 
-    def break_ties(growing: np.ndarray, best: np.ndarray, top: np.ndarray, done: int) -> None:
+    def break_ties(growing: np.ndarray, best: np.ndarray, top: np.ndarray) -> None:
         """Draw each growing row's pick among its tied maxima, where it has several.
 
-        The ``done`` finished rows weigh -1 throughout, n ties each; any
-        other tie shows as more matches than that.
+        A row ties exactly when its last maximum is not its first, ``best``.
         """
-        is_best = weights == top[:, None]
-        if np.count_nonzero(is_best) > growing.size + n * done:
-            tied_rows = growing[np.count_nonzero(is_best[growing], axis=1) > 1]
-            for t in tied_rows.tolist():
-                tied = is_best[t].nonzero()[0]
-                if rngs[t] is None:
-                    rngs[t] = make_rng(tie_seeds[t])
-                best[t] = tied[rngs[t].integers(tied.size)]
+        last = n - 1 - weights[:, ::-1].argmax(axis=1)
+        for t in growing[last[growing] != best[growing]].tolist():
+            tied = (weights[t] == top[t]).nonzero()[0]
+            if rngs[t] is None:
+                rngs[t] = make_rng(tie_seeds[t])
+            best[t] = tied[rngs[t].integers(tied.size)]
 
     best, top = weigh()
-    break_ties(rows, best, top, 0)
+    break_ties(rows, best, top)
     roots = best
-    blocked[:] = True
+    floor[:] = -np.inf
     picked = offset + roots
     level[picked] = 0
     cover(picked)
@@ -280,13 +204,13 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
         nb = neighbors_of(picked)
         new = nb[level[nb] < 0]
         if new.size:
-            blocked[new] = False
+            floor[new] = 0.0
             row_level[growing] = level[picked]
             row = new // n
             parent[new] = best[row]  # each growing row's pick; its other entries are not read
             level[new] = row_level[row] + 1
             cover(new)
-        blocked[picked] = True
+        floor[picked] = -np.inf
 
         best, top = weigh()
         grows = top > 0
@@ -297,7 +221,7 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
             uncovered = (alive[quiet] & (level_rows[quiet] < 0)).any(axis=1)
             for t in quiet[uncovered & (top[quiet] == 0)].tolist():
                 row_weights = weights[t]
-                row_weights[count_rows[t] == 0] = -1.0
+                row_weights[count_rows[t] == 0] = -np.inf
                 best[t] = row_weights.argmax()
                 top[t] = row_weights[best[t]]
             revived = uncovered & (top[quiet] >= 0)
@@ -305,11 +229,9 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
             ending = quiet[~revived]
             connected[ending] = ~uncovered[~revived]
             finished[ending] = True
-            blocked_rows[ending] = True
-            weights[ending] = top[ending] = -1.0
             done += ending.size
             growing = grows.nonzero()[0]
-        break_ties(growing, best, top, done)
+        break_ties(growing, best, top)
         picked = offset[growing] + best[growing]
 
     return (np.where(connected, roots, -1), parent.reshape(trials, n), level_rows,

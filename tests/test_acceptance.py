@@ -361,7 +361,7 @@ def test_criterion_11_byte_identical_csv(tmp_path):
         for extra, path in ((
                 [], agg), (["--per-round"], rounds)):
             proc = subprocess.run(
-                [sys.executable, "-m", "gathersim.cli", *args, *extra, "--out", str(path)],
+                [sys.executable, "-m", "gathersim", *args, *extra, "--out", str(path)],
                 capture_output=True, text=True, timeout=600, env=env)
             assert proc.returncode == 0, proc.stderr
         outs.append((agg.read_bytes(), rounds.read_bytes()))

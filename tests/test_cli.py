@@ -289,6 +289,18 @@ def test_data_goes_to_stdout_without_out_flag(capsys):
     assert captured.err == ""
 
 
+def test_module_entry_prints_what_main_prints(capsys):
+    # `python -m gathersim` runs the CLI without runpy's warning about a
+    # module imported before its execution
+    src = str(Path(gathersim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "gathersim", *FAST], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert main(FAST) == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+
+
 def test_compare_protocols_degenerate_single_node():
     # one node 250 m from the sink: every protocol completes floor(1/debit)
     # rounds, the delays collapse to 0 or 1

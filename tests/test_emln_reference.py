@@ -6,7 +6,9 @@ that module's record holds, read through the arrays and views, with the
 same element types, the same delay, and ledgers equal byte for byte. The
 cases cover geometric deployments at three ranges, equal energies (ties
 from round 1 on), random energies with and without exact zeros, dead
-nodes, disconnected graphs, a single node and one 2,000-node deployment.
+nodes, disconnected graphs, a single node, one 2,000-node deployment with
+equal and with random energies, and two small graphs whose only tied maxima
+are the first and the last id, at the root pick and at a later promotion.
 ``construct_trees``, ``compute_delays`` and ``trees_round_energy`` take the
 same inputs stacked, 1, 3 or 10 trials at a time, and each row must be the
 reference's tree, delay and ledger. A stack of clumped layouts, whose
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 import reference_emln as ref
-from conftest import random_geometric_snapshot, seeded_nodes
+from conftest import random_geometric_snapshot, seeded_nodes, snapshot_from_adjacency
 
 from gathersim import (FieldConfig, GatherTree, Nodes, RadioParams, build_graph,
                        compute_delay, construct_tree, deploy, derive_seed, tree_round_energy)
@@ -123,13 +125,55 @@ def test_single_node_matches_reference(energy):
     assert tree.intermediate_set == {0} and not tree.leaf_set
 
 
-def test_two_thousand_nodes_match_reference():
+@pytest.mark.parametrize("mode", ["equal", "random"])
+def test_two_thousand_nodes_match_reference(mode):
+    # equal energies are round 1's: ties at the root pick and at promotions
     field = FieldConfig(width=447.2, height=447.2, node_count=2000,
                         sink_position=(223.6, 647.2))
     graph = build_graph(deploy(field, derive_seed(5, 0)), 25.0)
-    energies = energies_for("random", field.node_count, 5)
+    energies = energies_for(mode, field.node_count, 5)
     tree = assert_same_round(graph, energies, derive_seed(5, 1), sink=field.sink_position)
     assert tree is not None
+    assert root_pick_is_tied(graph, energies) == (mode == "equal")
+
+
+# Nine nodes with equal energies, whose only tied maxima are the row's first
+# and last ids, 0 and 8. "root": hubs 0 and 8 share node 4 and tie for the
+# root. "promotion": root 4 covers 0 and 8, which then tie with two uncovered
+# neighbors each, one of them shared (6), so node 6's parent shows the pick.
+EDGE_TIES = {
+    "root": [[1, 2, 3, 4], [0], [0], [0], [0, 8], [8], [8], [8], [4, 5, 6, 7]],
+    "promotion": [[1, 4, 6], [0], [4], [4], [0, 2, 3, 5, 8], [4], [0, 8], [8], [4, 6, 7]],
+}
+
+
+def edge_pick(case: str, root: int, parent: np.ndarray) -> int:
+    """Which of nodes 0 and 8 won the tie: the root, or the parent of node 6."""
+    return root if case == "root" else int(parent[6])
+
+
+@pytest.mark.parametrize("case", list(EDGE_TIES))
+def test_ties_at_both_ends_of_a_row_match_reference(case):
+    graph = snapshot_from_adjacency(EDGE_TIES[case])
+    energies = np.ones(9)
+    picks = set()
+    for seed in range(40):
+        tree = assert_same_round(graph, energies, seed)
+        picks.add(edge_pick(case, tree.root, tree.parent))
+    assert picks == {0, 8}
+    picks = set()
+    stacked = stack_graphs([graph] * 3)
+    for first in range(0, 40, 3):
+        seeds = list(range(first, first + 3))
+        roots, parent, level, intermediate = construct_trees(stacked, np.ones((3, 9)), seeds)
+        for t, seed in enumerate(seeds):
+            want = ref.construct_tree(graph, energies, seed)
+            assert roots[t] == want.root
+            assert parent[t].tobytes() == want.parent.tobytes()
+            assert level[t].tobytes() == want.level.tobytes()
+            assert intermediate[t].tolist() == [v in want.intermediate_set for v in range(9)]
+            picks.add(edge_pick(case, int(roots[t]), parent[t]))
+    assert picks == {0, 8}
 
 
 @pytest.mark.parametrize("mode", ["equal", "random", "zeros", "012", "none"])
