@@ -12,8 +12,9 @@ the first argument for tighter statistics.
 """
 
 import sys
+from dataclasses import replace
 
-from gathersim import SimConfig, range_sweep
+from gathersim import SimConfig, run_grid
 
 trials = int(sys.argv[1]) if len(sys.argv) > 1 else 12
 config = SimConfig(trials=trials, master_seed=7)
@@ -23,7 +24,9 @@ print(f"{trials} trials per range, 100 nodes, 100x100 m field, 1 J per node\n")
 header = (f"{'range':>6} {'conn':>6} {'life (rounds)':>14} {'mJ/round':>9} "
           f"{'delay':>6} {'e*d':>7} {'leaf %':>7}")
 print(header)
-for agg in range_sweep(config, ranges, workers=2):
+# one grid: every range's trials run together, on the same deployments
+for result in run_grid([replace(config, range_m=r) for r in ranges], workers=2):
+    agg = result.aggregate
     leaf = "-" if agg.mean_leaf_fraction is None else f"{agg.mean_leaf_fraction:.1%}"
     print(f"{agg.range_m:>6.0f} {agg.connectivity:>6.3f} "
           f"{agg.mean_lifetime:>8.0f} +/- {agg.sd_lifetime:<4.0f}"

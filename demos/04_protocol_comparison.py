@@ -9,15 +9,17 @@ network lasts before the first battery dies.
 """
 
 import sys
+from dataclasses import replace
 
-from gathersim import SimConfig, compare_protocols
+from gathersim import PROTOCOLS, SimConfig, run_grid
 
 trials = int(sys.argv[1]) if len(sys.argv) > 1 else 12
 config = SimConfig(trials=trials, master_seed=7)
 
 print(f"{trials} trials per protocol, identical deployments, range 25 m for the tree\n")
 print(f"{'protocol':>14} {'mJ/round':>9} {'delay':>7} {'e*d':>8} {'lifetime':>9}")
-rows = compare_protocols(config, workers=2)
+rows = [r.aggregate for r in run_grid([replace(config, protocol=p) for p in PROTOCOLS],
+                                      workers=2)]
 for agg in rows:
     print(f"{agg.protocol:>14} {agg.mean_energy_per_round * 1e3:>9.2f} "
           f"{agg.mean_delay_per_round:>7.1f} {agg.mean_energy_delay:>8.3f} "

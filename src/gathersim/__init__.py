@@ -12,8 +12,7 @@ from .baselines import (build_chain, direct_round, leach_elect, leach_round, peg
 from .cli import emit_results, main, parse_config
 from .emln import GatherTree, compute_delay, construct_tree, dump_tree, validate_tree
 from .engine import (PROTOCOLS, STOP_RULES, ExperimentAggregate, ExperimentResult,
-                     SimConfig, SimulationReport, compare_protocols, range_sweep,
-                     run_experiment, run_trial)
+                     SimConfig, SimulationReport, run_experiment, run_grid, run_trial)
 from .network import (FieldConfig, NetworkSnapshot, Nodes, NodeState, alive_of, build_graph,
                       deploy, energies_of, is_connected, positions_of, read_placement,
                       write_placement)
@@ -25,11 +24,10 @@ __version__ = "0.1.0"
 __all__ = [
     "PROTOCOLS", "STOP_RULES", "EnergyLedger", "ExperimentAggregate", "ExperimentResult",
     "FieldConfig", "GatherTree", "NetworkSnapshot", "NodeState", "Nodes", "RadioParams",
-    "SimConfig", "SimulationReport", "alive_of", "build_chain", "build_graph",
-    "compare_protocols", "compute_delay", "construct_tree", "deploy", "derive_seed",
-    "direct_round", "dump_tree", "emit_results", "energies_of", "is_connected", "leach_elect",
-    "leach_round", "main", "make_rng", "parse_config", "pegasis_cdma_round",
-    "pegasis_tdma_round", "positions_of", "range_sweep", "read_placement", "run_experiment",
-    "run_trial", "splitmix64", "tree_round_energy", "tx_cost", "validate_tree",
-    "write_placement",
+    "SimConfig", "SimulationReport", "alive_of", "build_chain", "build_graph", "compute_delay",
+    "construct_tree", "deploy", "derive_seed", "direct_round", "dump_tree", "emit_results",
+    "energies_of", "is_connected", "leach_elect", "leach_round", "main", "make_rng",
+    "parse_config", "pegasis_cdma_round", "pegasis_tdma_round", "positions_of", "read_placement",
+    "run_experiment", "run_grid", "run_trial", "splitmix64", "tree_round_energy", "tx_cost",
+    "validate_tree", "write_placement",
 ]

@@ -18,7 +18,7 @@ from dataclasses import replace
 from functools import cache
 
 from .engine import (PROTOCOL_ROUNDS, PROTOCOLS, STOP_RULES, ExperimentAggregate, SimConfig,
-                     SimulationReport, compare_protocols, range_sweep, run_experiment)
+                     SimulationReport, run_grid)
 
 AGGREGATE_COLUMNS = ("protocol", "range", "trials", "connectivity", "mean_lifetime",
                      "sd_lifetime", "mean_energy_per_round", "mean_delay_per_round",
@@ -201,21 +201,18 @@ def main(argv=None) -> int:
         print(f"gathersim: error: {exc}", file=sys.stderr)
         return 2
 
+    if args.compare:
+        configs = [replace(config, protocol=protocol) for protocol in PROTOCOLS]
+    elif sweep:
+        configs = [replace(config, range_m=range_m) for range_m in sweep]
+    else:
+        configs = [config]
     try:
-        if args.compare:
-            rows = [aggregate_row(a) for a in compare_protocols(config, workers=args.workers)]
-            columns = AGGREGATE_COLUMNS
-        elif sweep:
-            rows = [aggregate_row(a) for a in range_sweep(config, sweep, workers=args.workers)]
-            columns = AGGREGATE_COLUMNS
-        elif args.per_round:
-            result = run_experiment(config, workers=args.workers, keep_reports=True)
-            rows = list(per_round_rows(result.reports))
-            columns = PER_ROUND_COLUMNS
+        results = run_grid(configs, workers=args.workers, keep_reports=args.per_round)
+        if args.per_round:
+            rows, columns = list(per_round_rows(results[0].reports)), PER_ROUND_COLUMNS
         else:
-            result = run_experiment(config, workers=args.workers)
-            rows = [aggregate_row(result.aggregate)]
-            columns = AGGREGATE_COLUMNS
+            rows, columns = [aggregate_row(r.aggregate) for r in results], AGGREGATE_COLUMNS
         emit_results(rows, columns, fmt=args.format, out=args.out)
     except (OSError, MemoryError) as exc:
         print(f"gathersim: error: {str(exc) or 'out of memory'}", file=sys.stderr)

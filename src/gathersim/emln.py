@@ -105,12 +105,11 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
     overhead is the cost, as at 100 nodes, many trees cost little more than
     one.
 
-    The neighbor lists come from ``graph.neighbor_table``, built on first
-    use and cached on the snapshot, so a caller that grows many rounds of
-    trees reuses one stacked graph. A step gathers the table rows of its
-    picks, and of the nodes they cover, with one index each; the sentinel id
-    T·n pads the rows, and its level of 0 makes it count as covered. Only
-    lists longer than the table's width read the rest from the CSR arrays.
+    A step gathers the neighbor lists of its picks, and of the nodes they
+    cover, with one ``graph.neighbors_of`` call each. Its padded table is
+    built on first use and cached on the snapshot, so a caller that grows
+    many rounds of trees reuses one stacked graph. The sentinel id T·n pads
+    the lists, and its level of 0 makes it count as covered.
     """
     tie_seeds = list(tie_seeds)
     trials = len(tie_seeds)
@@ -126,13 +125,11 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
     if not alive.any(axis=1).all():
         raise ValueError("a trial's graph has no alive node")
 
-    indptr, indices, degrees = graph.indptr, graph.indices, graph.degrees
-    table, spills = graph.neighbor_table
-    width = table.shape[1]
+    neighbors_of = graph.neighbors_of
     # uncovered-neighbor counts, held as floats: count * energy is then the
     # float product that an int64 count times a float64 energy casts to; the
     # sentinel's slot, the last, takes the sentinel's debits and is never read
-    count = np.append(degrees, 0.0)
+    count = np.append(graph.degrees, 0.0)
     count_rows = count[:size].reshape(trials, n)
     parent = np.full(size, -1, dtype=np.int64)
     # >= 0 exactly for covered nodes; the sentinel, at level 0, counts as covered
@@ -151,22 +148,6 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
     connected = np.ones(trials, dtype=bool)
     finished = np.zeros(trials, dtype=bool)  # complete or disconnected
     row_level = np.zeros(trials, dtype=np.int64)
-
-    def neighbors_of(ids: np.ndarray) -> np.ndarray:
-        """The neighbors of ``ids``, with sentinels, in no set order.
-
-        One gather of their table rows; the lists longer than the table's
-        width add the rest of their neighbors from the CSR arrays.
-        """
-        nb = table.take(ids, axis=0).ravel()
-        if spills:
-            long = ids[degrees[ids] > width]
-            if long.size:
-                counts = degrees[long] - width
-                ends = counts.cumsum()
-                starts = indptr[long] + width - ends + counts
-                nb = np.concatenate((nb, indices[np.arange(ends[-1]) + np.repeat(starts, counts)]))
-        return nb
 
     def cover(ids: np.ndarray) -> None:
         """Debit the uncovered-neighbor counts of the newly covered ``ids``' neighbors."""

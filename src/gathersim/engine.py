@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 from itertools import islice
 
 import numpy as np
@@ -472,9 +472,8 @@ def run_trial(config: SimConfig, trial_seed: int) -> SimulationReport:
     rounds and is flagged ``connected=False``; aggregation excludes it from
     everything except the connectivity fraction.
 
-    This is the runner's one-cell case: ``run_experiment``,
-    ``range_sweep`` and ``compare_protocols`` step many trials together and
-    give the same reports.
+    This is the runner's one-cell case: ``run_grid`` steps many trials
+    together and gives the same reports.
     """
     config.validate()
     return _run_cells([(config, trial_seed)])[0]
@@ -537,46 +536,29 @@ def _aggregate(config: SimConfig, reports: list[SimulationReport]) -> Experiment
     )
 
 
-def _run_grid(configs: list[SimConfig], workers: int) -> list[list[SimulationReport]]:
-    """Each config's trial reports, trial i seeded derive_seed(master_seed, i), in one run."""
+def run_grid(configs: list[SimConfig], workers: int = 1,
+             keep_reports: bool = False) -> list[ExperimentResult]:
+    """Run every config's ``trials`` independent trials in one run, and aggregate each.
+
+    Trial i of a config uses seed derive_seed(master_seed, i), so any subset
+    of trials reproduces identically, and configs that differ only in
+    protocol or range see identical deployments. All the configs' trials
+    are the runner's cells, stepped together (``run_trial`` gives each one's
+    report alone). Each config's reduction runs in ascending trial order
+    whatever the execution order or degree of parallelism, keeping
+    aggregates bit-stable. Disconnected trials count only toward the
+    connectivity fraction. Returns one result per config, in order.
+    """
     for config in configs:
         config.validate()
     reports = iter(_run([(config, derive_seed(config.master_seed, i))
                          for config in configs for i in range(config.trials)], workers))
-    return [list(islice(reports, config.trials)) for config in configs]
+    grouped = [list(islice(reports, config.trials)) for config in configs]
+    return [ExperimentResult(_aggregate(config, trials), trials if keep_reports else None)
+            for config, trials in zip(configs, grouped)]
 
 
 def run_experiment(config: SimConfig, workers: int = 1,
                    keep_reports: bool = False) -> ExperimentResult:
-    """Run ``config.trials`` independent trials and aggregate them.
-
-    Trial i uses seed derive_seed(master_seed, i), so any subset of trials
-    reproduces identically and protocols compared under one master seed see
-    identical deployments. The trials are the runner's cells, stepped
-    together (``run_trial`` gives each one's report alone). Reduction runs
-    in ascending trial order whatever the execution order or degree of
-    parallelism, keeping aggregates bit-stable. Disconnected trials count
-    only toward the connectivity fraction.
-    """
-    reports = _run_grid([config], workers)[0]
-    return ExperimentResult(_aggregate(config, reports), reports if keep_reports else None)
-
-
-def range_sweep(config: SimConfig, ranges, workers: int = 1) -> list[ExperimentAggregate]:
-    """One experiment per transmission range, all under identical seeds.
-
-    Every range's trials are cells of one run, stepped together.
-    """
-    configs = [replace(config, range_m=float(r)) for r in ranges]
-    if not configs:
-        raise ValueError("range list must be nonempty")
-    return [_aggregate(c, reports) for c, reports in zip(configs, _run_grid(configs, workers))]
-
-
-def compare_protocols(config: SimConfig, workers: int = 1) -> list[ExperimentAggregate]:
-    """One experiment per protocol, all over identical deployments and seeds.
-
-    Every protocol's trials are cells of one run, stepped together.
-    """
-    configs = [replace(config, protocol=p) for p in PROTOCOLS]
-    return [_aggregate(c, reports) for c, reports in zip(configs, _run_grid(configs, workers))]
+    """Run ``config.trials`` independent trials and aggregate them: ``run_grid`` of one config."""
+    return run_grid([config], workers, keep_reports)[0]

@@ -114,8 +114,9 @@ class NetworkSnapshot:
 
     An edge joins two distinct alive nodes at most ``range_m`` apart. Node
     u's neighbours are ``indices[indptr[u]:indptr[u + 1]]``, ascending.
-    ``neighbor_table`` pads them to one width, so that ``construct_trees``
-    gathers the lists of many nodes with one index.
+    ``neighbor_table`` pads them to one width, so that ``neighbors_of``
+    gathers the lists of many nodes with one index, for ``construct_trees``
+    and ``is_connected``.
     """
 
     positions: np.ndarray
@@ -137,12 +138,6 @@ class NetworkSnapshot:
         return np.diff(self.indptr)
 
     @cached_property
-    def neighbor_arrays(self) -> tuple[np.ndarray, ...]:
-        """Per-node neighbour ids as slices of ``indices`` (views, not copies)."""
-        bounds = self.indptr.tolist()
-        return tuple(self.indices[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
-
-    @cached_property
     def neighbor_table(self) -> tuple[np.ndarray, bool]:
         """``(table, spills)``: the neighbour lists padded to one width with the sentinel id n.
 
@@ -162,6 +157,25 @@ class NetworkSnapshot:
         table[:n][np.arange(width) < degrees[:, None]] = indices  # row by row, in CSR order
         table.flags.writeable = False
         return table, width < most
+
+    def neighbors_of(self, ids: np.ndarray) -> np.ndarray:
+        """The neighbours of node ids ``ids`` (each below n), with sentinels n, in no set order.
+
+        One gather of their ``neighbor_table`` rows; the lists longer than
+        the table's width add the rest of their neighbours from the CSR arrays.
+        """
+        table, spills = self.neighbor_table
+        nb = table.take(ids, axis=0).ravel()
+        if spills:
+            width, degrees = table.shape[1], self.degrees
+            long = ids[degrees[ids] > width]
+            if long.size:
+                counts = degrees[long] - width
+                ends = counts.cumsum()
+                starts = self.indptr[long] + width - ends + counts
+                nb = np.concatenate((nb, self.indices[np.arange(ends[-1])
+                                                      + np.repeat(starts, counts)]))
+        return nb
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -271,23 +285,25 @@ def stack_graphs(graphs: Sequence[NetworkSnapshot]) -> NetworkSnapshot:
 def is_connected(graph: NetworkSnapshot) -> bool:
     """True iff every alive node is reachable from every other alive node.
 
-    Breadth-first search over the neighbour arrays, one frontier at a time.
+    Breadth-first search, one ``graph.neighbors_of`` gather per frontier.
+    The sentinel id n has a slot of its own, reached from the start, so it
+    never joins a frontier.
     """
-    alive = graph.alive
+    alive, n = graph.alive, graph.node_count
     alive_count = int(alive.sum())
     if alive_count == 0:
         raise ValueError("graph has no alive node")
-    neighbors = graph.neighbor_arrays
-    reached = np.zeros(graph.node_count, dtype=bool)
+    reached = np.zeros(n + 1, dtype=bool)
+    reached[n] = True
     frontier = np.flatnonzero(alive)[:1]
     reached[frontier] = True
     while frontier.size:
         fresh = np.zeros_like(reached)
-        fresh[np.concatenate([neighbors[u] for u in frontier.tolist()])] = True
+        fresh[graph.neighbors_of(frontier)] = True
         fresh &= ~reached
         reached |= fresh
         frontier = np.flatnonzero(fresh)
-    return int(reached.sum()) == alive_count
+    return int(reached[:n].sum()) == alive_count
 
 
 def read_placement(path) -> list[NodeState]:

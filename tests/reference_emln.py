@@ -65,7 +65,7 @@ def construct_tree(graph: NetworkSnapshot, energies, tie_seed: int) -> GatherTre
     if n_alive == 0:
         raise ValueError("graph has no alive node")
 
-    neighbors = graph.neighbor_arrays
+    neighbors = [graph.indices[a:b] for a, b in zip(graph.indptr[:-1], graph.indptr[1:])]
     # uncovered-neighbor counts, updated as coverage grows; equal to what a
     # full recount against the covered set would give at every iteration
     uncovered_count = graph.degrees.copy()

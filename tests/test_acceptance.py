@@ -27,7 +27,7 @@ from gathersim import (FieldConfig, GatherTree, RadioParams, SimConfig,
                        build_chain, build_graph, compute_delay, construct_tree,
                        deploy, derive_seed, direct_round, energies_of, is_connected,
                        leach_elect, leach_round, pegasis_cdma_round,
-                       pegasis_tdma_round, run_experiment, validate_tree)
+                       pegasis_tdma_round, run_grid, validate_tree)
 
 ACCEPT_SEED = 20260810
 N_LIFE = 48
@@ -64,23 +64,22 @@ def graphs_25m():
 
 @pytest.fixture(scope="module")
 def emln_experiments():
-    out = {}
-    for r, trials in ((25.0, N_LIFE), (35.0, N_LIFE), (50.0, N_LIFE),
-                      (15.0, N_GROWTH), (30.0, N_GROWTH), (45.0, N_GROWTH)):
-        cfg = SimConfig(field=FIELD, radio=PARAMS, protocol="emln", range_m=r,
-                        trials=trials, master_seed=ACCEPT_SEED)
-        out[r] = run_experiment(cfg, workers=WORKERS, keep_reports=True)
-    return out
+    # one grid: every range's trials are stepped together
+    configs = [SimConfig(field=FIELD, radio=PARAMS, protocol="emln", range_m=r,
+                         trials=trials, master_seed=ACCEPT_SEED)
+               for r, trials in ((25.0, N_LIFE), (35.0, N_LIFE), (50.0, N_LIFE),
+                                 (15.0, N_GROWTH), (30.0, N_GROWTH), (45.0, N_GROWTH))]
+    results = run_grid(configs, workers=WORKERS, keep_reports=True)
+    return {cfg.range_m: result for cfg, result in zip(configs, results)}
 
 
 @pytest.fixture(scope="module")
 def baseline_experiments():
-    out = {}
-    for proto in ("leach", "pegasis-tdma", "pegasis-cdma", "direct"):
-        cfg = SimConfig(field=FIELD, radio=PARAMS, protocol=proto,
-                        trials=N_LIFE, master_seed=ACCEPT_SEED)
-        out[proto] = run_experiment(cfg, workers=WORKERS, keep_reports=True)
-    return out
+    configs = [SimConfig(field=FIELD, radio=PARAMS, protocol=proto,
+                         trials=N_LIFE, master_seed=ACCEPT_SEED)
+               for proto in ("leach", "pegasis-tdma", "pegasis-cdma", "direct")]
+    results = run_grid(configs, workers=WORKERS, keep_reports=True)
+    return {cfg.protocol: result for cfg, result in zip(configs, results)}
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from conftest import read_aggregate_csv
 import gathersim
-from gathersim import NodeState, cli, compare_protocols, parse_config
+from gathersim import PROTOCOLS, NodeState, cli, parse_config, run_grid
 from gathersim.cli import AGGREGATE_COLUMNS, PER_ROUND_COLUMNS, aggregate_row, main, render
 from gathersim.engine import FieldConfig, SimConfig
 
@@ -273,10 +274,10 @@ def test_unwritable_out_path_fails(tmp_path):
 @pytest.mark.parametrize("message", ["Unable to allocate 149. GiB for an array", ""])
 def test_size_beyond_memory_fails_with_an_error_line(message, monkeypatch, capsys):
     # stands in for a run that cannot allocate its nodes; nothing is allocated
-    def run_experiment(*args, **kwargs):
+    def run_grid(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    monkeypatch.setattr(cli, "run_grid", run_grid)
     assert main(["--nodes", "10000000000"]) == 1
     err = capsys.readouterr().err
     assert err == f"gathersim: error: {message or 'out of memory'}\n"
@@ -301,13 +302,13 @@ def test_module_entry_prints_what_main_prints(capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
 
 
-def test_compare_protocols_degenerate_single_node():
+def test_protocol_grid_degenerate_single_node():
     # one node 250 m from the sink: every protocol completes floor(1/debit)
     # rounds, the delays collapse to 0 or 1
     node = (NodeState(0, (50.0, 50.0), 1.0),)
     cfg = SimConfig(field=FieldConfig(node_count=1), trials=1,
                     nodes_override=node, master_seed=4)
-    rows = compare_protocols(cfg)
+    rows = [r.aggregate for r in run_grid([replace(cfg, protocol=p) for p in PROTOCOLS])]
     sink_tx = 1.26e-2
     fuse_own = 5e-9 * 2000
     for row in rows:

@@ -225,16 +225,23 @@ def clumped_graph(seed: int):
 
 
 def assert_table_holds_the_lists(graph) -> bool:
-    """The table's bound and rows against the CSR lists; returns whether it spills."""
+    """The table's bound and rows, and each node's gather, against the CSR lists.
+
+    Returns whether the table spills.
+    """
     table, spills = graph.neighbor_table
     size, width = graph.node_count, table.shape[1]
     assert table.dtype == np.int64 and table.shape[0] == size + 1
     assert table.size <= 4 * (graph.indices.size + size + 1)
     assert spills == (graph.degrees > width).any()
     assert (table[size] == size).all()
-    for u, nbrs in enumerate(graph.neighbor_arrays):
+    for u in range(size):
+        nbrs = graph.indices[graph.indptr[u]:graph.indptr[u + 1]]
         kept = min(nbrs.size, width)
         assert table[u, :kept].tolist() == nbrs[:kept].tolist() and (table[u, kept:] == size).all()
+        # the gather adds a spilled list's tail: without sentinels, it is the whole list
+        got = graph.neighbors_of(np.array([u]))
+        assert sorted(got[got < size].tolist()) == nbrs.tolist()
     return spills
 
 

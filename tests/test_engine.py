@@ -1,13 +1,13 @@
 import concurrent.futures
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
 from gathersim import (FieldConfig, NodeState, RadioParams, SimConfig, derive_seed,
-                       run_experiment, run_trial)
+                       run_experiment, run_grid, run_trial)
 from gathersim import engine
-from gathersim.engine import range_sweep
 
 SMALL = SimConfig(field=FieldConfig(width=40.0, height=40.0, node_count=20,
                                     sink_position=(20.0, 120.0)),
@@ -154,13 +154,13 @@ def test_parallel_workers_match_serial():
     assert serial == parallel
 
 
-def test_compare_protocols_workers_match_serial():
+def test_protocol_grid_workers_match_serial():
     # every protocol's trials are cells of one run, so the workers share them
     cfg = small(trials=3, stop_rule="energy-exhausted")
-    serial = engine.compare_protocols(cfg, workers=1)
-    assert engine.compare_protocols(cfg, workers=2) == serial
-    assert serial == [run_experiment(dataclasses.replace(cfg, protocol=p)).aggregate
-                      for p in engine.PROTOCOLS]
+    configs = [dataclasses.replace(cfg, protocol=p) for p in engine.PROTOCOLS]
+    serial = [r.aggregate for r in run_grid(configs, workers=1)]
+    assert [r.aggregate for r in run_grid(configs, workers=2)] == serial
+    assert serial == [run_experiment(c).aggregate for c in configs]
 
 
 def test_worker_pool_never_outnumbers_the_trials(monkeypatch):
@@ -204,14 +204,35 @@ def test_connectivity_fraction_counts_disconnected_trials(monkeypatch):
     assert agg.mean_leaf_fraction is None
 
 
-def test_range_sweep_matches_individual_experiments():
+def test_range_grid_matches_individual_experiments():
     cfg = small(trials=2)
-    rows = range_sweep(cfg, [14.0, 18.0])
+    rows = [r.aggregate for r in run_grid([dataclasses.replace(cfg, range_m=r)
+                                           for r in (14.0, 18.0)])]
     assert [r.range_m for r in rows] == [14.0, 18.0]
     solo = run_experiment(dataclasses.replace(cfg, range_m=14.0)).aggregate
     assert rows[0] == solo
-    with pytest.raises(ValueError):
-        range_sweep(cfg, [])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mixed_grid_matches_separate_experiments(workers):
+    # two protocols by two ranges, with unequal trial counts: each config's
+    # trials are the next cells of the one run
+    configs = [small(protocol=p, range_m=r, trials=trials, stop_rule="energy-exhausted")
+               for p, r, trials in (("emln", 14.0, 3), ("emln", 18.0, 1),
+                                    ("leach", 14.0, 2), ("leach", 18.0, 4))]
+    grid = run_grid(configs, workers=workers, keep_reports=True)
+    solo = [run_experiment(c, keep_reports=True) for c in configs]
+    assert [len(r.reports) for r in grid] == [3, 1, 2, 4]
+    # repr spells every float exactly, NaN and -0.0 included; in arrays too,
+    # with every element printed in its shortest round-trip form
+    with np.printoptions(floatmode="unique", threshold=sys.maxsize):
+        assert repr([r.aggregate for r in grid]) == repr([r.aggregate for r in solo])
+        assert repr([r.reports for r in grid]) == repr([r.reports for r in solo])
+
+
+def test_empty_grid_runs_nothing():
+    assert run_grid([]) == []
+    assert run_grid([], workers=2, keep_reports=True) == []
 
 
 def test_leaf_fraction_only_for_tree_protocol():

@@ -133,13 +133,13 @@ def test_lockstep_tree_experiments_match_the_per_round_loop(trials, rebuild_peri
         assert_same_report(got, ref.run_trial(config, derive_seed(config.master_seed, trial)))
 
 
-def test_range_sweep_trees_grown_together_match_one_by_one():
-    # a sweep steps every range's trials together, so its lockstep trees
+def test_range_grid_trees_grown_together_match_one_by_one():
+    # a grid steps every range's trials together, so its lockstep trees
     # stack graphs of two ranges; an experiment per range stacks one range's
     config = dataclasses.replace(TREE_CONFIG, trials=4, stop_rule="energy-exhausted")
-    swept = engine.range_sweep(config, [14.0, 18.0])
-    assert swept == [run_experiment(dataclasses.replace(config, range_m=r)).aggregate
-                     for r in (14.0, 18.0)]
+    configs = [dataclasses.replace(config, range_m=r) for r in (14.0, 18.0)]
+    swept = [result.aggregate for result in engine.run_grid(configs)]
+    assert swept == [run_experiment(c).aggregate for c in configs]
 
 
 @pytest.mark.parametrize("protocol", ["emln", "leach"])

@@ -9,7 +9,9 @@ recorded before the LEACH and PEGASIS rounds moved from per-node loops to
 arrays, from the versions kept in tests/reference_baselines.py. The two
 2,000-node PEGASIS hashes were recorded before the greedy chain moved from a
 scan of every alive node at every step to neighbour lists, from the scan kept
-in tests/reference_network.py. Criterion 11 only
+in tests/reference_network.py. The range-sweep and JSON compare hashes were
+recorded before the CLI ran every mode as one ``run_grid`` call, from the
+per-mode runners of that time. Criterion 11 only
 compares two runs of the same code; these pin the output across versions.
 Change a hash only together with a stated reason for the new output.
 """
@@ -35,6 +37,14 @@ GOLDEN = {
          "--sink-x", "100", "--sink-y", "400", "--trials", "2",
          "--initial-energy", "0.05", "--seed", "1"],
         "7f73cbf725db2beb0d88d68fb064f77c602d8b2a48301708a6b5bdd127509ebe"),
+    # range 15 leaves one trial of three disconnected
+    "sweep": (
+        ["--sweep", "15,25,35", "--trials", "3", "--initial-energy", "0.03", "--seed", "1"],
+        "ed98a9e87ee79e962ea498d4daeae41343fda3017b8d87b5bd6b4112b74e8d4b"),
+    "compare-json": (
+        ["--compare", "--format", "json", "--trials", "3", "--initial-energy", "0.05",
+         "--seed", "2"],
+        "e262985ebd74790d47659865635be2d4106bb6bdbc74eacfae7bf5bd9d14a605"),
 }
 # rounds after the first death: the alive sub-chain shrinks and the LEACH
 # eligible pool resets early

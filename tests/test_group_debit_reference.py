@@ -1,7 +1,7 @@
 """Groups of trials whose blocks differ in shape, against the per-round loop.
 
 A lockstep step debits the blocks of every live trial of a group, one call
-per block shape (rows, n). ``compare_protocols`` mixes shapes in one group:
+per block shape (rows, n). A grid of every protocol mixes shapes in one group:
 at 100 nodes the EMLN trials' blocks hold one round and the baselines' ten
 (``BLOCK_ENTRIES // 100``), and at 600 nodes every block holds one round.
 Each report must be the per-round loop's of tests/reference_engine.py byte
@@ -23,11 +23,12 @@ def assert_compared_protocols_match(config: SimConfig):
     configs = [dataclasses.replace(config, protocol=p) for p in PROTOCOLS]
     want = [[ref.run_trial(c, derive_seed(c.master_seed, trial)) for trial in range(c.trials)]
             for c in configs]
-    for got_reports, want_reports in zip(engine._run_grid(configs, 1), want, strict=True):
-        for got, expected in zip(got_reports, want_reports, strict=True):
+    results = engine.run_grid(configs, keep_reports=True)
+    for result, want_reports in zip(results, want, strict=True):
+        for got, expected in zip(result.reports, want_reports, strict=True):
             assert_same_report(got, expected)
     # repr spells every float exactly, NaN and -0.0 included
-    assert repr(engine.compare_protocols(config)) == repr(
+    assert repr([result.aggregate for result in results]) == repr(
         [engine._aggregate(c, reports) for c, reports in zip(configs, want)])
 
 

@@ -9,7 +9,9 @@ handed to it as one. The cases
 cover seeded deployments at three ranges with and without dead nodes,
 lattices whose pairs sit exactly at the range and on cell edges, coincident
 points, a range longer than the field's diagonal, a non-square field, a
-single node and one 2,000-node deployment. The chain has cases of its own:
+single node and one 2,000-node deployment; the connectivity test also runs
+on clumped layouts whose lists spill past the neighbor table's width, with
+and without dead nodes. The chain has cases of its own:
 collinear and coincident nodes (no neighbour lists), two nodes, dead nodes
 at 2,000 nodes, clumps whose lists run out, a candidate exactly at the list
 radius and an 8,000-node deployment.
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 
 import reference_network as ref
+from test_emln_reference import clumped_graph
 
 from gathersim import (FieldConfig, Nodes, NodeState, build_chain, build_graph, deploy,
                        derive_seed, is_connected, positions_of)
@@ -84,17 +87,17 @@ def assert_matches_reference(nodes, range_m, sink=SINK):
     graph = build_graph(nodes, range_m)
     expected = ref.build_graph(states_of(nodes), range_m)
     assert graph.adjacency == expected.adjacency
-    # the CSR arrays hold exactly the reference lists, and the views are slices of them
-    lists = expected.adjacency
+    # the CSR arrays hold exactly the reference lists, and the gather gives each list
+    lists, n = expected.adjacency, graph.node_count
     assert graph.indptr.tolist() == np.cumsum([0] + [len(nbrs) for nbrs in lists]).tolist()
     assert graph.indices.tolist() == [v for nbrs in lists for v in nbrs]
     assert graph.indices.dtype == graph.degrees.dtype == np.int64
     assert graph.degrees.tolist() == [len(nbrs) for nbrs in lists]
-    assert len(graph.neighbor_arrays) == len(lists)
-    for got, want in zip(graph.neighbor_arrays, lists):
-        assert got.tolist() == list(want) and got.dtype == np.int64
-        assert not want or np.shares_memory(got, graph.indices)
-    assert graph.neighbor_arrays is graph.neighbor_arrays  # built once per graph
+    for u, want in enumerate(lists):
+        assert graph.indices[graph.indptr[u]:graph.indptr[u + 1]].tolist() == list(want)
+        got = graph.neighbors_of(np.array([u]))
+        assert got.dtype == np.int64 and sorted(got[got < n].tolist()) == list(want)
+    assert graph.neighbor_table is graph.neighbor_table  # built once per graph
     alive = graph.alive
     if alive.any():
         assert is_connected(graph) == ref.is_connected(expected)
@@ -201,6 +204,21 @@ def test_large_round1_sized_deployment():
     field = FieldConfig(width=447.2, height=447.2, node_count=2000, sink_position=(223.6, 647.2))
     nodes = with_dead(deploy(field, 1), 1, fraction=0.05)
     assert_matches_reference(nodes, 25.0, sink=field.sink_position)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+@pytest.mark.parametrize("dead", [False, True])
+def test_connectivity_reads_the_spilled_lists(seed, dead):
+    # the clump's lists are longer than the table's width, and its nodes
+    # reach the spread nodes only through the spilled tails; seed 1's spread
+    # nodes are not all connected
+    graph = clumped_graph(seed)
+    if dead:  # every fourth clump node and every 50th node in all
+        ids = np.arange(graph.node_count)
+        alive = ~(((ids < 150) & (ids % 4 == 1)) | (ids % 50 == 7))
+        graph = build_graph(Nodes(graph.positions, np.full(ids.size, 0.03), alive), 25.0)
+    assert graph.neighbor_table[1]  # some list spills
+    assert is_connected(graph) == ref.is_connected(graph)
 
 
 def test_graph_of_20000_nodes_stays_far_below_the_dense_footprint():
