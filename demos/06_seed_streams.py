@@ -12,10 +12,16 @@ against numpy itself:
    seeds 0, 1, 2^32 - 1, 2^32 and 2^64 - 1;
 2. the full ``bit_generator.state`` of ``RoundStream(trial_seed)(a)``
    against ``make_rng(derive_seed(trial_seed, a))``, for 200 attempts of
-   each of 25 trial seeds, masked ones such as -1 and 2^64 + 5 among them.
+   each of 25 trial seeds, masked ones such as -1 and 2^64 + 5 among them;
+3. the PEGASIS leaders ``RoundStream(trial_seed).integers(1, 200, m)``,
+   computed from the PCG64 states without a Generator, against
+   ``make_rng(derive_seed(trial_seed, a)).integers(m)`` for the same
+   attempts and chain sizes m from 1 to 2^32.
 
 It then prints the time per round seed of ``make_rng(derive_seed(...))``
-and of ``RoundStream``, walked attempt by attempt. The check takes about half a minute; pass a seed
+and of ``RoundStream``, walked attempt by attempt, and the time per leader
+of a 100-node chain drawn through the stream's Generator and computed by
+``RoundStream.integers``. The check takes about half a minute; pass a seed
 count to change it, for example ``python demos/06_seed_streams.py 10000``.
 """
 
@@ -29,6 +35,9 @@ from gathersim.seeding import RoundStream, pcg64_states
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 CHUNK = 10_000
+# no draw at 1; numpy redraws about half of all words at 2^31 + 11
+LEADER_SIZES = (1, 2, 3, 100, 2**31 - 1, 2**31 + 11, 2**32)
+ENGINE_ROWS = 10  # rounds per engine block at 100 nodes
 
 
 def check_states(count: int) -> int:
@@ -57,6 +66,16 @@ def check_streams(trial_seeds, attempts: int) -> int:
     return len(trial_seeds) * attempts
 
 
+def check_leaders(trial_seeds, attempts: int) -> int:
+    for trial_seed in trial_seeds:
+        for m in LEADER_SIZES:
+            leaders = RoundStream(trial_seed).integers(1, attempts, m)
+            for a, leader in enumerate(leaders, 1):
+                if leader != make_rng(derive_seed(trial_seed, a)).integers(m):
+                    sys.exit(f"trial seed {trial_seed}, attempt {a}, m {m}: leaders differ")
+    return len(trial_seeds) * len(LEADER_SIZES) * attempts
+
+
 def per_seed_us(fn, rounds: int) -> float:
     t0 = perf_counter()
     fn(rounds)
@@ -74,6 +93,18 @@ def streamed(rounds: int) -> None:
         stream(a)
 
 
+def generator_leaders(rounds: int) -> None:
+    stream = RoundStream(12345)
+    for a in range(1, rounds + 1):
+        int(stream(a).integers(100))
+
+
+def computed_leaders(rounds: int) -> None:
+    stream = RoundStream(12345)
+    for a in range(1, rounds + 1, ENGINE_ROWS):
+        stream.integers(a, ENGINE_ROWS, 100)
+
+
 def main() -> None:
     count = int(sys.argv[1]) if len(sys.argv) > 1 else 1_000_000
     t0 = perf_counter()
@@ -84,15 +115,22 @@ def main() -> None:
     attempts = check_streams(trial_seeds, 200)
     print(f"RoundStream(t)(a) == make_rng(derive_seed(t, a)) for {attempts:,} attempts "
           f"of {len(trial_seeds)} trial seeds")
+    leaders = check_leaders(trial_seeds, 200)
+    print(f"RoundStream(t).integers(1, 200, m) == make_rng(derive_seed(t, a)).integers(m) "
+          f"for {leaders:,} attempts, m in {LEADER_SIZES}")
 
     rounds = 64 * 100
-    samples = {"make_rng(derive_seed)": [], "RoundStream": []}
-    for _ in range(5):  # interleaved, so a burst of host load hits both
-        samples["make_rng(derive_seed)"].append(per_seed_us(fresh, rounds))
-        samples["RoundStream"].append(per_seed_us(streamed, rounds))
+    timed = {"make_rng(derive_seed)": (fresh, "round seed"),
+             "RoundStream": (streamed, "round seed"),
+             "stream(a).integers(100)": (generator_leaders, "leader"),
+             "RoundStream.integers": (computed_leaders, "leader")}
+    samples = {name: [] for name in timed}
+    for _ in range(5):  # interleaved, so a burst of host load hits all
+        for name, (fn, _unit) in timed.items():
+            samples[name].append(per_seed_us(fn, rounds))
     for name, times in samples.items():
         times.sort()
-        print(f"{name:>22}: {times[0]:.2f} us per round seed "
+        print(f"{name:>23}: {times[0]:.2f} us per {timed[name][1]} "
               f"(min of 5 runs of {rounds:,}; median {times[2]:.2f})")
 
 

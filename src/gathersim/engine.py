@@ -198,7 +198,7 @@ class _ChainRounds(_Rounds):
         if self.links is None:
             self.links = AliveChain(self.chain, self.nodes.alive, self.nodes.positions,
                                     self.sink, self.config.radio)
-        leaders = [self.links.draw_leader(self.stream(a)) for a in range(attempt, attempt + rows)]
+        leaders = self.stream.integers(attempt, rows, self.links.sub.size)
         ledger, delays = self.ledgers(self.links, leaders)
         return ledger.per_node, delays, None
 

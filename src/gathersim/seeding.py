@@ -6,7 +6,9 @@ portable mixing function, so every run can be reproduced bit-exactly from
 its master seed on any platform. Draws themselves use numpy's PCG64;
 ``RoundStream`` hashes round seeds in blocks as ``SeedSequence`` does and loads
 each PCG64 state (O'Neill, HMC-CS-2014-0905) into one reused Generator. Only
-this seeding, which NumPy NEP 19 keeps stable, is redone here.
+this seeding, which NumPy NEP 19 keeps stable, is redone here, and one draw:
+``RoundStream.integers`` computes a fresh generator's first ``integers(m)``
+from its state, as numpy does, so chain leaders need no Generator.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -99,7 +102,9 @@ class RoundStream:
     blocks, and only the last hashed block's PCG64 states are kept: an
     attempt of that block costs no hashing, one of any other block hashes
     that block again. Each state is loaded with no buffered 32-bit draw, as
-    a fresh generator starts with none."""
+    a fresh generator starts with none. ``integers`` gives each attempt's
+    first ``integers(m)`` draw from its state, loading the Generator only
+    where numpy would draw again."""
 
     def __init__(self, trial_seed: int):
         self._bits = np.random.PCG64(0)
@@ -108,7 +113,7 @@ class RoundStream:
         self._block = -1
         self._states: list[tuple[int, int]] = []
 
-    def __call__(self, attempt: int) -> np.random.Generator:
+    def _state(self, attempt: int) -> tuple[int, int]:
         if attempt < 0:
             raise ValueError("attempt must be >= 0")
         block, i = divmod(attempt, ROUND_BLOCK)
@@ -118,7 +123,32 @@ class RoundStream:
                               dtype=np.uint64)
             self._states = list(pcg64_states(splitmix64(self._base + steps * np.uint64(_GOLDEN))))
             self._block = block
-        state, inc = self._states[i]
+        return self._states[i]
+
+    def __call__(self, attempt: int) -> np.random.Generator:
+        state, inc = self._state(attempt)
         self._bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                             "has_uint32": 0, "uinteger": 0}
         return self._rng
+
+    def integers(self, attempt: int, rows: int, m: int) -> list[int]:
+        """``[int(self(a).integers(m)) for a in range(attempt, attempt + rows)]``.
+
+        For 1 <= m <= 2^32 numpy draws the low 32 bits x of PCG64's first
+        XSL-RR output and returns (x * m) >> 32 (Lemire, ACM TOMACS 29(1),
+        2019), so that is computed here from each state; only an attempt
+        whose x numpy rejects, and every attempt when m > 2^32, goes through
+        the Generator."""
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        if m > 1 << 32:
+            return [int(self(a).integers(m)) for a in range(attempt, attempt + rows)]
+        reject = ((1 << 32) - m) % m  # numpy draws again below this remainder
+        out = []
+        for a in range(attempt, attempt + rows):
+            state, inc = self._state(a)
+            state = (state * _PCG_MULT + inc) & _MASK128
+            rot, word = state >> 122, ((state >> 64) ^ state) & _MASK64
+            p = (((word >> rot) | (word << (64 - rot))) & _MASK32) * m
+            out.append(p >> 32 if p & _MASK32 >= reject else int(self(a).integers(m)))
+        return out

@@ -10,6 +10,7 @@ from gathersim import (ExperimentAggregate, NetworkSnapshot, Nodes, build_graph,
                        derive_seed)
 from gathersim.cli import AGGREGATE_COLUMNS
 from gathersim.network import FieldConfig
+from gathersim.seeding import RoundStream
 
 
 def snapshot_from_adjacency(adj_lists, positions=None) -> NetworkSnapshot:
@@ -70,3 +71,11 @@ def read_aggregate_csv(path) -> list[ExperimentAggregate]:
     assert tuple(header) == AGGREGATE_COLUMNS
     return [ExperimentAggregate(row[0], float(row[1]), int(row[2]), *map(float, row[3:9]),
                                 float(row[9]) if row[9] else None) for row in rows]
+
+
+def count_loads(monkeypatch) -> list[int]:
+    """Record the attempt of every ``RoundStream`` Generator load from now on."""
+    loads = []
+    load = RoundStream.__call__
+    monkeypatch.setattr(RoundStream, "__call__", lambda self, a: loads.append(a) or load(self, a))
+    return loads

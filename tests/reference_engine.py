@@ -7,7 +7,8 @@ chain is the loop ``build_chain`` of tests/reference_network.py, and the
 tree, its delay and its ledger come from the loop ``construct_tree``,
 ``compute_delay`` and ``tree_round_energy`` of tests/reference_emln.py, so
 nothing here runs the block or lockstep functions it is checked against,
-and ``round_rngs`` below walks the round seeds as the engine once did. The
+and ``round_rngs`` below seeds a fresh generator per attempt, as the engine
+once did, so no ``RoundStream`` code runs here either. The
 engine must give the same ``SimulationReport``, field for field and byte
 for byte (tests/test_engine_reference.py).
 """
@@ -25,13 +26,12 @@ from reference_network import build_chain
 
 from gathersim.engine import SimConfig, SimulationReport
 from gathersim.network import Nodes, build_graph, deploy
-from gathersim.seeding import RoundStream, derive_seed
+from gathersim.seeding import derive_seed, make_rng
 
 
 def round_rngs(trial_seed: int):
-    """Yield ``make_rng(derive_seed(trial_seed, a))`` for a = 1, 2, 3, ..., each
-    ``RoundStream(trial_seed)``'s one Generator re-seeded: use it before the next."""
-    return map(RoundStream(trial_seed), count(1))
+    """Yield ``make_rng(derive_seed(trial_seed, a))`` for a = 1, 2, 3, ..."""
+    return (make_rng(derive_seed(trial_seed, a)) for a in count(1))
 
 
 def _lifetime_mean(values, lifetime: int) -> float:

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import count_loads
 from gathersim import (FieldConfig, NodeState, RadioParams, SimConfig, derive_seed,
                        run_experiment, run_grid, run_trial)
 from gathersim import engine
@@ -16,6 +17,17 @@ SMALL = SimConfig(field=FieldConfig(width=40.0, height=40.0, node_count=20,
 
 def small(**kw):
     return dataclasses.replace(SMALL, **kw)
+
+
+@pytest.mark.parametrize("proto", ["pegasis-tdma", "pegasis-cdma"])
+def test_chain_leaders_load_no_generator(proto, monkeypatch):
+    # leaders come from PCG64 states; a Generator is loaded only for a draw
+    # numpy rejects, which a chain of m nodes gives with odds below m / 2^32
+    loads = count_loads(monkeypatch)
+    config = SimConfig(protocol=proto, initial_energy=0.1, stop_rule="energy-exhausted")
+    rounds = sum(len(run_trial(config, derive_seed(21, t)).energy_per_round) for t in range(2))
+    assert config.field.node_count == 100 and rounds > 500
+    assert loads == []
 
 
 def test_config_validation():

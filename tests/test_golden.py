@@ -11,8 +11,10 @@ arrays, from the versions kept in tests/reference_baselines.py. The two
 scan of every alive node at every step to neighbour lists, from the scan kept
 in tests/reference_network.py. The range-sweep and JSON compare hashes were
 recorded before the CLI ran every mode as one ``run_grid`` call, from the
-per-mode runners of that time. Criterion 11 only
-compares two runs of the same code; these pin the output across versions.
+per-mode runners of that time. The four long PEGASIS hashes were recorded
+before chain leaders were computed from PCG64 states without loading a
+Generator, when every leader was a Generator's ``integers`` draw. Criterion
+11 only compares two runs of the same code; these pin the output across versions.
 Change a hash only together with a stated reason for the new output.
 """
 
@@ -69,6 +71,24 @@ GOLDEN.update({
     for protocol, digest in (
         ("pegasis-tdma", "17ac4356542b3d1b53913dda173f3afbada8544dc05074ed5589814ac779b271"),
         ("pegasis-cdma", "72ec2d5bcb4d7128776da64d1dbf3e71a5785fcb37917d5419ba376172e921a0"))
+})
+
+# hundreds of rounds, so the leaders cross many 64-attempt seed blocks
+LONG = ["--per-round", "--trials", "2", "--initial-energy", "0.5", "--seed", "5"]
+GOLDEN.update({
+    f"{protocol}-long": (["--protocol", protocol] + LONG, digest)
+    for protocol, digest in (
+        ("pegasis-tdma", "b1114bfc7cde0ffbef56359f3839f3122249ac97cc2a52bc05ed6a30e2fb41ca"),
+        ("pegasis-cdma", "b7b116b438ca4437045dd20b6a8f2ae4891602a4a25cdc80e785743e256b6fc5"))
+})
+# leaders drawn until the alive chain is down to 2 nodes
+LONG_EXHAUSTED = ["--per-round", "--stop-rule", "energy-exhausted", "--trials", "1",
+                  "--initial-energy", "0.2", "--seed", "11"]
+GOLDEN.update({
+    f"{protocol}-long-exhausted": (["--protocol", protocol] + LONG_EXHAUSTED, digest)
+    for protocol, digest in (
+        ("pegasis-tdma", "0f24624823f7d4a818be83763d5daf58445ed80bd0c4a74457ed6d3135037106"),
+        ("pegasis-cdma", "254afa6228014db4b31416e60435d5ca74814a3cdd6a05f663e15c9e1b75a8d2"))
 })
 
 

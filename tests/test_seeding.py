@@ -2,7 +2,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import count_loads
 from gathersim import FieldConfig, SimConfig, derive_seed, make_rng, run_trial
 from gathersim.cli import PER_ROUND_COLUMNS, per_round_rows, render
 from gathersim.seeding import ROUND_BLOCK, RoundStream, seed_sequence_states
@@ -87,6 +90,60 @@ def test_no_buffered_draw_leaks_into_the_next_attempt():
         rng.integers(m, size=2 * attempt)
         assert rng.bit_generator.state["has_uint32"] == 1
 
+
+# chain sizes for ``RoundStream.integers``: no draw at 1, numpy's rejection
+# of about half of all draws at 2**31 + 11, the full 32-bit word at 2**32,
+# and the Generator's own 64-bit draw above it
+DRAW_SIZES = (1, 2, 3, 100, 2**31 - 1, 2**31 + 11, 2**32, 2**32 + 1)
+
+
+def fresh_integers(trial_seed, attempts, m):
+    return [int(make_rng(derive_seed(trial_seed, a)).integers(m)) for a in attempts]
+
+
+@pytest.mark.parametrize("m", DRAW_SIZES)
+@pytest.mark.parametrize("trial_seed", EDGE_SEEDS)
+def test_round_stream_integers_equal_fresh_generators(trial_seed, m):
+    # runs of rows that start on either side of a block edge and cross the
+    # next ones, then an abandoned round's attempt drawn again
+    for start in (1, ROUND_BLOCK - 1, ROUND_BLOCK, ROUND_BLOCK + 1, 2 * ROUND_BLOCK + 1):
+        stream = RoundStream(trial_seed)
+        attempts = range(start, 3 * ROUND_BLOCK + 2)
+        assert stream.integers(start, len(attempts), m) == fresh_integers(trial_seed, attempts, m)
+        back = range(max(start - 3, 0), start + 7)
+        assert stream.integers(back[0], len(back), m) == fresh_integers(trial_seed, back, m)
+
+
+def test_round_stream_integers_load_only_rejected_draws(monkeypatch):
+    loads = count_loads(monkeypatch)
+    attempts = range(1, 3 * ROUND_BLOCK)
+    assert RoundStream(5).integers(1, len(attempts), 100) == fresh_integers(5, attempts, 100)
+    assert loads == []
+    # numpy draws again for about half of all 32-bit words at this size
+    m = 2**31 + 11
+    assert RoundStream(5).integers(1, len(attempts), m) == fresh_integers(5, attempts, m)
+    assert 0.3 * len(attempts) < len(loads) < 0.7 * len(attempts)
+    loads.clear()
+    assert RoundStream(5).integers(1, 4, 2**32 + 1) == fresh_integers(5, range(1, 5), 2**32 + 1)
+    assert loads == [1, 2, 3, 4]
+
+
+def test_round_stream_integers_reject_bad_arguments():
+    stream = RoundStream(3)
+    for m in (0, -1):
+        with pytest.raises(ValueError):
+            stream.integers(1, 1, m)
+    with pytest.raises(ValueError):
+        stream.integers(-1, 1, 2)
+    assert stream.integers(1, 0, 2) == []
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(-2**64, 2**65), st.integers(0, 4 * ROUND_BLOCK), st.integers(0, 2 * ROUND_BLOCK),
+       st.integers(1, 2**33))
+def test_round_stream_integers_property(trial_seed, attempt, rows, m):
+    assert RoundStream(trial_seed).integers(attempt, rows, m) == \
+        fresh_integers(trial_seed, range(attempt, attempt + rows), m)
 
 # per-round CSV hashes recorded before the engine took its round generators
 # from RoundStream; energy-exhausted, so abandoned rounds consume attempts too,
