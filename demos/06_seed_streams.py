@@ -21,8 +21,12 @@ against numpy itself:
 It then prints the time per round seed of ``make_rng(derive_seed(...))``
 and of ``RoundStream``, walked attempt by attempt, and the time per leader
 of a 100-node chain drawn through the stream's Generator and computed by
-``RoundStream.integers``. The check takes about half a minute; pass a seed
-count to change it, for example ``python demos/06_seed_streams.py 10000``.
+``RoundStream.integers``. Last, it prints what hashing one 64-attempt block
+for each of T = 1, 10 and 48 trials costs per seed, per trial and per group:
+one ``hash_rounds`` call per trial, as a lone stream hashes, against one
+call for the group, as a lockstep step does. The check takes about half a
+minute; pass a seed count to change it, for example
+``python demos/06_seed_streams.py 10000``.
 """
 
 import sys
@@ -31,13 +35,14 @@ from time import perf_counter
 import numpy as np
 
 from gathersim import derive_seed, make_rng
-from gathersim.seeding import RoundStream, pcg64_states
+from gathersim.seeding import ROUND_BLOCK, RoundStream, hash_rounds, pcg64_states
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 CHUNK = 10_000
 # no draw at 1; numpy redraws about half of all words at 2^31 + 11
 LEADER_SIZES = (1, 2, 3, 100, 2**31 - 1, 2**31 + 11, 2**32)
 ENGINE_ROWS = 10  # rounds per engine block at 100 nodes
+GROUP_WIDTHS = (1, 10, 48)
 
 
 def check_states(count: int) -> int:
@@ -132,6 +137,28 @@ def main() -> None:
         times.sort()
         print(f"{name:>23}: {times[0]:.2f} us per {timed[name][1]} "
               f"(min of 5 runs of {rounds:,}; median {times[2]:.2f})")
+    hashing_costs()
+
+
+def hashing_costs() -> None:
+    """Time hashing one block for each of T streams: per trial and per group."""
+    print(f"hashing one {ROUND_BLOCK}-attempt block per trial, min of 5 runs of 100 groups:")
+    print(f"{'trials':>6} {'calls':>9} {'per seed':>10} {'per trial':>11} {'per group':>11}")
+    for width in GROUP_WIDTHS:
+        seeds = [derive_seed(width, t) for t in range(width)]
+
+        def per_trial():
+            for seed in seeds:
+                hash_rounds([RoundStream(seed)], [1], [ROUND_BLOCK])
+
+        def per_group():
+            hash_rounds([RoundStream(seed) for seed in seeds], [1] * width, [ROUND_BLOCK] * width)
+
+        for name, fn in (("per trial", per_trial), ("per group", per_group)):
+            group_us = min(per_seed_us(lambda groups: [fn() for _ in range(groups)], 100)
+                           for _ in range(5))
+            print(f"{width:>6} {name:>9} {group_us / width / ROUND_BLOCK:>7.2f} us "
+                  f"{group_us / width:>8.1f} us {group_us:>8.1f} us")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time EMLN trees grown one by one against trees grown in lockstep.
+"""Time trials run one by one against trials run in lockstep, EMLN and baselines.
 
 ``construct_tree`` is the one-row case of ``construct_trees``: one call
 grows one tree. The engine grows the trees of the trials that need one in
@@ -13,21 +13,34 @@ T-row call is the tree of the one-row call, and prints the time per tree of
 both, and of lockstep with the graphs stacked anew and their neighbor table
 built anew (which the engine does only when a member's graph or the set of
 members changes). The one-row calls reuse each graph's cached table.
+
+The baselines step in lockstep too: each step hashes the round seeds of
+all of a protocol's live trials in one call, and the PEGASIS trials whose
+alive chains have one size build their ledgers in one call. For LEACH,
+PEGASIS-TDMA, PEGASIS-CDMA and direct transmission at 0.1 J (first death),
+and T = 1, 10 and 48 trials, the script checks that the reports of one
+T-trial ``run_experiment`` equal those of T ``run_trial`` calls byte for
+byte, and prints the time per round of both.
+
 Each figure is the minimum over alternating samples. Pass a node count to
 time another size, for example ``python demos/07_trial_lockstep.py 2000``.
 """
 
+import dataclasses
 import math
 import sys
 from time import perf_counter
 
 import numpy as np
 
-from gathersim import FieldConfig, build_graph, construct_tree, deploy, derive_seed
+from gathersim import (FieldConfig, SimConfig, build_graph, construct_tree, deploy, derive_seed,
+                       run_experiment, run_trial)
 from gathersim.emln import construct_trees
 from gathersim.network import stack_graphs
 
 WIDTHS = (1, 2, 3, 4, 6, 10, 48)
+BASELINE_WIDTHS = (1, 10, 48)
+BASELINES = ("leach", "pegasis-tdma", "pegasis-cdma", "direct")
 SAMPLES = 7
 
 
@@ -78,6 +91,47 @@ def main(n: int) -> None:
                 best[name] = min(best[name], timed(fn, calls) / width)
         print(f"{width:>5} {best['separate'] * 1e6:>9.1f} us {best['lockstep'] * 1e6:>9.1f} us "
               f"{best['restacked'] * 1e6:>9.1f} us {best['separate'] / best['lockstep']:>5.2f}x")
+    baselines(field)
+
+
+def same_reports(got, want) -> bool:
+    """Every field equal, arrays by dtype, shape and bytes, floats by their spelling."""
+    for a, b in zip(got, want, strict=True):
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, np.ndarray):
+                if x.dtype != y.dtype or x.shape != y.shape or x.tobytes() != y.tobytes():
+                    return False
+            elif repr(x) != repr(y):
+                return False
+    return True
+
+
+def baselines(field: FieldConfig) -> None:
+    print("\nbaselines at 0.1 J, first death: time per round")
+    print(f"{'protocol':>12} {'trials':>6} {'separate':>12} {'lockstep':>12} {'speed':>6}")
+    for protocol in BASELINES:
+        for width in BASELINE_WIDTHS:
+            config = SimConfig(field=field, protocol=protocol, initial_energy=0.1,
+                               trials=width, master_seed=width)
+            seeds = [derive_seed(config.master_seed, t) for t in range(width)]
+
+            def separate():
+                return [run_trial(config, seed) for seed in seeds]
+
+            def lockstep():
+                return run_experiment(config, keep_reports=True).reports
+
+            reports = lockstep()
+            assert same_reports(reports, separate()), (protocol, width)
+            rounds = sum(r.completed_rounds for r in reports)
+            best = {"separate": math.inf, "lockstep": math.inf}
+            calls = max(1, 2000 // rounds)
+            for _ in range(SAMPLES):
+                for name, fn in (("separate", separate), ("lockstep", lockstep)):
+                    best[name] = min(best[name], timed(fn, calls) / rounds)
+            print(f"{protocol:>12} {width:>6} {best['separate'] * 1e6:>9.1f} us "
+                  f"{best['lockstep'] * 1e6:>9.1f} us {best['separate'] / best['lockstep']:>5.2f}x")
 
 
 if __name__ == "__main__":

@@ -1,12 +1,15 @@
 """Comparison protocols: chain gathering (TDMA/CDMA), clustering, direct.
 
 Rounds are built in blocks: a block function takes what a block's rounds
-drew (leaders, elected heads) and returns an EnergyLedger of (rounds, n)
-arrays, one row per round over the full node-id space debiting only alive
-participants, plus one delay per round. Each round function returns the
-one-round case, an (EnergyLedger, delay_in_slots) pair. As in the tree
-protocol, the slot in which the final aggregate travels to the sink is not
-counted in the delay.
+drew (leaders, elected heads) and returns an EnergyLedger with one row per
+round, plus one delay per round. ``cluster_block`` debits one trial's
+rounds over the full node-id space, (rounds, n), debiting only alive
+participants. The chain block functions debit the rounds of several trials
+whose alive chains have one size m over chain positions, (trials, rounds,
+m), and ``chain_to_nodes`` spreads such rows over the node ids. Each round
+function returns the one-round case, an (EnergyLedger, delay_in_slots)
+pair. As in the tree protocol, the slot in which the final aggregate
+travels to the sink is not counted in the delay.
 """
 
 from __future__ import annotations
@@ -144,12 +147,13 @@ class AliveChain:
     ``chain`` holds node ids in chain order, as ``build_chain`` returns them;
     they must be distinct, non-negative and below the node count. Dead nodes
     are bridged by skipping to the next alive node in chain order. Chain
-    position p is node ``sub[p]``. ``sink_tx[p]`` is what position p pays to
-    send to the sink as leader, computed for every position at once.
+    position p is node ``sub[p]``, at ``points[p]``. ``sink_tx[p]`` is what
+    position p pays to send to the sink as leader, computed for every
+    position at once.
     """
 
     def __init__(self, chain, alive, positions, sink, params: RadioParams):
-        self.positions, alive = _node_arrays(positions, alive)
+        positions, alive = _node_arrays(positions, alive)
         chain = np.asarray(chain, dtype=np.int64)
         if (chain.size and chain.min() < 0) or (np.diff(np.sort(chain)) == 0).any():
             raise ValueError("chain ids must be distinct non-negative node ids")
@@ -159,40 +163,18 @@ class AliveChain:
             raise ValueError("chain ids must be below the node count") from None
         if self.sub.size == 0:
             raise ValueError("need at least one alive node")
-        self.params = params
-        hops = dot_hop_lengths(self.positions.take(self.sub, axis=0), np.asarray(sink, dtype=float))
-        self.sink_tx = tx_cost(params, params.packet_bits, hops)
-        # no node receives more than ceil(log2 m) packets in a round
-        most = self.sub.size.bit_length() + 2
-        k = params.packet_bits
-        self._rx_sums = _repeated_sums(float(params.e_elec * k), most)
-        self._fuse_sums = _repeated_sums(float(params.e_fuse * k), most)
+        self.node_count, self.params = len(alive), params
+        self.points = positions.take(self.sub, axis=0)
+        self.sink_tx = tx_cost(params, params.packet_bits,
+                               dot_hop_lengths(self.points, np.asarray(sink, dtype=float)))
 
     def draw_leader(self, seed: int | np.random.Generator) -> int:
         return int(make_rng(seed).integers(self.sub.size))
 
     def hop_tx(self, senders, receivers) -> np.ndarray:
         """Transmit cost from each sender to its receiver, both chain positions."""
-        pos, sub = self.positions, self.sub
-        hops = hop_lengths(pos.take(sub[senders], axis=0), pos.take(sub[receivers], axis=0))
+        hops = hop_lengths(self.points.take(senders, axis=0), self.points.take(receivers, axis=0))
         return tx_cost(self.params, self.params.packet_bits, hops)
-
-    def ledgers(self, tx: np.ndarray, receptions: np.ndarray,
-                leaders: np.ndarray) -> EnergyLedger:
-        """Rows of debits over all nodes, from (rounds, chain position) arrays.
-
-        ``tx`` holds each non-leader's hop and ``receptions`` each node's
-        packet count; each leader fuses its own reading too and sends the
-        aggregate to the sink.
-        """
-        rows = np.arange(len(leaders))
-        tx[rows, leaders] = self.sink_tx[leaders]
-        rx = self._rx_sums[receptions]
-        receptions[rows, leaders] += 1
-        fuse = self._fuse_sums[receptions]
-        ledger = EnergyLedger.empty((len(leaders), len(self.positions)))
-        ledger.tx[:, self.sub], ledger.rx[:, self.sub], ledger.fuse[:, self.sub] = tx, rx, fuse
-        return ledger
 
     @cached_property
     def _tdma_hops(self) -> tuple[np.ndarray, np.ndarray]:
@@ -211,46 +193,94 @@ class AliveChain:
         return parent, self.hop_tx(p, parent), twice_lowbit
 
 
-def pegasis_tdma_block(links: AliveChain, leaders) -> tuple[EnergyLedger, np.ndarray]:
-    """TDMA chain rounds, one per leader (chain position): ledger rows and delays.
+def _chain_ledgers(chains, tx: np.ndarray, receptions: np.ndarray,
+                   leaders: np.ndarray) -> EnergyLedger:
+    """(T, rows, m) debits over chain positions, from arrays of that shape.
 
-    Every non-leader transmits once to its chain neighbour toward the
-    leader, and each reception also costs one fusion: position p receives
-    from p - 1 if 1 <= p <= leader and from p + 1 if leader <= p <= m - 2.
+    ``tx`` holds each non-leader's hop and ``receptions`` each position's
+    packet count; each leader fuses its own reading too and sends the
+    aggregate to the sink. Row t is over ``chains[t]``; the chains share
+    one size and radio.
     """
-    leaders = np.asarray(leaders, dtype=np.int64)
-    m = links.sub.size
+    params, (trials, rows, m) = chains[0].params, tx.shape
+    t, r = np.arange(trials)[:, None], np.arange(rows)
+    tx[t, r, leaders] = np.array([c.sink_tx for c in chains])[t, leaders]
+    k, most = params.packet_bits, m.bit_length() + 2  # receptions per node: ceil(log2 m) at most
+    rx = _repeated_sums(float(params.e_elec * k), most)[receptions]
+    receptions[t, r, leaders] += 1
+    fuse = _repeated_sums(float(params.e_fuse * k), most)[receptions]
+    return EnergyLedger(tx, rx, fuse)
+
+
+def chain_to_nodes(chains, values: np.ndarray) -> np.ndarray:
+    """(T, rows, n) values by node id from (T, rows, m) ones by position on ``chains[t]``.
+
+    Nodes off a chain get 0.0, as a ledger's idle nodes do.
+    """
+    trials, rows, _ = values.shape
+    out = np.zeros((trials, rows, chains[0].node_count))
+    out[np.arange(trials)[:, None, None], np.arange(rows)[:, None],
+        np.array([c.sub for c in chains])[:, None]] = values
+    return out
+
+
+def pegasis_tdma_block(chains, leaders) -> tuple[EnergyLedger, np.ndarray]:
+    """TDMA chain rounds, one per leader: ledger rows and delays.
+
+    ``chains`` share one size m, node count and radio, and ``leaders``
+    holds one row of leaders (chain positions) per chain, all rows of one
+    length. The ledger holds (T, rows, m) arrays over chain positions and
+    the delays are (T, rows). Every non-leader transmits once to its chain
+    neighbour toward the leader, and each reception also costs one fusion:
+    position p receives from p - 1 if 1 <= p <= leader and from p + 1 if
+    leader <= p <= m - 2.
+    """
+    leaders, m = np.asarray(leaders, dtype=np.int64), chains[0].sub.size
     p = np.arange(m)
-    lead = leaders[:, None]
-    ahead, behind = links._tdma_hops
+    lead = leaders[..., None]
+    ahead, behind = (np.array(hops)[:, None] for hops in zip(*(c._tdma_hops for c in chains)))
     tx = np.where(p < lead, ahead, behind)
     receptions = ((p >= 1) & (p <= lead)).astype(np.int64) + ((p >= lead) & (p <= m - 2))
-    return links.ledgers(tx, receptions, leaders), np.maximum(leaders, m - 1 - leaders)
+    return _chain_ledgers(chains, tx, receptions, leaders), np.maximum(leaders, m - 1 - leaders)
 
 
-def pegasis_cdma_block(links: AliveChain, leaders) -> tuple[EnergyLedger, np.ndarray]:
+def pegasis_cdma_block(chains, leaders) -> tuple[EnergyLedger, np.ndarray]:
     """CDMA binary-aggregation rounds, one per leader: ledger rows and delays.
 
-    In closed form: with d the highest set bit of p ^ leader, a non-leader
-    at position p sends to the leader if p's low d bits are zero, which is
-    when 2 lowbit(p) > p ^ leader; otherwise to p - lowbit(p). Every leader
-    takes ceil(log2 m) levels.
+    Arguments and results as for ``pegasis_tdma_block``. In closed form:
+    with d the highest set bit of p ^ leader, a non-leader at position p
+    sends to the leader if p's low d bits are zero, which is when
+    2 lowbit(p) > p ^ leader; otherwise to p - lowbit(p). Every leader takes
+    ceil(log2 m) levels.
     """
-    leaders = np.asarray(leaders, dtype=np.int64)
-    m = links.sub.size
+    leaders, m = np.asarray(leaders, dtype=np.int64), chains[0].sub.size
+    trials, rows = leaders.shape
     p = np.arange(m)
-    lead = leaders[:, None]
-    parent, parent_tx, twice_lowbit = links._cdma_tree
+    lead = leaders[..., None]
+    parent, _, twice_lowbit = chains[0]._cdma_tree  # these two depend on m alone
     sends = p != lead
     to_leader = sends & (twice_lowbit > (p ^ lead))
     receiver = np.where(to_leader, lead, parent)
-    rows = np.arange(len(leaders))[:, None]
-    receptions = np.bincount((rows * m + receiver)[sends],
-                             minlength=len(leaders) * m).reshape(len(leaders), m)
-    tx = np.where(sends, parent_tx, 0.0)
-    ks, ps = np.nonzero(to_leader)
-    tx[ks, ps] = links.hop_tx(ps, leaders[ks])
-    return links.ledgers(tx, receptions, leaders), np.full(len(leaders), (m - 1).bit_length())
+    cells = np.arange(trials * rows).reshape(trials, rows, 1)
+    receptions = np.bincount((cells * m + receiver)[sends],
+                             minlength=trials * rows * m).reshape(trials, rows, m)
+    tx = np.where(sends, np.array([c._cdma_tree[1] for c in chains])[:, None], 0.0)
+    ts, ks, ps = np.nonzero(to_leader)
+    points = np.array([c.points for c in chains])
+    params = chains[0].params
+    tx[ts, ks, ps] = tx_cost(params, params.packet_bits,
+                             hop_lengths(points[ts, ps], points[ts, leaders[ts, ks]]))
+    delays = np.full(leaders.shape, (m - 1).bit_length())
+    return _chain_ledgers(chains, tx, receptions, leaders), delays
+
+
+def _chain_round(block, links: AliveChain, seed) -> tuple[EnergyLedger, int]:
+    """The one round of ``block`` over ``links`` whose leader ``seed`` draws, over all nodes."""
+    ledger, delays = block([links], [[links.draw_leader(seed)]])
+    spread = EnergyLedger.empty(links.node_count)
+    spread.tx[links.sub], spread.rx[links.sub], spread.fuse[links.sub] = (
+        ledger.tx[0, 0], ledger.rx[0, 0], ledger.fuse[0, 0])
+    return spread, int(delays[0, 0])
 
 
 def pegasis_tdma_round(chain, alive, leader_seed: int | np.random.Generator,
@@ -264,7 +294,7 @@ def pegasis_tdma_round(chain, alive, leader_seed: int | np.random.Generator,
     aggregate to the sink.
     """
     links = AliveChain(chain, alive, positions, sink, params)
-    return _first_row(*pegasis_tdma_block(links, [links.draw_leader(leader_seed)]))
+    return _chain_round(pegasis_tdma_block, links, leader_seed)
 
 
 def pegasis_cdma_round(chain, alive, leader_seed: int | np.random.Generator,
@@ -278,7 +308,7 @@ def pegasis_cdma_round(chain, alive, leader_seed: int | np.random.Generator,
     level) before the leader tops out and transmits to the sink.
     """
     links = AliveChain(chain, alive, positions, sink, params)
-    return _first_row(*pegasis_cdma_block(links, [links.draw_leader(leader_seed)]))
+    return _chain_round(pegasis_cdma_block, links, leader_seed)
 
 
 # the nearest-head search works on blocks of (election, node) pairs, so that a
@@ -387,12 +417,13 @@ def cluster_block(head_of: np.ndarray, positions, sink_tx: np.ndarray,
     rows, n = head_of.shape
     k = params.packet_bits
     is_head = head_of == np.arange(n)
-    r, members = np.nonzero((head_of >= 0) & ~is_head)
-    their_heads = head_of[r, members]
+    cells = np.flatnonzero((head_of >= 0) & ~is_head)  # r * n + u for member u of round r
+    members = cells % n
+    their_heads = head_of.take(cells)
     tx = np.where(is_head, sink_tx, 0.0)
-    tx[r, members] = tx_cost(params, k, hop_lengths(positions.take(members, axis=0),
-                                                    positions.take(their_heads, axis=0)))
-    counts = np.bincount(r * n + their_heads, minlength=rows * n).reshape(rows, n)
+    tx.put(cells, tx_cost(params, k, hop_lengths(positions.take(members, axis=0),
+                                                 positions.take(their_heads, axis=0))))
+    counts = np.bincount(cells - members + their_heads, minlength=rows * n).reshape(rows, n)
     rx = _repeated_sums(float(params.e_elec * k), int(counts.max()))[counts]
     fuse = np.where(is_head, params.e_fuse * k * (counts + 1), 0.0)
     return EnergyLedger(tx, rx, fuse), counts.max(axis=1) + np.count_nonzero(is_head, axis=1)

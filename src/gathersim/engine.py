@@ -8,12 +8,12 @@ from itertools import islice
 
 import numpy as np
 
-from .baselines import (AliveChain, build_chain, cluster_block, cluster_rows, direct_round,
-                        elect_heads, pegasis_cdma_block, pegasis_tdma_block)
+from .baselines import (AliveChain, build_chain, chain_to_nodes, cluster_block, cluster_rows,
+                        direct_round, elect_heads, pegasis_cdma_block, pegasis_tdma_block)
 from .emln import compute_delays, construct_trees
 from .network import FieldConfig, Nodes, NodeState, build_graph, deploy, stack_graphs
 from .radio import RadioParams, hop_lengths, trees_round_energy, tx_cost
-from .seeding import RoundStream, derive_seed
+from .seeding import RoundStream, derive_seed, hash_rounds
 
 STOP_RULES = ("first-death", "energy-exhausted")
 
@@ -106,28 +106,45 @@ LOCKSTEP_ENTRIES = 1 << 15
 class _Rounds:
     """One trial's rounds of one protocol: an entry of ``PROTOCOL_ROUNDS``.
 
-    Constructing it prepares the trial. ``block(attempt, round_index, rows)``
-    returns the per-node debits (rows, n), delays and leaf counts (None but
-    for trees) of the next ``rows`` rounds, at most ``self.rows``, the first
-    being attempt ``attempt`` and completed round ``round_index``, as if all
-    complete; or None when no gathering structure is left. ``abandon(row)``
-    says that round ``row`` of the last block was abandoned and nodes died,
-    so the rounds after it were not attempted.
+    Constructing it prepares the trial. The class's ``blocks(trials, memo)``
+    gives each of ``trials``, the live trials of a group that run the
+    protocol, its next block: the per-node debits (rows, n), delays and leaf
+    counts (None but for trees) of its next ``trial.rows`` rounds, the first
+    being attempt ``trial.attempt + 1`` and completed round
+    ``trial.completed``, as if all complete; or None when no gathering
+    structure is left. ``memo`` is a dict the group keeps for the protocol
+    from step to step. ``abandon(row)`` says that round ``row`` of the last
+    block was abandoned and nodes died, so the rounds after it were not
+    attempted.
     """
 
     builds_tree = False  # a tree protocol's reports count leaves
-    stale = False  # a tree protocol's next block needs a new tree (see _grow_trees)
 
     def __init__(self, config: SimConfig, trial_seed: int, nodes: Nodes, sink: np.ndarray):
         self.config, self.trial_seed, self.nodes, self.sink = config, trial_seed, nodes, sink
         self.rows = max(1, min(BLOCK_ROUNDS, BLOCK_ENTRIES // len(nodes.alive)))
 
 
+def _alike(trials: list, key) -> dict:
+    """The indices of ``trials`` by ``key(trial)``, in first-seen order."""
+    groups: dict = {}
+    for i, trial in enumerate(trials):
+        groups.setdefault(key(trial), []).append(i)
+    return groups
+
+
+def _hash_streams(trials: list) -> None:
+    """Hash the round seeds of every trial's next block in one call (``hash_rounds``)."""
+    hash_rounds([t.rounds.stream for t in trials], [t.attempt + 1 for t in trials],
+                [t.rows for t in trials])
+
+
 class _EmlnRounds(_Rounds):
     """One round per block: each tree depends on the energies left by the last.
 
-    While ``stale``, the runner builds the next tree (``_grow_trees``) and
-    hands its round, or None if the graph is disconnected, to ``take``.
+    While ``stale``, a trial's next tree is built (``_grow_trees``, with the
+    group's stacked graphs as ``memo``) and its round, or None if the graph
+    is disconnected, handed to ``take``.
     """
 
     builds_tree = True
@@ -145,9 +162,14 @@ class _EmlnRounds(_Rounds):
     def take(self, tree_round) -> None:
         self.round, self.rounds_on_tree = tree_round, 0
 
-    def block(self, attempt: int, round_index: int, rows: int):
-        self.rounds_on_tree += 1
-        return self.round
+    @staticmethod
+    def blocks(trials: list, memo: dict) -> list:
+        stale = [t for t in trials if t.rounds.stale]
+        if stale:
+            _grow_trees(stale, memo)
+        for trial in trials:
+            trial.rounds.rounds_on_tree += 1
+        return [trial.rounds.round for trial in trials]
 
     def abandon(self, row: int) -> None:
         self.graph = None
@@ -155,7 +177,12 @@ class _EmlnRounds(_Rounds):
 
 
 class _LeachRounds(_Rounds):
-    """Elections one by one, then the nearest heads and ledgers of the block at once."""
+    """Elections one by one, then the nearest heads and ledgers of each trial's block at once.
+
+    A group's trials hash their round seeds together; ``cluster_block``
+    runs once per trial, since over the stacked rows of ten trials it
+    measured no faster.
+    """
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -169,24 +196,40 @@ class _LeachRounds(_Rounds):
         self.sink_tx[ids] = tx_cost(radio, radio.packet_bits,
                                     hop_lengths(positions.take(ids, axis=0), self.sink))
 
-    def block(self, attempt: int, round_index: int, rows: int):
-        positions, alive = self.nodes.positions, self.nodes.alive
+    def elect(self, attempt: int, round_index: int, rows: int) -> np.ndarray:
+        """The ``head_of`` rows of ``rows`` elections from this attempt and round on."""
+        alive = self.nodes.alive
         self.served_before = np.empty((rows, len(alive)), dtype=bool)
         heads = []
         for row in range(rows):
             self.served_before[row] = self.served
             heads.append(elect_heads(alive, self.served, round_index + row,
                                      self.config.leach_p, self.stream(attempt + row)))
-        ledger, delays = cluster_block(cluster_rows(positions, alive, heads), positions,
-                                       self.sink_tx, self.config.radio)
-        return ledger.per_node, delays, None
+        return cluster_rows(self.nodes.positions, alive, heads)
+
+    @staticmethod
+    def blocks(trials: list, memo: dict) -> list:
+        _hash_streams(trials)
+        out = []
+        for trial in trials:
+            rounds = trial.rounds
+            head_of = rounds.elect(trial.attempt + 1, trial.completed, trial.rows)
+            ledger, delays = cluster_block(head_of, rounds.nodes.positions, rounds.sink_tx,
+                                           rounds.config.radio)
+            out.append((ledger.per_node, delays.tolist(), None))
+        return out
 
     def abandon(self, row: int) -> None:
         self.served = self.served_before[row].copy()  # the abandoned election does not count
 
 
 class _ChainRounds(_Rounds):
-    """Leaders drawn one by one, then the block's ledgers in closed form by ``ledgers``."""
+    """Leaders drawn trial by trial, then the blocks' ledgers in closed form by ``ledgers``.
+
+    A group's trials hash their round seeds together, and the trials whose
+    alive chains have one size (and whose blocks one shape) take one
+    ``ledgers`` call over their stacked chains.
+    """
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -194,13 +237,28 @@ class _ChainRounds(_Rounds):
         self.chain = build_chain(self.nodes.positions, self.sink, self.nodes.alive)
         self.links = None
 
-    def block(self, attempt: int, round_index: int, rows: int):
-        if self.links is None:
-            self.links = AliveChain(self.chain, self.nodes.alive, self.nodes.positions,
-                                    self.sink, self.config.radio)
-        leaders = self.stream.integers(attempt, rows, self.links.sub.size)
-        ledger, delays = self.ledgers(self.links, leaders)
-        return ledger.per_node, delays, None
+    @classmethod
+    def blocks(cls, trials: list, memo: dict) -> list:
+        _hash_streams(trials)
+        leaders = []
+        for trial in trials:
+            rounds = trial.rounds
+            if rounds.links is None:
+                rounds.links = AliveChain(rounds.chain, rounds.nodes.alive, rounds.nodes.positions,
+                                          rounds.sink, rounds.config.radio)
+            leaders.append(rounds.stream.integers(trial.attempt + 1, trial.rows,
+                                                  rounds.links.sub.size))
+        out: list = [None] * len(trials)
+        for group in _alike(trials, lambda t: (t.rounds.links.sub.size, t.rows, len(t.alive),
+                                               t.config.radio)).values():
+            chains = [trials[i].rounds.links for i in group]
+            ledger, delays = cls.ledgers(chains, [leaders[i] for i in group])
+            per_position = ledger.per_node
+            del ledger  # peak memory: its (T, rows, m) parts need not outlive their sum
+            debits = chain_to_nodes(chains, per_position)
+            for i, trial_debits, trial_delays in zip(group, debits, delays.tolist()):
+                out[i] = trial_debits, trial_delays, None
+        return out
 
     def abandon(self, row: int) -> None:
         self.links = None
@@ -219,12 +277,18 @@ class _DirectRounds(_Rounds):
 
     debit = None
 
-    def block(self, attempt: int, round_index: int, rows: int):
-        if self.debit is None:
-            ledger, self.delay = direct_round(self.nodes.alive, self.nodes.positions,
-                                              self.sink, self.config.radio)
-            self.debit = ledger.per_node
-        return np.broadcast_to(self.debit, (rows, len(self.debit))), [self.delay] * rows, None
+    @staticmethod
+    def blocks(trials: list, memo: dict) -> list:
+        out = []
+        for trial in trials:
+            rounds = trial.rounds
+            if rounds.debit is None:
+                ledger, rounds.delay = direct_round(rounds.nodes.alive, rounds.nodes.positions,
+                                                    rounds.sink, rounds.config.radio)
+                rounds.debit = ledger.per_node
+            out.append((np.broadcast_to(rounds.debit, (trial.rows, len(rounds.debit))),
+                        [rounds.delay] * trial.rows, None))
+        return out
 
     def abandon(self, row: int) -> None:
         self.debit = None
@@ -243,10 +307,11 @@ PROTOCOLS = tuple(PROTOCOL_ROUNDS)
 class _Trial:
     """One cell of the runner: a trial's node state, its protocol's rounds and its histories.
 
-    ``next_block`` asks the protocol for the trial's next block; the runner
-    debits it (``_debit``, together with the group's other blocks of its
-    shape) and the trial applies the outcome with ``apply``. ``live`` says
-    whether there is a next block.
+    Its protocol's ``blocks`` gives its next block of ``rows`` rounds, or
+    None, upon which the trial ``end``s; the runner debits the block
+    (``_debit``, together with the group's other blocks of its shape) and
+    the trial applies the outcome with ``apply``. ``live`` says whether
+    there is a next block.
     """
 
     def __init__(self, config: SimConfig, trial_seed: int):
@@ -272,15 +337,16 @@ class _Trial:
         self.n_alive = int(self.alive.sum())
         self.live = self.n_alive > 0
 
-    def next_block(self):
-        """The next block's debits (rows, n), delays and leaf counts, or None if the trial ends."""
-        rows = min(self.rounds.rows, self.config.max_rounds - self.completed)
-        block = self.rounds.block(self.attempt + 1, self.completed, rows)
-        if block is None:
-            if self.completed == 0:
-                self.connected = False
-            self.live = False  # no spanning structure left to gather over
-        return block
+    @property
+    def rows(self) -> int:
+        """The number of rounds in the trial's next block."""
+        return min(self.rounds.rows, self.config.max_rounds - self.completed)
+
+    def end(self) -> None:
+        """End the trial: its protocol found no structure to gather over."""
+        if self.completed == 0:
+            self.connected = False
+        self.live = False
 
     def apply(self, block, done: int, spent: list, residual: list, levels, dying) -> None:
         """Take the first ``done`` rounds of ``block``, and abandon the next if there is one.
@@ -399,23 +465,23 @@ def _debit(trials: list[_Trial], blocks: list) -> None:
 def _run_group(cells: list[tuple[SimConfig, int]]) -> list[SimulationReport]:
     """Step the trials of (config, trial seed) cells together until every one has ended.
 
-    A step grows the trees the EMLN trials need, gathers every live
-    trial's next block and debits the blocks of each shape together.
+    A step asks each protocol for the next blocks of all its live trials
+    (one ``blocks`` call each) and debits the blocks of each shape together.
     """
     trials = [_Trial(config, seed) for config, seed in cells]
-    stacks: dict = {}
+    memos: dict = {}
     live = [t for t in trials if t.live]
     while live:
-        stale = [t for t in live if t.rounds.stale]
-        if stale:
-            _grow_trees(stale, stacks)
         shapes: dict = {}
-        for trial in live:
-            block = trial.next_block()
-            if block is not None:
-                pending = shapes.setdefault(block[0].shape, ([], []))
-                pending[0].append(trial)
-                pending[1].append(block)
+        for kind, group in _alike(live, lambda t: type(t.rounds)).items():
+            mates = [live[i] for i in group]
+            for trial, block in zip(mates, kind.blocks(mates, memos.setdefault(kind, {}))):
+                if block is None:
+                    trial.end()
+                else:
+                    pending = shapes.setdefault(block[0].shape, ([], []))
+                    pending[0].append(trial)
+                    pending[1].append(block)
         for pending in shapes.values():
             _debit(*pending)
         live = [t for t in live if t.live]

@@ -4,7 +4,8 @@ All randomness in the simulator flows from 64-bit integer seeds. Sub-seeds
 (per trial, per round) are the outputs of a SplitMix64 stream, a published,
 portable mixing function, so every run can be reproduced bit-exactly from
 its master seed on any platform. Draws themselves use numpy's PCG64;
-``RoundStream`` hashes round seeds in blocks as ``SeedSequence`` does and loads
+``RoundStream`` takes round seeds hashed in blocks as ``SeedSequence`` does
+(``hash_rounds`` hashes the blocks of many streams in one call) and loads
 each PCG64 state (O'Neill, HMC-CS-2014-0905) into one reused Generator. Only
 this seeding, which NumPy NEP 19 keeps stable, is redone here, and one draw:
 ``RoundStream.integers`` computes a fresh generator's first ``integers(m)``
@@ -89,44 +90,84 @@ def seed_sequence_states(seeds) -> np.ndarray:
 def pcg64_states(seeds) -> Iterator[tuple[int, int]]:
     """``PCG64(s)``'s 128-bit (state, inc) for each uint64 seed s: the
     SeedSequence words seeded as ``pcg_setseq_128_srandom`` does."""
-    for s_hi, s_lo, i_hi, i_lo in seed_sequence_states(seeds).T.tolist():
-        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
-        yield ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc
+    return map(_pcg64_seeded, seed_sequence_states(seeds).T.tolist())
+
+
+def _pcg64_seeded(words) -> tuple[int, int]:
+    s_hi, s_lo, i_hi, i_lo = words
+    inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+    return ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def hash_rounds(streams, attempts, rows) -> None:
+    """Make each stream ready to draw its ``rows`` attempts from ``attempts`` on.
+
+    Every (stream, block) pair that those attempts touch and that the stream
+    does not hold is hashed in one ``seed_sequence_states`` call, so a group
+    of trials pays one call per step that enters new blocks, and a stream
+    forgets its blocks below the first one asked for. The attempts' hashed
+    words then become Python ints in one ``tolist`` call; each stream keeps
+    only those of its last such range.
+    """
+    needs = []
+    for stream, attempt, count in zip(streams, attempts, rows):
+        if attempt < 0:
+            raise ValueError("attempt must be >= 0")
+        span = range(attempt, attempt + max(count, 1))
+        blocks = range(span.start // ROUND_BLOCK, (span.stop - 1) // ROUND_BLOCK + 1)
+        held = stream._words
+        for block in [b for b in held if b < blocks.start]:
+            del held[block]
+        needs.append((stream, span, blocks))
+    todo = [(stream, b) for stream, _, blocks in needs for b in blocks if b not in stream._words]
+    if todo:
+        bases = np.array([stream._base for stream, _ in todo], dtype=np.uint64)[:, None]
+        # attempt a is SplitMix64 step a + 1
+        steps = np.array([b * ROUND_BLOCK + 1 for _, b in todo], dtype=np.uint64)[:, None]
+        steps = steps + np.arange(ROUND_BLOCK, dtype=np.uint64)
+        words = seed_sequence_states(splitmix64(bases + steps * np.uint64(_GOLDEN)).ravel())
+        for k, (stream, block) in enumerate(todo):
+            stream._words[block] = words[:, k * ROUND_BLOCK:(k + 1) * ROUND_BLOCK]
+    words = np.concatenate([stream._words[b][:, max(span.start - b * ROUND_BLOCK, 0):
+                                             span.stop - b * ROUND_BLOCK]
+                            for stream, span, blocks in needs for b in blocks], axis=1).T.tolist()
+    at = 0
+    for stream, span, _ in needs:
+        stream._span, stream._drawn = span, words[at:at + len(span)]
+        at += len(span)
 
 
 class RoundStream:
     """``make_rng(derive_seed(trial_seed, a))`` for any attempt a >= 0: ``stream(a)``.
 
     Every call returns the same Generator, re-seeded, so use it before the
-    next call. Seeds are hashed ROUND_BLOCK attempts at a time, in aligned
-    blocks, and only the last hashed block's PCG64 states are kept: an
-    attempt of that block costs no hashing, one of any other block hashes
-    that block again. Each state is loaded with no buffered 32-bit draw, as
-    a fresh generator starts with none. ``integers`` gives each attempt's
+    next call; it is built on the first call. Seeds are hashed ROUND_BLOCK
+    attempts at a time, in aligned blocks, by ``hash_rounds``, which a
+    lockstep group calls once for all its streams before they draw; an
+    attempt of a block the stream holds costs no hashing. A stream that is
+    asked for an attempt it was not readied for readies the rest of that
+    attempt's block itself. Each attempt's PCG64 state is seeded from its
+    hashed words when it is drawn, and loaded with no buffered 32-bit draw,
+    as a fresh generator starts with none. ``integers`` gives each attempt's
     first ``integers(m)`` draw from its state, loading the Generator only
     where numpy would draw again."""
 
     def __init__(self, trial_seed: int):
-        self._bits = np.random.PCG64(0)
-        self._rng = np.random.Generator(self._bits)
-        self._base = np.uint64(trial_seed & _MASK64)
-        self._block = -1
-        self._states: list[tuple[int, int]] = []
+        self._base = trial_seed & _MASK64
+        self._words: dict[int, np.ndarray] = {}  # block -> its (4, ROUND_BLOCK) hashed words
+        self._span, self._drawn = range(0), []  # attempts ready to draw and their words
+        self._bits = self._rng = None
 
     def _state(self, attempt: int) -> tuple[int, int]:
-        if attempt < 0:
-            raise ValueError("attempt must be >= 0")
-        block, i = divmod(attempt, ROUND_BLOCK)
-        if block != self._block:
-            # attempt a is SplitMix64 step a + 1
-            steps = np.arange(block * ROUND_BLOCK + 1, (block + 1) * ROUND_BLOCK + 1,
-                              dtype=np.uint64)
-            self._states = list(pcg64_states(splitmix64(self._base + steps * np.uint64(_GOLDEN))))
-            self._block = block
-        return self._states[i]
+        if attempt not in self._span:
+            hash_rounds([self], [attempt], [ROUND_BLOCK - attempt % ROUND_BLOCK])
+        return _pcg64_seeded(self._drawn[attempt - self._span.start])
 
     def __call__(self, attempt: int) -> np.random.Generator:
         state, inc = self._state(attempt)
+        if self._rng is None:
+            self._bits = np.random.PCG64(0)
+            self._rng = np.random.Generator(self._bits)
         self._bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                             "has_uint32": 0, "uinteger": 0}
         return self._rng
@@ -141,6 +182,8 @@ class RoundStream:
         the Generator."""
         if m < 1:
             raise ValueError("m must be >= 1")
+        if attempt not in self._span or attempt + rows > self._span.stop:
+            hash_rounds([self], [attempt], [rows])
         if m > 1 << 32:
             return [int(self(a).integers(m)) for a in range(attempt, attempt + rows)]
         reject = ((1 << 32) - m) % m  # numpy draws again below this remainder

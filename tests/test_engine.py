@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import count_loads
+from test_engine_reference import assert_same_report
 from gathersim import (FieldConfig, NodeState, RadioParams, SimConfig, derive_seed,
                        run_experiment, run_grid, run_trial)
 from gathersim import engine
+from gathersim.seeding import ROUND_BLOCK
 
 SMALL = SimConfig(field=FieldConfig(width=40.0, height=40.0, node_count=20,
                                     sink_position=(20.0, 120.0)),
@@ -22,11 +24,15 @@ def small(**kw):
 @pytest.mark.parametrize("proto", ["pegasis-tdma", "pegasis-cdma"])
 def test_chain_leaders_load_no_generator(proto, monkeypatch):
     # leaders come from PCG64 states; a Generator is loaded only for a draw
-    # numpy rejects, which a chain of m nodes gives with odds below m / 2^32
+    # numpy rejects, which a chain of m nodes gives with odds below m / 2^32.
+    # Loading is the only way to a Generator, so none is built either
     loads = count_loads(monkeypatch)
     config = SimConfig(protocol=proto, initial_energy=0.1, stop_rule="energy-exhausted")
     rounds = sum(len(run_trial(config, derive_seed(21, t)).energy_per_round) for t in range(2))
     assert config.field.node_count == 100 and rounds > 500
+    reports = run_experiment(dataclasses.replace(config, trials=10, master_seed=21),
+                             keep_reports=True).reports
+    assert sum(r.completed_rounds for r in reports) > 2500
     assert loads == []
 
 
@@ -209,11 +215,47 @@ def test_connectivity_fraction_counts_disconnected_trials(monkeypatch):
     assert np.isnan(agg.mean_lifetime)
     assert np.isnan(agg.mean_leaf_fraction)
     # a baseline that finds no structure to gather over has no leaf fraction at all
-    monkeypatch.setattr(engine._DirectRounds, "block", lambda self, *args: None)
+    monkeypatch.setattr(engine._DirectRounds, "blocks", lambda trials, memo: [None] * len(trials))
     agg = run_experiment(small(protocol="direct", trials=4)).aggregate
     assert agg.connectivity == 0.0
     assert np.isnan(agg.mean_lifetime)
     assert agg.mean_leaf_fraction is None
+
+
+BASELINES = ("leach", "pegasis-tdma", "pegasis-cdma", "direct")
+DYING = SimConfig(field=FieldConfig(node_count=50), initial_energy=0.05, trials=12,
+                  stop_rule="energy-exhausted", master_seed=29)
+
+
+@pytest.mark.parametrize("stop_rule", ["first-death", "energy-exhausted"])
+@pytest.mark.parametrize("proto", BASELINES)
+def test_baseline_trials_in_lockstep_match_single_trials(proto, stop_rule, monkeypatch):
+    # at 0.05 J nodes die every few rounds, so under energy-exhausted one
+    # step holds trials in different 64-attempt blocks and chains of
+    # different sizes, which take one ledger call per size
+    steps, ledger_steps = [], []
+    hash_rounds = engine.hash_rounds
+    monkeypatch.setattr(engine, "hash_rounds", lambda streams, attempts, rows: (
+        steps.append(attempts), hash_rounds(streams, attempts, rows)))
+    kind = engine.PROTOCOL_ROUNDS[proto]
+    if proto.startswith("pegasis"):
+        ledgers = kind.ledgers
+        monkeypatch.setattr(kind, "ledgers", staticmethod(lambda chains, leaders: (
+            ledger_steps.append(len(steps)), ledgers(chains, leaders))[1]))
+    config = dataclasses.replace(DYING, protocol=proto, stop_rule=stop_rule)
+    reports = run_experiment(config, keep_reports=True).reports
+    for trial, report in enumerate(reports):
+        assert_same_report(report, run_trial(config, derive_seed(config.master_seed, trial)))
+    if stop_rule == "energy-exhausted" and proto != "direct":
+        assert any(len({a // ROUND_BLOCK for a in attempts}) > 1 for attempts in steps)
+        if proto.startswith("pegasis"):
+            assert len(set(ledger_steps)) < len(ledger_steps)
+    # a 1-trial config beside a 12-trial one
+    grid = run_grid([dataclasses.replace(config, trials=1, master_seed=5), config],
+                    keep_reports=True)
+    assert_same_report(grid[0].reports[0], run_trial(config, derive_seed(5, 0)))
+    for got, want in zip(grid[1].reports, reports, strict=True):
+        assert_same_report(got, want)
 
 
 def test_range_grid_matches_individual_experiments():

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_loads
-from gathersim import FieldConfig, SimConfig, derive_seed, make_rng, run_trial
+from gathersim import FieldConfig, SimConfig, derive_seed, make_rng, run_experiment, run_trial
+from gathersim import seeding
 from gathersim.cli import PER_ROUND_COLUMNS, per_round_rows, render
-from gathersim.seeding import ROUND_BLOCK, RoundStream, seed_sequence_states
+from gathersim.seeding import ROUND_BLOCK, RoundStream, hash_rounds, seed_sequence_states
 
 # published reference outputs of the SplitMix64 stream seeded with 0
 SPLITMIX_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -76,6 +77,49 @@ def test_block_hash_matches_numpy_seed_sequence():
     for i, seed in enumerate(seeds.tolist()):
         if not np.array_equal(words[:, i], np.random.SeedSequence(seed).generate_state(4, np.uint64)):
             pytest.fail(f"seed {seed}: {words[:, i]}")
+
+
+def count_hashes(monkeypatch) -> list[int]:
+    """Record the seed count of every ``seed_sequence_states`` call from now on."""
+    calls = []
+    monkeypatch.setattr(seeding, "seed_sequence_states",
+                        lambda seeds: calls.append(len(seeds)) or seed_sequence_states(seeds))
+    return calls
+
+
+def test_one_group_hash_covers_every_stream(monkeypatch):
+    # attempt ranges that start on either side of block edges, with seeds
+    # that make_rng masks to 64 bits; rows of 0 and 1 still hash their block
+    starts = (0, 1, 60, 63, 64, 65, 127, 129)
+    cases = [(seed, start, rows) for seed in (-1, 2**64 + 5, 7)
+             for start, rows in zip(starts, (10, 64, 10, 1, 0, 63, 2, 30))]
+    streams = [RoundStream(seed) for seed, _, _ in cases]
+    calls = count_hashes(monkeypatch)
+    hash_rounds(streams, [start for _, start, _ in cases], [rows for _, _, rows in cases])
+    blocks = sum(len(range(start // ROUND_BLOCK, (start + max(rows, 1) - 1) // ROUND_BLOCK + 1))
+                 for _, start, rows in cases)
+    assert calls == [blocks * ROUND_BLOCK]
+    for stream, (seed, start, rows) in zip(streams, cases):
+        for attempt in range(start, start + rows):
+            state = stream(attempt).bit_generator.state
+            assert state == make_rng(derive_seed(seed, attempt)).bit_generator.state
+    assert len(calls) == 1  # every attempt drawn was hashed by the one call
+    hash_rounds(streams, [start for _, start, _ in cases], [rows for _, _, rows in cases])
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        hash_rounds(streams[:1], [-1], [1])
+
+
+def test_lockstep_trials_hash_their_blocks_together(monkeypatch):
+    # under first death every trial of an experiment steps through the same
+    # attempts, so each step that enters a new block hashes it for all ten
+    calls = count_hashes(monkeypatch)
+    config = SimConfig(protocol="pegasis-tdma", initial_energy=0.1, trials=10, master_seed=3)
+    reports = run_experiment(config, keep_reports=True).reports
+    rows = 10  # rounds per block at 100 nodes
+    last = max(r.completed_rounds for r in reports) // rows * rows + rows  # last attempt drawn
+    assert len(calls) == last // ROUND_BLOCK + 1 < config.trials
+    assert calls[0] == config.trials * ROUND_BLOCK  # later calls hash the live trials' blocks
 
 
 def test_no_buffered_draw_leaks_into_the_next_attempt():
