@@ -14,6 +14,13 @@ both, and of lockstep with the graphs stacked anew and their neighbor table
 built anew (which the engine does only when a member's graph or the set of
 members changes). The one-row calls reuse each graph's cached table.
 
+The engine folds the delays of a group's trees over many steps at once:
+its trees wait in a queue until it holds ``engine.FOLD_NODES`` nodes. For
+40 steps of 10 trees, each step's trees grown from other residual
+energies, the script checks that ``compute_delays`` over queues of that
+many nodes gives the delays of one call per step, and prints the time per
+tree of both.
+
 The baselines step in lockstep too: each step hashes the round seeds of
 all of a protocol's live trials in one call, and the PEGASIS trials whose
 alive chains have one size build their ledgers in one call. For LEACH,
@@ -35,10 +42,12 @@ import numpy as np
 
 from gathersim import (FieldConfig, SimConfig, build_graph, construct_tree, deploy, derive_seed,
                        run_experiment, run_trial)
-from gathersim.emln import construct_trees
+from gathersim.emln import compute_delays, construct_trees
+from gathersim.engine import FOLD_NODES
 from gathersim.network import stack_graphs
 
 WIDTHS = (1, 2, 3, 4, 6, 10, 48)
+FOLD_STEPS, FOLD_WIDTH = 40, 10
 BASELINE_WIDTHS = (1, 10, 48)
 BASELINES = ("leach", "pegasis-tdma", "pegasis-cdma", "direct")
 SAMPLES = 7
@@ -91,7 +100,40 @@ def main(n: int) -> None:
                 best[name] = min(best[name], timed(fn, calls) / width)
         print(f"{width:>5} {best['separate'] * 1e6:>9.1f} us {best['lockstep'] * 1e6:>9.1f} us "
               f"{best['restacked'] * 1e6:>9.1f} us {best['separate'] / best['lockstep']:>5.2f}x")
+    folds(field, n)
     baselines(field)
+
+
+def folds(field: FieldConfig, n: int) -> None:
+    """Delays of FOLD_STEPS steps of trees: one call per step against folded queues."""
+    rng = np.random.default_rng(11)
+    graphs = [build_graph(deploy(field, derive_seed(FOLD_WIDTH, t)), 25.0)
+              for t in range(FOLD_WIDTH)]
+    stacked = stack_graphs(graphs)
+    steps = [construct_trees(stacked, 0.03 - 0.01 * rng.random((FOLD_WIDTH, n)),
+                             [derive_seed(step, t) for t in range(FOLD_WIDTH)])[:3]
+             for step in range(FOLD_STEPS)]
+    per_queue = -(-FOLD_NODES // (FOLD_WIDTH * n))  # steps until the engine's queue folds
+    queues = [tuple(map(np.concatenate, zip(*steps[i:i + per_queue])))
+              for i in range(0, FOLD_STEPS, per_queue)]
+
+    def per_step():
+        return np.concatenate([compute_delays(*step) for step in steps])
+
+    def folded():
+        return np.concatenate([compute_delays(*queue) for queue in queues])
+
+    assert np.array_equal(per_step(), folded())
+    trees = FOLD_STEPS * FOLD_WIDTH
+    best = {"per step": math.inf, "folded": math.inf}
+    for _ in range(SAMPLES):
+        for name, fn in (("per step", per_step), ("folded", folded)):
+            best[name] = min(best[name], timed(fn, 3) / trees)
+    print(f"\ndelays of {trees} trees, {FOLD_WIDTH} a step, queues of {per_queue} steps "
+          f"(FOLD_NODES = {FOLD_NODES}): time per tree")
+    print(f"{'per step':>12} {'folded':>12} {'speed':>6}")
+    print(f"{best['per step'] * 1e6:>9.1f} us {best['folded'] * 1e6:>9.1f} us "
+          f"{best['per step'] / best['folded']:>5.2f}x")
 
 
 def same_reports(got, want) -> bool:

@@ -238,18 +238,28 @@ def compute_delays(roots, parent, level) -> np.ndarray:
     """``compute_delay`` of each row of ``construct_trees``' output, as (T,) ints.
 
     The same fold, a level at a time for all trees at once: a parent with
-    sorted child delays d_1 <= ... <= d_m gets max_i (d_i + m - i + 1). The
-    children of one level, grouped by parent, are sorted by delay inside
-    each group with one sort of (group, delay) keys. A disconnected row's
-    value is meaningless.
+    sorted child delays d_1 <= ... <= d_m gets max_i (d_i + m - i + 1). A
+    leaf's delay is 0, so the leaves drain first and the best term of a
+    leaf child is m; the k children that are parents themselves drain last,
+    their i-th smallest delay adding k - i + 1. So every node starts at its
+    child count m, and only the children with children of their own, about
+    one node in eight at the CLI defaults, are sorted: those of one level,
+    grouped by parent, with one sort of (group, delay) keys. A parent's
+    delay is the larger of m and its sorted children's best term. Rows can
+    come from many steps of trees: the engine queues a group's trees until
+    they hold ``engine.FOLD_NODES`` nodes and folds them in one call. A
+    disconnected row's value is meaningless.
     """
     trials, n = parent.shape
     parent, depth = parent.ravel(), level.ravel()
-    delay = np.zeros(trials * n, dtype=np.int64)
     kids = np.flatnonzero(parent >= 0)  # every member but the roots, in global ids
-    if not kids.size:
-        return delay[:trials]
     up = parent[kids] + kids // n * n
+    delay = np.bincount(up, minlength=trials * n)  # each node's child count
+    tops = np.arange(trials) * n + np.maximum(roots, 0)
+    inner = delay[kids] > 0
+    kids, up = kids[inner], up[inner]
+    if not kids.size:
+        return delay[tops]
     # deepest level first, then by parent: each parent's children form one run
     order = np.argsort((n - depth[kids]) * (trials * n) + up)
     kids, up = kids[order], up[order]
@@ -259,7 +269,7 @@ def compute_delays(roots, parent, level) -> np.ndarray:
     first = starts.nonzero()[0]
     ends = np.append(first[1:], kids.size)
     # a delay is below n, so run * (n + 1) + delay sorts by run, then by delay;
-    # the fold adds m - i + 1 to the i-th smallest of a run's m delays
+    # the fold adds k - i + 1 to the i-th smallest of a run's k delays
     key_base = run * (n + 1)
     term = ends[run] - np.arange(kids.size) - key_base
     depth = depth[up[first]]  # of each run's parent
@@ -271,8 +281,9 @@ def compute_delays(roots, parent, level) -> np.ndarray:
         keys += key_base[a:b]
         keys.sort()
         keys += term[a:b]
-        delay[up[first[ra:rb]]] = np.maximum.reduceat(keys, first[ra:rb] - a)
-    return delay[np.arange(trials) * n + np.maximum(roots, 0)]
+        parents = up[first[ra:rb]]
+        delay[parents] = np.maximum(np.maximum.reduceat(keys, first[ra:rb] - a), delay[parents])
+    return delay[tops]
 
 
 def validate_tree(tree: GatherTree, graph: NetworkSnapshot) -> bool:

@@ -3,7 +3,8 @@
 Everything here re-derives expected values from first principles (subset
 enumeration, permutation search, slot-by-slot schedule stepping, scalar
 energy recounts, a closed-form geometric integral) and shares no code with
-the algorithms under test.
+the algorithms under test. ``random_gather_tree`` draws trees to feed them,
+filling in gathersim's ``GatherTree`` record.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from gathersim import GatherTree
 
 
 def induced_connected(adj, subset) -> bool:
@@ -101,6 +104,29 @@ def tree_delay_bruteforce(children, root) -> int:
         return min_slots_over_orderings([rec(v) for v in kids])
 
     return rec(root)
+
+
+def random_gather_tree(rng, n, max_children=6) -> GatherTree:
+    """An n-node tree rooted at 0, each node hung under a random member with room.
+
+    Nodes join in a random order, under a member drawn uniformly from those
+    with fewer than ``max_children`` children: 1 gives a path, a large value
+    a shallow bush. The root and the nodes with children are intermediate.
+    """
+    parent = np.full(n, -1, dtype=np.int64)
+    level = np.full(n, -1, dtype=np.int64)
+    kids = [[] for _ in range(n)]
+    level[0] = 0
+    pending = list(range(1, n))
+    rng.shuffle(pending)
+    for v in pending:
+        slots = [u for u in range(n) if level[u] >= 0 and len(kids[u]) < max_children]
+        u = int(slots[rng.integers(len(slots))])
+        parent[v] = u
+        level[v] = level[u] + 1
+        kids[u].append(v)
+    intermediate = np.array([u == 0 or bool(kids[u]) for u in range(n)])
+    return GatherTree(root=0, parent=parent, level=level, intermediate=intermediate)
 
 
 def tdma_schedule(subchain, leader_pos) -> tuple[int, list[tuple[int, int]]]:

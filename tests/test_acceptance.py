@@ -19,11 +19,11 @@ import pytest
 
 from conftest import random_connected_adjacency, snapshot_from_adjacency
 from helpers_oracles import (cdma_schedule, optimal_leaf_count,
-                             pair_within_range_probability, recount_relay_ledger,
-                             tdma_schedule, tree_delay_bruteforce)
+                             pair_within_range_probability, random_gather_tree,
+                             recount_relay_ledger, tdma_schedule, tree_delay_bruteforce)
 
 import gathersim as gs
-from gathersim import (FieldConfig, GatherTree, RadioParams, SimConfig,
+from gathersim import (FieldConfig, RadioParams, SimConfig,
                        build_chain, build_graph, compute_delay, construct_tree,
                        deploy, derive_seed, direct_round, energies_of, is_connected,
                        leach_elect, leach_round, pegasis_cdma_round,
@@ -255,23 +255,6 @@ def test_criterion_09_energy_delay(emln_experiments, baseline_experiments):
          1.8 <= emln / ed["pegasis-cdma"] <= 3.2,
          f"{emln / ed['pegasis-cdma']:.2f}"),
     ])
-
-
-def random_gather_tree(rng, n, max_children=6):
-    parent = np.full(n, -1, dtype=np.int64)
-    level = np.full(n, -1, dtype=np.int64)
-    kids = [[] for _ in range(n)]
-    level[0] = 0
-    pending = list(range(1, n))
-    rng.shuffle(pending)
-    for v in pending:
-        slots = [u for u in range(n) if level[u] >= 0 and len(kids[u]) < max_children]
-        u = int(slots[rng.integers(len(slots))])
-        parent[v] = u
-        level[v] = level[u] + 1
-        kids[u].append(v)
-    intermediate = np.array([u == 0 or bool(kids[u]) for u in range(n)])
-    return GatherTree(root=0, parent=parent, level=level, intermediate=intermediate)
 
 
 def test_criterion_10_oracle_equivalence(emln_experiments, baseline_experiments):

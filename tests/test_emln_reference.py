@@ -11,9 +11,12 @@ equal and with random energies, and two small graphs whose only tied maxima
 are the first and the last id, at the root pick and at a later promotion.
 ``construct_trees``, ``compute_delays`` and ``trees_round_energy`` take the
 same inputs stacked, 1, 3 or 10 trials at a time, and each row must be the
-reference's tree, delay and ledger. A stack of clumped layouts, whose
-longest neighbor lists spill past the width of ``neighbor_table``, must
-give the reference's trees too, and the CLI's default graphs must not spill.
+reference's tree, delay and ledger. One ``compute_delays`` call over the
+stacked rows of random trees of 1 to 40 nodes and many heights, as the
+engine folds a queue of steps, must give each tree's reference delay. A
+stack of clumped layouts, whose longest neighbor lists spill past the
+width of ``neighbor_table``, must give the reference's trees too, and the
+CLI's default graphs must not spill.
 """
 
 import numpy as np
@@ -21,6 +24,7 @@ import pytest
 
 import reference_emln as ref
 from conftest import random_geometric_snapshot, seeded_nodes, snapshot_from_adjacency
+from helpers_oracles import random_gather_tree
 
 from gathersim import (FieldConfig, GatherTree, Nodes, RadioParams, build_graph,
                        compute_delay, construct_tree, deploy, derive_seed, tree_round_energy)
@@ -215,6 +219,72 @@ def test_lockstep_rows_match_reference(trials, mode):
             for name in ("tx", "rx", "fuse", "per_node"):
                 assert getattr(ledger, name)[t].tobytes() == getattr(expected, name).tobytes()
     assert connected > 0 and disconnected > 0
+
+
+def tree_of(parents: list[int]) -> GatherTree:
+    """The tree rooted at 0 with these parents; the root and every parent are intermediate."""
+    parent = np.array(parents, dtype=np.int64)
+    level = np.zeros(len(parents), dtype=np.int64)
+    for v in range(1, len(parents)):  # each parent comes before its children
+        level[v] = level[parent[v]] + 1
+    intermediate = np.isin(np.arange(len(parents)), parent)
+    intermediate[0] = True
+    return GatherTree(0, parent, level, intermediate)
+
+
+def placed(tree: GatherTree, n: int, rng) -> tuple:
+    """``(root, parent, level, intermediate)`` of ``tree`` moved to random ids out of n."""
+    ids = rng.permutation(n)[:len(tree.parent)]
+    parent, level = np.full(n, -1), np.full(n, -1)
+    intermediate = np.zeros(n, dtype=bool)
+    parent[ids] = np.where(tree.parent >= 0, ids[tree.parent], -1)
+    level[ids] = tree.level
+    intermediate[ids] = tree.intermediate
+    return int(ids[tree.root]), parent, level, intermediate
+
+
+def reference_tree(root: int, parent, level, intermediate) -> ref.GatherTree:
+    """The reference record of a tree given as arrays."""
+    members = np.flatnonzero(level >= 0)
+    height = int(level.max())
+    return ref.GatherTree(
+        root=root, parent=parent, level=level,
+        children=tuple(tuple(np.flatnonzero(parent == u).tolist()) for u in range(len(parent))),
+        intermediate_set=frozenset(np.flatnonzero(intermediate).tolist()),
+        leaf_set=frozenset(members[~intermediate[members]].tolist()),
+        nodes_at_level=tuple(tuple(np.flatnonzero(level == h).tolist())
+                             for h in range(height + 1)),
+        height=height)
+
+
+def test_stacked_random_trees_match_reference():
+    # one call over 63 rows of 40 slots: a single node, a root whose children
+    # are all intermediate, a root with leaf and intermediate children, and
+    # random trees from paths (at most one child each) to bushes; row 10's
+    # root is dropped, so it is a disconnected row whose value is ignored
+    rng = np.random.default_rng(2026)
+    n, disconnected = 40, 10
+    trees = [random_gather_tree(rng, 1), tree_of([-1, 0, 0, 1, 1, 2, 5]),
+             tree_of([-1, 0, 0, 0, 2, 2, 3, 6])]
+    trees += [random_gather_tree(rng, int(rng.integers(2, n + 1)), max_children)
+              for max_children in (1, 2, 3, 6, n) for _ in range(12)]
+    rows = [placed(tree, n, rng) for tree in trees]
+    roots = np.array([row[0] for row in rows])
+    roots[disconnected] = -1
+    parent, level, intermediate = (np.array(part) for part in list(zip(*rows))[1:])
+    delays = compute_delays(roots, parent, level)
+    assert delays.dtype == np.int64 and delays.shape == (len(rows),)
+    heights, parent_kinds = set(), set()
+    for t, row in enumerate(rows):
+        if t == disconnected:
+            continue
+        want = reference_tree(*row)
+        assert delays[t] == ref.compute_delay(want), t
+        heights.add(want.height)
+        for u in want.intermediate_set:
+            parent_kinds.add(frozenset(v in want.intermediate_set for v in want.children[u]))
+    assert min(heights) == 0 and len(heights) >= 15
+    assert {frozenset({True}), frozenset({True, False})} <= parent_kinds
 
 
 def clumped_graph(seed: int):

@@ -8,7 +8,8 @@ rules with ``max_rounds`` on both sides of a 64-attempt seed block, 30 to
 130 nodes, blocks of 1 to 64 rounds, head probabilities up to 1, injected
 nodes that are dead or start with no energy, and the tree protocol, whose
 blocks hold one round. EMLN experiments of 1 to 12 trials cover trees grown
-in lockstep by groups of 1 to 5 trials. A derandomized
+in lockstep by groups of 1 to 5 trials, and a long one covers delays and
+leaf counts folded over queues of many steps' trees. A derandomized
 ``hypothesis`` test draws further configurations, checks
 ``run_experiment``'s reports too, and asserts invariants that need no
 reference.
@@ -28,6 +29,7 @@ import reference_engine as ref
 from gathersim import (PROTOCOLS, FieldConfig, NodeState, SimConfig, SimulationReport,
                        derive_seed, run_experiment, run_trial)
 from gathersim import engine
+from gathersim.emln import compute_delays
 
 BASELINES = ("leach", "pegasis-tdma", "pegasis-cdma", "direct")
 STOP_RULES = ("first-death", "energy-exhausted")
@@ -130,6 +132,26 @@ def test_lockstep_tree_experiments_match_the_per_round_loop(trials, rebuild_peri
                                  stop_rule=stop_rule, master_seed=trials)
     reports = run_experiment(config, keep_reports=True).reports
     for trial, got in enumerate(reports):
+        assert_same_report(got, ref.run_trial(config, derive_seed(config.master_seed, trial)))
+
+
+def test_tree_rounds_folded_in_batches_match_the_per_round_loop(monkeypatch):
+    # two trials of about 2,000 rounds, a tree every third round: their trees
+    # fill the queue three times before the last fold, and trees still in use
+    # and the abandoned rounds of the many deaths meet the folds
+    folds = []
+
+    def counted(*trees):
+        folds.append(trees)
+        return compute_delays(*trees)
+
+    monkeypatch.setattr(engine, "compute_delays", counted)
+    config = dataclasses.replace(TREE_CONFIG, trials=2, rebuild_period=3, initial_energy=0.8,
+                                 stop_rule="energy-exhausted", master_seed=3)
+    reports = run_experiment(config, keep_reports=True).reports
+    assert len(folds) >= 4
+    for trial, got in enumerate(reports):
+        assert got.lifetime < got.completed_rounds  # rounds were abandoned on the way
         assert_same_report(got, ref.run_trial(config, derive_seed(config.master_seed, trial)))
 
 
