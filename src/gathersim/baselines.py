@@ -137,10 +137,6 @@ def _repeated_sums(step: float, most: int) -> np.ndarray:
     return np.add.accumulate(np.concatenate(([0.0], np.full(most, step))))
 
 
-def _first_row(ledger: EnergyLedger, delays: np.ndarray) -> tuple[EnergyLedger, int]:
-    return EnergyLedger(ledger.tx[0], ledger.rx[0], ledger.fuse[0]), int(delays[0])
-
-
 class AliveChain:
     """A chain's alive nodes in chain order: what the rounds over one alive set share.
 
@@ -167,9 +163,6 @@ class AliveChain:
         self.points = positions.take(self.sub, axis=0)
         self.sink_tx = tx_cost(params, params.packet_bits,
                                dot_hop_lengths(self.points, np.asarray(sink, dtype=float)))
-
-    def draw_leader(self, seed: int | np.random.Generator) -> int:
-        return int(make_rng(seed).integers(self.sub.size))
 
     def hop_tx(self, senders, receivers) -> np.ndarray:
         """Transmit cost from each sender to its receiver, both chain positions."""
@@ -276,7 +269,7 @@ def pegasis_cdma_block(chains, leaders) -> tuple[EnergyLedger, np.ndarray]:
 
 def _chain_round(block, links: AliveChain, seed) -> tuple[EnergyLedger, int]:
     """The one round of ``block`` over ``links`` whose leader ``seed`` draws, over all nodes."""
-    ledger, delays = block([links], [[links.draw_leader(seed)]])
+    ledger, delays = block([links], [[int(make_rng(seed).integers(links.sub.size))]])
     spread = EnergyLedger.empty(links.node_count)
     spread.tx[links.sub], spread.rx[links.sub], spread.fuse[links.sub] = (
         ledger.tx[0, 0], ledger.rx[0, 0], ledger.fuse[0, 0])
@@ -310,6 +303,11 @@ def pegasis_cdma_round(chain, alive, leader_seed: int | np.random.Generator,
     links = AliveChain(chain, alive, positions, sink, params)
     return _chain_round(pegasis_cdma_block, links, leader_seed)
 
+
+# LEACH's smallest head probability. An election redraws until a head exists,
+# about 1 / (m * p_head) times on average for m eligible nodes, so this keeps
+# it at about 10,000 draws at worst; 20,000 nodes still elect 2 heads a round.
+MIN_LEACH_P = 1e-4
 
 # the nearest-head search works on blocks of (election, node) pairs, so that a
 # block's distance array holds about this many entries, whatever the head count
@@ -389,8 +387,8 @@ def leach_elect(positions, alive, round_index: int, p_head: float,
     ``cluster_rows``, and the updated served mask, a new array, which the
     caller carries between rounds.
     """
-    if not 0 < p_head <= 1:
-        raise ValueError("p_head must be in (0, 1]")
+    if not MIN_LEACH_P <= p_head <= 1:
+        raise ValueError(f"p_head must be in [{MIN_LEACH_P}, 1]")
     positions, alive = _node_arrays(positions, alive)
     if not alive.any():
         raise ValueError("need at least one alive node")
@@ -453,7 +451,8 @@ def leach_round(head_of, positions, sink, params: RadioParams) -> tuple[EnergyLe
     sink_tx[heads] = tx_cost(params, params.packet_bits,
                              hop_lengths(positions.take(heads, axis=0),
                                          np.asarray(sink, dtype=float)))
-    return _first_row(*cluster_block(head_of[None], positions, sink_tx, params))
+    ledger, delays = cluster_block(head_of[None], positions, sink_tx, params)
+    return EnergyLedger(ledger.tx[0], ledger.rx[0], ledger.fuse[0]), int(delays[0])
 
 
 def direct_round(alive, positions, sink, params: RadioParams) -> tuple[EnergyLedger, int]:

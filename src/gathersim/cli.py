@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 from functools import cache
 
-from .engine import (PROTOCOL_ROUNDS, PROTOCOLS, STOP_RULES, ExperimentAggregate, SimConfig,
+from .engine import (PROTOCOL_TRIALS, PROTOCOLS, STOP_RULES, ExperimentAggregate, SimConfig,
                      SimulationReport, run_grid)
 
 AGGREGATE_COLUMNS = ("protocol", "range", "trials", "connectivity", "mean_lifetime",
@@ -128,7 +128,7 @@ def parse_config(argv=None):
         config.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if ("range" in given and not PROTOCOL_ROUNDS[config.protocol].builds_tree
+    if ("range" in given and not PROTOCOL_TRIALS[config.protocol].builds_tree
             and not args.compare and args.sweep is None):
         print(f"warning: --range is ignored for protocol {config.protocol}", file=sys.stderr)
 

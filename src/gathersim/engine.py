@@ -8,10 +8,12 @@ from itertools import islice
 
 import numpy as np
 
-from .baselines import (AliveChain, build_chain, chain_to_nodes, cluster_block, cluster_rows,
-                        direct_round, elect_heads, pegasis_cdma_block, pegasis_tdma_block)
+from .baselines import (MIN_LEACH_P, AliveChain, build_chain, chain_to_nodes, cluster_block,
+                        cluster_rows, direct_round, elect_heads, pegasis_cdma_block,
+                        pegasis_tdma_block)
 from .emln import compute_delays, construct_trees
-from .network import FieldConfig, Nodes, NodeState, build_graph, deploy, stack_graphs
+from .network import (FieldConfig, Nodes, NodeState, build_graph, check_integers, deploy,
+                      stack_graphs)
 from .radio import RadioParams, hop_lengths, trees_round_energy, tx_cost
 from .seeding import RoundStream, derive_seed, hash_rounds
 
@@ -46,11 +48,13 @@ class SimConfig:
             raise ValueError("range must be finite and positive")
         if not (math.isfinite(self.initial_energy) and self.initial_energy >= 0):
             raise ValueError("initial_energy must be finite and >= 0")
-        for name in ("max_rounds", "trials", "rebuild_period"):
+        counts = ("max_rounds", "trials", "rebuild_period")
+        check_integers(self, *counts, "master_seed")
+        for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not 0 < self.leach_p <= 1:
-            raise ValueError("leach_p must be in (0, 1]")
+        if not MIN_LEACH_P <= self.leach_p <= 1:
+            raise ValueError(f"leach_p must be in [{MIN_LEACH_P}, 1]")
         if self.nodes_override is not None:
             if len(self.nodes_override) != self.field.node_count:
                 raise ValueError("nodes_override must match field.node_count")
@@ -108,33 +112,6 @@ LOCKSTEP_ENTRIES = 1 << 15
 FOLD_NODES = 1 << 13
 
 
-class _Rounds:
-    """One trial's rounds of one protocol: an entry of ``PROTOCOL_ROUNDS``.
-
-    Constructing it prepares the trial. The class's ``blocks(trials, memo)``
-    gives each of ``trials``, the live trials of a group that run the
-    protocol, its next block: the per-node debits (rows, n), delays and leaf
-    counts (None but for trees) of its next ``trial.rows`` rounds, the first
-    being attempt ``trial.attempt + 1`` and completed round
-    ``trial.completed``, as if all complete; or None when no gathering
-    structure is left. ``memo`` is a dict the group keeps for the protocol
-    from step to step, and ``finish(memo)`` ends what it holds before the
-    group's trials report. ``abandon(row)`` says that round ``row`` of the
-    last block was abandoned and nodes died, so the rounds after it were not
-    attempted.
-    """
-
-    builds_tree = False  # a tree protocol's reports count leaves
-
-    def __init__(self, config: SimConfig, trial_seed: int, nodes: Nodes, sink: np.ndarray):
-        self.config, self.trial_seed, self.nodes, self.sink = config, trial_seed, nodes, sink
-        self.rows = max(1, min(BLOCK_ROUNDS, BLOCK_ENTRIES // len(nodes.alive)))
-
-    @staticmethod
-    def finish(memo: dict) -> None:
-        pass
-
-
 def _alike(trials: list, key) -> dict:
     """The indices of ``trials`` by ``key(trial)``, in first-seen order."""
     groups: dict = {}
@@ -145,57 +122,195 @@ def _alike(trials: list, key) -> dict:
 
 def _hash_streams(trials: list) -> None:
     """Hash the round seeds of every trial's next block in one call (``hash_rounds``)."""
-    hash_rounds([t.rounds.stream for t in trials], [t.attempt + 1 for t in trials],
+    hash_rounds([t.stream for t in trials], [t.attempt + 1 for t in trials],
                 [t.rows for t in trials])
 
 
-class _EmlnRounds(_Rounds):
+class _Trial:
+    """One cell of the runner: a trial's node state, protocol state and histories.
+
+    Each protocol's subclass is its entry of ``PROTOCOL_TRIALS``, and
+    constructing one deploys the trial and prepares the protocol. The
+    class's ``blocks(trials, memo)`` gives each of ``trials``, the live
+    trials of a group that run the protocol, its next block: the per-node
+    debits (rows, n) and the delays of its next ``rows`` rounds, the first
+    being attempt ``attempt + 1`` and completed round ``completed``, as if
+    all complete; or None when no gathering structure is left, upon which
+    the trial ``end``s. ``memo`` is a dict the group keeps for the protocol
+    from step to step, and ``finish(memo)`` ends what it holds before the
+    group's trials report. The runner debits the block (``_debit``, together
+    with the group's other blocks of its shape) and the trial applies the
+    outcome with ``apply``; ``abandon(row)`` says that round ``row`` of the
+    last block was abandoned and nodes died, so the rounds after it were not
+    attempted. ``live`` says whether there is a next block.
+    """
+
+    builds_tree = False  # a tree protocol's reports count leaves
+
+    def __init__(self, config: SimConfig, trial_seed: int):
+        if config.nodes_override is not None:
+            nodes = Nodes.from_states(config.nodes_override)
+        else:
+            nodes = deploy(config.field, derive_seed(trial_seed, 0), config.initial_energy)
+        self.config, self.trial_seed, self.nodes = config, trial_seed, nodes
+        # views: the round loop debits energies and clears alive flags in place
+        self.positions, self.energies, self.alive = nodes.positions, nodes.energies, nodes.alive
+        self.sink = np.asarray(config.field.sink_position, dtype=float)
+        self.block = max(1, min(BLOCK_ROUNDS, BLOCK_ENTRIES // len(self.alive)))
+        self.initial_total = float(self.energies.sum())
+        self.connected = True
+        self.energy_hist: list[float] = []
+        self.delay_hist: list[int] = []
+        self.alive_hist: list[int] = []
+        self.residual_hist: list[float] = []
+        self.leaf_hist: list[int] = []
+        self.first_death_at: int | None = None
+        self.completed = 0
+        self.attempt = 0  # abandoned rounds consume their attempt too
+        self.n_alive = int(self.alive.sum())
+        self.live = self.n_alive > 0
+
+    @staticmethod
+    def finish(memo: dict) -> None:
+        pass
+
+    @property
+    def rows(self) -> int:
+        """The number of rounds in the trial's next block."""
+        return min(self.block, self.config.max_rounds - self.completed)
+
+    def end(self) -> None:
+        """End the trial: its protocol found no structure to gather over."""
+        if self.completed == 0:
+            self.connected = False
+        self.live = False
+
+    def apply(self, block, done: int, spent: list, residual: list, levels, dying) -> None:
+        """Take the first ``done`` rounds of ``block``, and abandon the next if there is one.
+
+        ``spent`` and ``residual`` are the block's per-round debit and
+        residual totals, ``levels`` the energies after round ``done`` and
+        ``dying`` the (rows, n) flags of the nodes that could not pay.
+        """
+        config = self.config
+        self.energy_hist += spent[:done]
+        self.residual_hist += residual[:done]
+        self.delay_hist.extend(block[1][:done])
+        self.alive_hist += [self.n_alive] * done
+        self.energies[:] = levels
+        self.completed += done
+        self.attempt += done
+        if done < len(spent):
+            # abandon the round: no debits are applied, the broke nodes die
+            self.attempt += 1
+            if self.first_death_at is None:
+                self.first_death_at = self.completed
+            if config.stop_rule == "first-death":
+                self.live = False
+                return
+            self.alive[dying[done]] = False
+            self.n_alive = int(self.alive.sum())
+            self.abandon(done)
+        self.live = self.completed < config.max_rounds and self.n_alive > 0
+
+    def report(self) -> SimulationReport:
+        completed, builds_tree = self.completed, self.builds_tree
+        if builds_tree:
+            self.resolve()
+        lifetime = self.first_death_at if self.first_death_at is not None else completed
+        energy_arr = np.asarray(self.energy_hist, dtype=float)
+        delay_arr = np.asarray(self.delay_hist, dtype=np.int64)
+        leaf_arr = np.asarray(self.leaf_hist, dtype=np.int64) if builds_tree else None
+        return SimulationReport(
+            protocol=self.config.protocol,
+            connected=self.connected,
+            lifetime=lifetime,
+            energy_per_round=energy_arr,
+            delay_per_round=delay_arr,
+            alive_per_round=np.asarray(self.alive_hist, dtype=np.int64),
+            residual_total_per_round=np.asarray(self.residual_hist, dtype=float),
+            initial_total=self.initial_total,
+            final_energies=self.energies,
+            leaf_per_round=leaf_arr,
+            mean_energy_per_round=_lifetime_mean(energy_arr, lifetime),
+            mean_delay_per_round=_lifetime_mean(delay_arr, lifetime),
+            mean_energy_delay=_lifetime_mean(energy_arr * delay_arr, lifetime),
+            mean_leaf_count=_lifetime_mean(leaf_arr, lifetime) if builds_tree else None,
+        )
+
+
+class _EmlnTrial(_Trial):
     """One round per block: each tree depends on the energies left by the last.
 
-    While ``stale``, a trial's next tree is built (``_grow_trees``, with the
-    group's stacked graphs and tree queues in ``memo``) and its round, or
-    None if the graph is disconnected, handed to ``take``. A round's delay
-    and leaf count are its tree's ``_TreeRecord``, set when the tree's queue
-    is folded: the trial's histories hold records from round ``resolved``
-    on, and ``resolve`` turns them into numbers.
+    A round's delay is its tree's ``_TreeRecord``, set when the tree's queue
+    is folded: the trial's delay history holds records from round
+    ``resolved`` on, and ``resolve`` turns them into delays and leaf counts.
     """
 
     builds_tree = True
 
     def __init__(self, *args):
         super().__init__(*args)
+        self.block = 1
         self.graph = self.round = None
         self.rounds_on_tree = self.config.rebuild_period
-        self.rows = 1
         self.resolved = 0
-
-    @property
-    def stale(self) -> bool:
-        return self.rounds_on_tree >= self.config.rebuild_period
-
-    def take(self, tree_round) -> None:
-        self.round, self.rounds_on_tree = tree_round, 0
 
     @staticmethod
     def blocks(trials: list, memo: dict) -> list:
-        stale = [t for t in trials if t.rounds.stale]
-        if stale:
-            _grow_trees(stale, memo)
+        """Grow the next tree of each trial whose tree is stale, and give every trial its round.
+
+        A round is its tree's debits and record, or None if the graph is
+        disconnected. The stale trials with one node count, sink and radio
+        grow their trees together (``construct_trees``), however few they
+        are. ``memo["stacks"]`` keeps, per such kind of trial, the last
+        stacked graph and its members' graphs; it is stacked again only when
+        a member's graph differs. The trees go into ``memo["queues"]``, a
+        ``_TreeQueue`` per node count, which folds their delays and leaf
+        counts later.
+        """
+        stacks = memo.setdefault("stacks", {})
+        queues = memo.setdefault("queues", {})
+        alike: dict = {}
         for trial in trials:
-            trial.rounds.rounds_on_tree += 1
-        return [trial.rounds.round for trial in trials]
+            config = trial.config
+            if trial.rounds_on_tree >= config.rebuild_period:
+                if trial.graph is None:
+                    trial.graph = build_graph(trial.nodes, config.range_m)
+                key = (len(trial.energies), tuple(config.field.sink_position), config.radio)
+                alike.setdefault(key, []).append(trial)
+        for key, group in alike.items():
+            _, sink, radio = key
+            graphs = [t.graph for t in group]
+            members, stacked = stacks.get(key, ((), None))
+            if len(members) != len(graphs) or any(a is not b for a, b in zip(members, graphs)):
+                stacked = stack_graphs(graphs)
+                stacks[key] = graphs, stacked
+            seeds = [derive_seed(t.trial_seed, t.attempt + 1) for t in group]
+            trees = construct_trees(stacked, np.array([t.energies for t in group]), seeds)
+            roots, parent, _, intermediate = trees
+            debits = trees_round_energy(roots, parent, intermediate, stacked.positions, sink,
+                                        radio).per_node
+            records = [_TreeRecord() for _ in group]
+            for t, (trial, root, record) in enumerate(zip(group, roots.tolist(), records)):
+                trial.round = (debits[t:t + 1], [record]) if root >= 0 else None
+                trial.rounds_on_tree = 0
+            queues.setdefault(key[0], _TreeQueue()).push(trees, records, group)
+        for trial in trials:
+            trial.rounds_on_tree += 1
+        return [trial.round for trial in trials]
 
     @staticmethod
     def finish(memo: dict) -> None:
         for queue in memo.get("queues", {}).values():
             queue.fold()
 
-    def resolve(self, trial: _Trial) -> None:
-        """Turn the records of ``trial``'s folded rounds into its delays and leaf counts."""
-        start = self.resolved
-        trial.delay_hist[start:] = [record.delay for record in trial.delay_hist[start:]]
-        trial.leaf_hist[start:] = [record.leaves for record in trial.leaf_hist[start:]]
-        self.resolved = len(trial.delay_hist)
+    def resolve(self) -> None:
+        """Turn the records of the trial's folded rounds into its delays and leaf counts."""
+        records = self.delay_hist[self.resolved:]
+        self.delay_hist[self.resolved:] = [record.delay for record in records]
+        self.leaf_hist += [record.leaves for record in records]
+        self.resolved = len(self.delay_hist)
 
     def abandon(self, row: int) -> None:
         self.graph = None
@@ -242,10 +357,10 @@ class _TreeQueue:
         for record, delay, count in zip(records, delays, leaves):
             record.delay, record.leaves = delay, count
         for trial in dict.fromkeys(trials):
-            trial.rounds.resolve(trial)
+            trial.resolve()
 
 
-class _LeachRounds(_Rounds):
+class _LeachTrial(_Trial):
     """Elections one by one, then the nearest heads and ledgers of each trial's block at once.
 
     A group's trials hash their round seeds together; ``cluster_block``
@@ -255,55 +370,53 @@ class _LeachRounds(_Rounds):
 
     def __init__(self, *args):
         super().__init__(*args)
-        positions, alive = self.nodes.positions, self.nodes.alive
         self.stream = RoundStream(self.trial_seed)
-        self.served = np.zeros(len(alive), dtype=bool)
+        self.served = np.zeros(len(self.alive), dtype=bool)
         self.served_before = None
-        self.sink_tx = np.zeros(len(alive))
-        ids = np.flatnonzero(alive)
+        self.sink_tx = np.zeros(len(self.alive))
+        ids = np.flatnonzero(self.alive)
         radio = self.config.radio
         self.sink_tx[ids] = tx_cost(radio, radio.packet_bits,
-                                    hop_lengths(positions.take(ids, axis=0), self.sink))
+                                    hop_lengths(self.positions.take(ids, axis=0), self.sink))
 
-    def elect(self, attempt: int, round_index: int, rows: int) -> np.ndarray:
-        """The ``head_of`` rows of ``rows`` elections from this attempt and round on."""
-        alive = self.nodes.alive
-        self.served_before = np.empty((rows, len(alive)), dtype=bool)
+    def elect(self) -> np.ndarray:
+        """The ``head_of`` rows of the elections of the trial's next block."""
+        attempt, rows = self.attempt + 1, self.rows
+        self.served_before = np.empty((rows, len(self.alive)), dtype=bool)
         heads = []
         for row in range(rows):
             self.served_before[row] = self.served
-            heads.append(elect_heads(alive, self.served, round_index + row,
+            heads.append(elect_heads(self.alive, self.served, self.completed + row,
                                      self.config.leach_p, self.stream(attempt + row)))
-        return cluster_rows(self.nodes.positions, alive, heads)
+        return cluster_rows(self.positions, self.alive, heads)
 
     @staticmethod
     def blocks(trials: list, memo: dict) -> list:
         _hash_streams(trials)
         out = []
         for trial in trials:
-            rounds = trial.rounds
-            head_of = rounds.elect(trial.attempt + 1, trial.completed, trial.rows)
-            ledger, delays = cluster_block(head_of, rounds.nodes.positions, rounds.sink_tx,
-                                           rounds.config.radio)
-            out.append((ledger.per_node, delays.tolist(), None))
+            ledger, delays = cluster_block(trial.elect(), trial.positions, trial.sink_tx,
+                                           trial.config.radio)
+            out.append((ledger.per_node, delays.tolist()))
         return out
 
     def abandon(self, row: int) -> None:
         self.served = self.served_before[row].copy()  # the abandoned election does not count
 
 
-class _ChainRounds(_Rounds):
+class _ChainTrial(_Trial):
     """Leaders drawn trial by trial, then the blocks' ledgers in closed form by ``ledgers``.
 
     A group's trials hash their round seeds together, and the trials whose
     alive chains have one size (and whose blocks one shape) take one
-    ``ledgers`` call over their stacked chains.
+    ``ledgers`` call over their stacked chains. A trial with no alive node
+    has no chain.
     """
 
     def __init__(self, *args):
         super().__init__(*args)
         self.stream = RoundStream(self.trial_seed)
-        self.chain = build_chain(self.nodes.positions, self.sink, self.nodes.alive)
+        self.chain = build_chain(self.positions, self.sink, self.alive) if self.live else None
         self.links = None
 
     @classmethod
@@ -311,37 +424,36 @@ class _ChainRounds(_Rounds):
         _hash_streams(trials)
         leaders = []
         for trial in trials:
-            rounds = trial.rounds
-            if rounds.links is None:
-                rounds.links = AliveChain(rounds.chain, rounds.nodes.alive, rounds.nodes.positions,
-                                          rounds.sink, rounds.config.radio)
-            leaders.append(rounds.stream.integers(trial.attempt + 1, trial.rows,
-                                                  rounds.links.sub.size))
+            if trial.links is None:
+                trial.links = AliveChain(trial.chain, trial.alive, trial.positions, trial.sink,
+                                         trial.config.radio)
+            leaders.append(trial.stream.integers(trial.attempt + 1, trial.rows,
+                                                 trial.links.sub.size))
         out: list = [None] * len(trials)
-        for group in _alike(trials, lambda t: (t.rounds.links.sub.size, t.rows, len(t.alive),
+        for group in _alike(trials, lambda t: (t.links.sub.size, t.rows, len(t.alive),
                                                t.config.radio)).values():
-            chains = [trials[i].rounds.links for i in group]
+            chains = [trials[i].links for i in group]
             ledger, delays = cls.ledgers(chains, [leaders[i] for i in group])
             per_position = ledger.per_node
             del ledger  # peak memory: its (T, rows, m) parts need not outlive their sum
             debits = chain_to_nodes(chains, per_position)
             for i, trial_debits, trial_delays in zip(group, debits, delays.tolist()):
-                out[i] = trial_debits, trial_delays, None
+                out[i] = trial_debits, trial_delays
         return out
 
     def abandon(self, row: int) -> None:
         self.links = None
 
 
-class _TdmaRounds(_ChainRounds):
+class _TdmaTrial(_ChainTrial):
     ledgers = staticmethod(pegasis_tdma_block)
 
 
-class _CdmaRounds(_ChainRounds):
+class _CdmaTrial(_ChainTrial):
     ledgers = staticmethod(pegasis_cdma_block)
 
 
-class _DirectRounds(_Rounds):
+class _DirectTrial(_Trial):
     """The same ledger every round until a node dies."""
 
     debit = None
@@ -350,165 +462,26 @@ class _DirectRounds(_Rounds):
     def blocks(trials: list, memo: dict) -> list:
         out = []
         for trial in trials:
-            rounds = trial.rounds
-            if rounds.debit is None:
-                ledger, rounds.delay = direct_round(rounds.nodes.alive, rounds.nodes.positions,
-                                                    rounds.sink, rounds.config.radio)
-                rounds.debit = ledger.per_node
-            out.append((np.broadcast_to(rounds.debit, (trial.rows, len(rounds.debit))),
-                        [rounds.delay] * trial.rows, None))
+            if trial.debit is None:
+                ledger, trial.delay = direct_round(trial.alive, trial.positions, trial.sink,
+                                                   trial.config.radio)
+                trial.debit = ledger.per_node
+            out.append((np.broadcast_to(trial.debit, (trial.rows, len(trial.debit))),
+                        [trial.delay] * trial.rows))
         return out
 
     def abandon(self, row: int) -> None:
         self.debit = None
 
 
-PROTOCOL_ROUNDS = {
-    "emln": _EmlnRounds,
-    "leach": _LeachRounds,
-    "pegasis-tdma": _TdmaRounds,
-    "pegasis-cdma": _CdmaRounds,
-    "direct": _DirectRounds,
+PROTOCOL_TRIALS = {
+    "emln": _EmlnTrial,
+    "leach": _LeachTrial,
+    "pegasis-tdma": _TdmaTrial,
+    "pegasis-cdma": _CdmaTrial,
+    "direct": _DirectTrial,
 }
-PROTOCOLS = tuple(PROTOCOL_ROUNDS)
-
-
-class _Trial:
-    """One cell of the runner: a trial's node state, its protocol's rounds and its histories.
-
-    Its protocol's ``blocks`` gives its next block of ``rows`` rounds, or
-    None, upon which the trial ``end``s; the runner debits the block
-    (``_debit``, together with the group's other blocks of its shape) and
-    the trial applies the outcome with ``apply``. ``live`` says whether
-    there is a next block.
-    """
-
-    def __init__(self, config: SimConfig, trial_seed: int):
-        if config.nodes_override is not None:
-            nodes = Nodes.from_states(config.nodes_override)
-        else:
-            nodes = deploy(config.field, derive_seed(trial_seed, 0), config.initial_energy)
-        self.config, self.trial_seed = config, trial_seed
-        # the round loop debits energies and clears alive flags in place
-        self.energies, self.alive = nodes.energies, nodes.alive
-        self.initial_total = float(self.energies.sum())
-        sink = np.asarray(config.field.sink_position, dtype=float)
-        self.rounds = PROTOCOL_ROUNDS[config.protocol](config, trial_seed, nodes, sink)
-        self.connected = True
-        self.energy_hist: list[float] = []
-        self.delay_hist: list[int] = []
-        self.alive_hist: list[int] = []
-        self.residual_hist: list[float] = []
-        self.leaf_hist: list[int] = []
-        self.first_death_at: int | None = None
-        self.completed = 0
-        self.attempt = 0  # abandoned rounds consume their attempt too
-        self.n_alive = int(self.alive.sum())
-        self.live = self.n_alive > 0
-
-    @property
-    def rows(self) -> int:
-        """The number of rounds in the trial's next block."""
-        return min(self.rounds.rows, self.config.max_rounds - self.completed)
-
-    def end(self) -> None:
-        """End the trial: its protocol found no structure to gather over."""
-        if self.completed == 0:
-            self.connected = False
-        self.live = False
-
-    def apply(self, block, done: int, spent: list, residual: list, levels, dying) -> None:
-        """Take the first ``done`` rounds of ``block``, and abandon the next if there is one.
-
-        ``spent`` and ``residual`` are the block's per-round debit and
-        residual totals, ``levels`` the energies after round ``done`` and
-        ``dying`` the (rows, n) flags of the nodes that could not pay.
-        """
-        config = self.config
-        _, delays, leaves = block
-        self.energy_hist += spent[:done]
-        self.residual_hist += residual[:done]
-        self.delay_hist.extend(delays[:done])
-        self.alive_hist += [self.n_alive] * done
-        if leaves is not None:
-            self.leaf_hist += leaves[:done]
-        self.energies[:] = levels
-        self.completed += done
-        self.attempt += done
-        if done < len(spent):
-            # abandon the round: no debits are applied, the broke nodes die
-            self.attempt += 1
-            if self.first_death_at is None:
-                self.first_death_at = self.completed
-            if config.stop_rule == "first-death":
-                self.live = False
-                return
-            self.alive[dying[done]] = False
-            self.n_alive = int(self.alive.sum())
-            self.rounds.abandon(done)
-        self.live = self.completed < config.max_rounds and self.n_alive > 0
-
-    def report(self) -> SimulationReport:
-        completed, builds_tree = self.completed, self.rounds.builds_tree
-        if builds_tree:
-            self.rounds.resolve(self)
-        lifetime = self.first_death_at if self.first_death_at is not None else completed
-        energy_arr = np.asarray(self.energy_hist, dtype=float)
-        delay_arr = np.asarray(self.delay_hist, dtype=np.int64)
-        leaf_arr = np.asarray(self.leaf_hist, dtype=np.int64) if builds_tree else None
-        return SimulationReport(
-            protocol=self.config.protocol,
-            connected=self.connected,
-            lifetime=lifetime,
-            energy_per_round=energy_arr,
-            delay_per_round=delay_arr,
-            alive_per_round=np.asarray(self.alive_hist, dtype=np.int64),
-            residual_total_per_round=np.asarray(self.residual_hist, dtype=float),
-            initial_total=self.initial_total,
-            final_energies=self.energies,
-            leaf_per_round=leaf_arr,
-            mean_energy_per_round=_lifetime_mean(energy_arr, lifetime),
-            mean_delay_per_round=_lifetime_mean(delay_arr, lifetime),
-            mean_energy_delay=_lifetime_mean(energy_arr * delay_arr, lifetime),
-            mean_leaf_count=_lifetime_mean(leaf_arr, lifetime) if builds_tree else None,
-        )
-
-
-def _grow_trees(trials: list[_Trial], memo: dict) -> None:
-    """Hand each trial's EMLN rounds its next tree's round: debits and the tree's record.
-
-    Trials with one node count, sink and radio grow their trees together
-    (``construct_trees``), however few they are. ``memo["stacks"]`` keeps,
-    per such kind of trial, the last stacked graph and its members' graphs;
-    it is stacked again only when a member's graph differs. The trees go
-    into ``memo["queues"]``, a ``_TreeQueue`` per node count, which folds
-    their delays and leaf counts later.
-    """
-    stacks = memo.setdefault("stacks", {})
-    queues = memo.setdefault("queues", {})
-    alike: dict = {}
-    for trial in trials:
-        rounds = trial.rounds
-        if rounds.graph is None:
-            rounds.graph = build_graph(rounds.nodes, rounds.config.range_m)
-        key = (len(trial.energies), tuple(trial.config.field.sink_position), trial.config.radio)
-        alike.setdefault(key, []).append(trial)
-    for key, group in alike.items():
-        _, sink, radio = key
-        graphs = [t.rounds.graph for t in group]
-        members, stacked = stacks.get(key, ((), None))
-        if len(members) != len(graphs) or any(a is not b for a, b in zip(members, graphs)):
-            stacked = stack_graphs(graphs)
-            stacks[key] = graphs, stacked
-        seeds = [derive_seed(t.trial_seed, t.attempt + 1) for t in group]
-        trees = construct_trees(stacked, np.array([t.energies for t in group]), seeds)
-        roots, parent, _, intermediate = trees
-        debits = trees_round_energy(roots, parent, intermediate, stacked.positions, sink,
-                                    radio).per_node
-        records = [_TreeRecord() for _ in group]
-        for t, (trial, root, record) in enumerate(zip(group, roots.tolist(), records)):
-            trial.rounds.take((debits[t:t + 1], [record], [record]) if root >= 0 else None)
-        queues.setdefault(key[0], _TreeQueue()).push(trees, records, group)
+PROTOCOLS = tuple(PROTOCOL_TRIALS)
 
 
 def _debit(trials: list[_Trial], blocks: list) -> None:
@@ -546,12 +519,12 @@ def _run_group(cells: list[tuple[SimConfig, int]]) -> list[SimulationReport]:
     A step asks each protocol for the next blocks of all its live trials
     (one ``blocks`` call each) and debits the blocks of each shape together.
     """
-    trials = [_Trial(config, seed) for config, seed in cells]
+    trials = [PROTOCOL_TRIALS[config.protocol](config, seed) for config, seed in cells]
     memos: dict = {}
     live = [t for t in trials if t.live]
     while live:
         shapes: dict = {}
-        for kind, group in _alike(live, lambda t: type(t.rounds)).items():
+        for kind, group in _alike(live, type).items():
             mates = [live[i] for i in group]
             for trial, block in zip(mates, kind.blocks(mates, memos.setdefault(kind, {}))):
                 if block is None:
@@ -649,7 +622,7 @@ class ExperimentResult:
 
 def _aggregate(config: SimConfig, reports: list[SimulationReport]) -> ExperimentAggregate:
     """Reduce trial reports, in ascending trial order, to one aggregate row."""
-    builds_tree = PROTOCOL_ROUNDS[config.protocol].builds_tree
+    builds_tree = PROTOCOL_TRIALS[config.protocol].builds_tree
     usable = [r for r in reports if r.connected]
     connectivity = len(usable) / len(reports)
     if usable:

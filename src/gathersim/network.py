@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -10,6 +11,18 @@ from typing import Sequence
 import numpy as np
 
 from .seeding import make_rng
+
+
+def check_integers(record, *names: str) -> None:
+    """Raise ValueError naming the first field of ``names`` that ``operator.index`` rejects.
+
+    Python and numpy integers pass; floats, even whole ones, do not.
+    """
+    for name in names:
+        try:
+            operator.index(getattr(record, name))
+        except TypeError:
+            raise ValueError(f"{name} must be an integer") from None
 
 
 @dataclass(frozen=True)
@@ -22,6 +35,7 @@ class FieldConfig:
     sink_position: tuple[float, float] = (50.0, 300.0)
 
     def validate(self) -> None:
+        check_integers(self, "node_count")
         if not all(map(math.isfinite, (self.width, self.height, *self.sink_position))):
             raise ValueError("field dimensions and sink position must be finite")
         if self.width <= 0 or self.height <= 0:

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .emln import GatherTree
+from .network import check_integers
 
 
 @dataclass(frozen=True)
@@ -18,6 +19,7 @@ class RadioParams:
     packet_bits: int = 2000     # bits per data packet; aggregates keep this size
 
     def validate(self) -> None:
+        check_integers(self, "packet_bits")
         if not all(map(math.isfinite, (self.e_elec, self.eps_amp, self.e_fuse))):
             raise ValueError("radio constants must be finite")
         if self.e_elec < 0 or self.eps_amp < 0 or self.e_fuse < 0:

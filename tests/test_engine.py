@@ -39,16 +39,23 @@ def test_chain_leaders_load_no_generator(proto, monkeypatch):
 def test_config_validation():
     for bad in (dict(trials=0), dict(max_rounds=0), dict(rebuild_period=0),
                 dict(protocol="nope"), dict(stop_rule="sometimes"),
-                dict(leach_p=0.0), dict(range_m=0.0), dict(initial_energy=-1.0)):
+                dict(leach_p=0.0), dict(leach_p=1e-9), dict(range_m=0.0), dict(initial_energy=-1.0),
+                dict(max_rounds=2.5), dict(rebuild_period=1.5), dict(trials=2.0),
+                dict(master_seed=1.5), dict(radio=RadioParams(packet_bits=2000.5)),
+                dict(field=dataclasses.replace(SMALL.field, node_count=10.5))):
         with pytest.raises(ValueError):
             small(**bad).validate()
 
 
 def test_zero_initial_energy_means_zero_lifetime():
+    dead = tuple(NodeState(i, (8.0 * i, 20.0), 0.0, alive=False) for i in range(5))
     for proto in ("emln", "leach", "pegasis-tdma", "pegasis-cdma", "direct"):
-        report = run_trial(small(protocol=proto, initial_energy=0.0), 5)
-        assert report.lifetime == 0
-        assert report.completed_rounds == 0
+        for config in (small(protocol=proto, initial_energy=0.0),
+                       small(protocol=proto, field=dataclasses.replace(SMALL.field, node_count=5),
+                             nodes_override=dead)):
+            report = run_trial(config, 5)
+            assert report.lifetime == 0
+            assert report.completed_rounds == 0
 
 
 def test_direct_single_node_lifetime_is_79():
@@ -215,7 +222,7 @@ def test_connectivity_fraction_counts_disconnected_trials(monkeypatch):
     assert np.isnan(agg.mean_lifetime)
     assert np.isnan(agg.mean_leaf_fraction)
     # a baseline that finds no structure to gather over has no leaf fraction at all
-    monkeypatch.setattr(engine._DirectRounds, "blocks", lambda trials, memo: [None] * len(trials))
+    monkeypatch.setattr(engine._DirectTrial, "blocks", lambda trials, memo: [None] * len(trials))
     agg = run_experiment(small(protocol="direct", trials=4)).aggregate
     assert agg.connectivity == 0.0
     assert np.isnan(agg.mean_lifetime)
@@ -237,7 +244,7 @@ def test_baseline_trials_in_lockstep_match_single_trials(proto, stop_rule, monke
     hash_rounds = engine.hash_rounds
     monkeypatch.setattr(engine, "hash_rounds", lambda streams, attempts, rows: (
         steps.append(attempts), hash_rounds(streams, attempts, rows)))
-    kind = engine.PROTOCOL_ROUNDS[proto]
+    kind = engine.PROTOCOL_TRIALS[proto]
     if proto.startswith("pegasis"):
         ledgers = kind.ledgers
         monkeypatch.setattr(kind, "ledgers", staticmethod(lambda chains, leaders: (
