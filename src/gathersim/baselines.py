@@ -46,23 +46,22 @@ def _neighbour_lists(pos: np.ndarray):
     if not 0.0 < radius * radius < math.inf:
         return no_lists
     try:
-        a, b = _pairs_within(pos, radius, CHAIN_CANDIDATES_PER_NODE * n)
+        a, b, d2 = _pairs_within(pos, radius, CHAIN_CANDIDATES_PER_NODE * n)
     except ValueError:
         return no_lists
-    dx, dy = x[b] - x[a], y[b] - y[a]  # x[a] - x[b] squares to the same float
-    d = np.sqrt(dx * dx + dy * dy)
+    d = np.sqrt(d2)  # the grid search's dx*dx + dy*dy, so the scan's float distance
     # keep what is strictly nearer than any node left out (at least sqrt(R*R) away)
-    near = d < math.sqrt(radius * radius)
-    owner, other = np.concatenate((a[near], b[near])), np.concatenate((b[near], a[near]))
-    d = np.tile(d[near], 2)
-    # by owner, then distance: rank the distances, then one integer sort
-    rank = np.empty(d.size, dtype=np.int64)
-    rank[np.argsort(d)] = np.arange(d.size)
-    order = np.argsort(owner * d.size + rank)
-    if ((np.diff(owner[order]) == 0) & (np.diff(d[order]) == 0)).any():
-        order = np.lexsort((other, d, owner))  # equal distances in one list: by index
-    bounds = np.searchsorted(owner[order], np.arange(n + 1))
-    return memoryview(bounds), memoryview(other[order])
+    near = np.flatnonzero(d < math.sqrt(radius * radius))
+    near = near.take(np.argsort(d.take(near)))  # nearest pair first
+    a, b, d = a.take(near), b.take(near), d.take(near)
+    # each pair once for each end, then stably by owner: by owner, then distance
+    # (a stable sort of keys of 16 bits or fewer is a radix sort)
+    owner, other = np.stack((a, b), axis=1).ravel(), np.stack((b, a), axis=1).ravel()
+    order = np.argsort(owner.astype(np.min_scalar_type(n)), kind="stable")
+    if (d[1:] == d[:-1]).any():  # equal distances, perhaps in one list: by index there
+        order = np.lexsort((other, np.repeat(d, 2), owner))
+    bounds = np.concatenate(([0], np.bincount(owner, minlength=n).cumsum()))
+    return memoryview(bounds), memoryview(other.take(order))
 
 
 def build_chain(positions, sink, alive=None) -> np.ndarray:
@@ -94,22 +93,29 @@ def build_chain(positions, sink, alive=None) -> np.ndarray:
     first = int(np.argmax(np.linalg.norm(pos - sink, axis=1)))
 
     bounds, nbrs = _neighbour_lists(pos)
-    x, y = pos[:, 0], pos[:, 1]
+    x, y = pos.T.copy()
     visited = bytearray(ids.size)
+    seen = np.frombuffer(visited, dtype=bool)  # a view: it follows ``visited``
     rest = np.arange(ids.size)  # a superset of the unvisited nodes, in id order
     steps = [first]
     cur = first
     for _ in range(ids.size - 1):
         visited[cur] = True
-        for k in range(bounds[cur], bounds[cur + 1]):
-            if not visited[nbrs[k]]:
-                cur = nbrs[k]
+        for v in nbrs[bounds[cur]:bounds[cur + 1]]:
+            if not visited[v]:
+                cur = v
                 break
         else:
-            rest = rest[~np.frombuffer(visited, dtype=bool)[rest]]
-            # sqrt(dx*dx + dy*dy) is what np.linalg.norm(..., axis=1) computes
-            dx, dy = x[rest] - x[cur], y[rest] - y[cur]
-            dist = np.sqrt(dx * dx + dy * dy)
+            rest = rest.compress(~seen.take(rest))
+            # sqrt(dx*dx + dy*dy), what np.linalg.norm(..., axis=1) computes, in place
+            dist = x.take(rest)
+            dist -= x[cur]
+            dist *= dist
+            dy = y.take(rest)
+            dy -= y[cur]
+            dy *= dy
+            dist += dy
+            np.sqrt(dist, out=dist)
             best = int(dist.argmin())
             # if every distance overflowed, take the lowest unvisited id
             cur = int(rest[best if dist[best] < np.inf else 0])

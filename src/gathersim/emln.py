@@ -106,10 +106,11 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
     one.
 
     A step gathers the neighbor lists of its picks, and of the nodes they
-    cover, with one ``graph.neighbors_of`` call each. Its padded table is
-    built on first use and cached on the snapshot, so a caller that grows
-    many rounds of trees reuses one stacked graph. The sentinel id T·n pads
-    the lists, and its level of 0 makes it count as covered.
+    cover, with one gather of ``graph.neighbor_table`` rows each, or one
+    ``graph.neighbors_of`` call if some list spills past the table. The
+    table is built on first use and cached on the snapshot, so a caller
+    that grows many rounds of trees reuses one stacked graph. The sentinel
+    id T·n pads the lists, and its level of 0 makes it count as covered.
     """
     tie_seeds = list(tie_seeds)
     trials = len(tie_seeds)
@@ -125,7 +126,7 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
     if not alive.any(axis=1).all():
         raise ValueError("a trial's graph has no alive node")
 
-    neighbors_of = graph.neighbors_of
+    table, spills = graph.neighbor_table
     # uncovered-neighbor counts, held as floats: count * energy is then the
     # float product that an int64 count times a float64 energy casts to; the
     # sentinel's slot, the last, takes the sentinel's debits and is never read
@@ -149,40 +150,14 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
     finished = np.zeros(trials, dtype=bool)  # complete or disconnected
     row_level = np.zeros(trials, dtype=np.int64)
 
-    def cover(ids: np.ndarray) -> None:
-        """Debit the uncovered-neighbor counts of the newly covered ``ids``' neighbors."""
-        np.subtract(count, np.bincount(neighbors_of(ids), minlength=size + 1), out=count)
-
-    def weigh() -> tuple[np.ndarray, np.ndarray]:
-        """Each row's max-weight candidate (lowest id first) and its weight, -inf for none."""
-        np.multiply(count_rows, energies, out=weights)
-        np.add(weights, floor_rows, out=weights)
-        best = weights.argmax(axis=1)
-        return best, weights[rows, best]
-
-    def break_ties(growing: np.ndarray, best: np.ndarray, top: np.ndarray) -> None:
-        """Draw each growing row's pick among its tied maxima, where it has several.
-
-        A row ties exactly when its last maximum is not its first, ``best``.
-        """
-        last = n - 1 - weights[:, ::-1].argmax(axis=1)
-        for t in growing[last[growing] != best[growing]].tolist():
-            tied = (weights[t] == top[t]).nonzero()[0]
-            if rngs[t] is None:
-                rngs[t] = make_rng(tie_seeds[t])
-            best[t] = tied[rngs[t].integers(tied.size)]
-
-    best, top = weigh()
-    break_ties(rows, best, top)
-    roots = best
-    floor[:] = -np.inf
-    picked = offset + roots
-    level[picked] = 0
-    cover(picked)
-    growing, done = rows, 0
-    while growing.size:
+    # the first step picks each row's root among its alive nodes and covers
+    # it; every step then promotes its picks, covers their uncovered
+    # neighbors and picks again. Without spilled lists a gather is one take.
+    roots, picked, growing, done = None, offset[:0], rows, 0
+    least = -np.inf  # a row grows while its top weight is above this; any alive node may root it
+    while True:
         intermediate[picked] = True
-        nb = neighbors_of(picked)
+        nb = graph.neighbors_of(picked) if spills else table.take(picked, axis=0).ravel()
         new = nb[level[nb] < 0]
         if new.size:
             floor[new] = 0.0
@@ -190,11 +165,17 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
             row = new // n
             parent[new] = best[row]  # each growing row's pick; its other entries are not read
             level[new] = row_level[row] + 1
-            cover(new)
+            # debit the uncovered-neighbor counts of the new nodes' neighbors
+            nb = graph.neighbors_of(new) if spills else table.take(new, axis=0).ravel()
+            np.subtract(count, np.bincount(nb, minlength=size + 1), out=count)
         floor[picked] = -np.inf
 
-        best, top = weigh()
-        grows = top > 0
+        # each row's max-weight candidate (lowest id first) and its weight, -inf for none
+        np.multiply(count_rows, energies, out=weights)
+        np.add(weights, floor_rows, out=weights)
+        best = weights.argmax(axis=1)
+        top = weights[rows, best]
+        grows = top > least
         growing = grows.nonzero()[0]
         if growing.size + done < trials:
             # rows with no positive weight: complete, disconnected or under the zero-top rule
@@ -212,8 +193,23 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
             finished[ending] = True
             done += ending.size
             growing = grows.nonzero()[0]
-        break_ties(growing, best, top)
+        if not growing.size:
+            break
+        # a growing row has tied maxima exactly when its last maximum is not
+        # its first, best; draw its pick among them
+        last = n - 1 - weights[:, ::-1].argmax(axis=1)
+        for t in growing[last[growing] != best[growing]].tolist():
+            tied = (weights[t] == top[t]).nonzero()[0]
+            if rngs[t] is None:
+                rngs[t] = make_rng(tie_seeds[t])
+            best[t] = tied[rngs[t].integers(tied.size)]
         picked = offset[growing] + best[growing]
+        if roots is None:
+            roots, least = best, 0.0
+            floor[:] = -np.inf
+            level[picked] = 0
+            nb = graph.neighbors_of(picked) if spills else table.take(picked, axis=0).ravel()
+            np.subtract(count, np.bincount(nb, minlength=size + 1), out=count)
 
     return (np.where(connected, roots, -1), parent.reshape(trials, n), level_rows,
             intermediate.reshape(trials, n))

@@ -206,7 +206,7 @@ MAX_CELLS_PER_AXIS = 2**26
 
 
 def _pairs_within(pos: np.ndarray, range_m: float,
-                  max_candidates: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
+                  max_candidates: float = math.inf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index pairs (i, j), each unordered pair once, with |pos[i] - pos[j]| <= range_m.
 
     Fixed-radius near neighbours on a uniform grid (Bentley, Stanat and
@@ -215,46 +215,52 @@ def _pairs_within(pos: np.ndarray, range_m: float,
     cells. Candidates come from a node's own cell and four "half" neighbour
     cells, so each unordered pair is produced exactly once, and each is kept
     iff dx*dx + dy*dy <= range_m**2, the same float test as a dense
-    comparison of all pairs. Raises ValueError, before the candidates are
-    allocated, if there are more than ``max_candidates`` of them.
+    comparison of all pairs. Returns the pairs as two id arrays and their
+    squared distances dx*dx + dy*dy. Raises ValueError, before the
+    candidates are allocated, if there are more than ``max_candidates`` of
+    them.
     """
     with np.errstate(over="ignore"):  # an overflowing span is rejected below
         offset = pos - pos.min(axis=0, initial=np.inf)
     extent = float(offset.max(initial=0.0))
     if not math.isfinite(extent):
         raise ValueError("node coordinates span more than the float range")
-    side = max(range_m * (1 + CELL_MARGIN), extent / MAX_CELLS_PER_AXIS)
-    cells = np.floor(offset / side).astype(np.int64)
+    offset /= max(range_m * (1 + CELL_MARGIN), extent / MAX_CELLS_PER_AXIS)
+    cells = offset.astype(np.int64)  # truncation floors these non-negative cell coordinates
     # a spare row on top, so a step of one row up from the top row or down
     # from the bottom row lands in an empty cell, not in the next column
     rows = int(cells[:, 1].max(initial=0)) + 2
     key = cells[:, 0] * rows + cells[:, 1]
     order = np.argsort(key)
-    key = key[order]
+    key = key.take(order)
 
-    owner = np.arange(key.size)
-    cell_end = np.searchsorted(key, key, side="right")
-    starts, stops = [owner + 1], [cell_end]  # later nodes of the own cell
-    for step in (1, rows - 1, rows, rows + 1):
-        starts.append(np.searchsorted(key, key + step, side="left"))
-        stops.append(np.searchsorted(key, key + step, side="right"))
-    starts, stops = np.concatenate(starts), np.concatenate(stops)
+    # two runs of sorted positions per node: the later nodes of its own cell
+    # with the cell above (keys up to key + 1), then the three cells of the
+    # next column (keys key + rows - 1 to key + rows + 1)
+    starts = np.concatenate((np.arange(1, key.size + 1), np.searchsorted(key, key + (rows - 1))))
+    stops = np.searchsorted(key, np.concatenate((key + 1, key + (rows + 1))), side="right")
     counts = stops - starts
     total = int(counts.sum())
     if total > max_candidates:
         raise ValueError(f"{total} candidate pairs, more than {max_candidates}")
     # candidate k of a run is starts + k: subtract each run's offset in the output
-    first = np.repeat(np.tile(owner, 5), counts)
-    second = np.arange(total) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    second = np.repeat(starts - counts.cumsum() + counts, counts)
+    second += np.arange(total)
 
-    d2 = np.zeros(total)  # dx*dx + dy*dy, in place: 0 + dx*dx is exactly dx*dx
-    for coord in pos[order].T:
-        d = coord[first]
-        d -= coord[second]
-        d *= d
-        d2 += d
-    keep = d2 <= range_m * range_m
-    return order[first[keep]], order[second[keep]]
+    # dx*dx + dy*dy in place over sorted coordinate columns; a run's owner
+    # coordinate is repeated, not gathered
+    x, y = pos.T.take(order, axis=1)
+    d2 = np.repeat(np.tile(x, 2), counts)
+    d2 -= x.take(second)
+    d2 *= d2
+    dy = np.repeat(np.tile(y, 2), counts)
+    dy -= y.take(second)
+    dy *= dy
+    d2 += dy
+    del dy  # one candidate-length array fewer through the compaction
+    keep = np.flatnonzero(d2 <= range_m * range_m)
+    return (np.repeat(np.tile(order, 2), counts).take(keep), order.take(second.take(keep)),
+            d2.take(keep))
 
 
 def build_graph(nodes: Nodes, range_m: float) -> NetworkSnapshot:
@@ -265,12 +271,12 @@ def build_graph(nodes: Nodes, range_m: float) -> NetworkSnapshot:
     neighbours. Time and memory grow with the number of nodes times their
     mean degree, not with n^2. The snapshot keeps copies of the node arrays.
     """
-    if not range_m > 0:
-        raise ValueError("range must be positive")
+    if not 0 < range_m < math.inf:
+        raise ValueError("range must be positive and finite")
     positions, alive = nodes.positions.copy(), nodes.alive.copy()
     n = len(alive)
     ids = np.flatnonzero(alive)
-    a, b = _pairs_within(positions[ids], float(range_m))
+    a, b, _ = _pairs_within(positions[ids], float(range_m))
     a, b = ids[a], ids[b]
     # one sort of (source, target) keys puts each list in ascending order
     sources, indices = np.divmod(np.sort(np.concatenate((a * n + b, b * n + a))), n)

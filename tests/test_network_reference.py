@@ -15,6 +15,13 @@ and without dead nodes. The chain has cases of its own:
 collinear and coincident nodes (no neighbour lists), two nodes, dead nodes
 at 2,000 nodes, clumps whose lists run out, a candidate exactly at the list
 radius and an 8,000-node deployment.
+
+The grid search behind both, ``_pairs_within``, is checked on its own
+against a dense all-pairs oracle: the pair set on the lattice cases above
+and on random layouts with coincident points, and its squared distances bit
+for bit. The chain's neighbour lists are checked against a reference sort
+by (owner, distance, id), on layouts with equal distances in one list and
+on one with more nodes than 16-bit owner keys hold.
 """
 
 import dataclasses
@@ -29,6 +36,7 @@ from test_emln_reference import clumped_graph
 from gathersim import (FieldConfig, Nodes, NodeState, build_chain, build_graph, deploy,
                        derive_seed, is_connected, positions_of)
 from gathersim.baselines import _neighbour_lists
+from gathersim.network import _pairs_within
 
 SINK = (50.0, 300.0)
 
@@ -337,3 +345,115 @@ def test_chain_of_20000_nodes_stays_small():
         tracemalloc.stop()
     assert sorted(chain.tolist()) == list(range(20_000))
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def dense_pairs(points, range_m):
+    # every pair i < j whose dx*dx + dy*dy is at most range_m**2, by all-pairs arrays
+    dx = points[:, None, 0] - points[None, :, 0]
+    dy = points[:, None, 1] - points[None, :, 1]
+    i, j = np.nonzero(np.triu(dx * dx + dy * dy <= range_m * range_m, 1))
+    return set(zip(i.tolist(), j.tolist()))
+
+
+def assert_pairs_match_oracle(points, range_m):
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    a, b, d2 = _pairs_within(points, range_m)
+    pairs = [(min(p, q), max(p, q)) for p, q in zip(a.tolist(), b.tolist())]
+    assert len(set(pairs)) == len(pairs)  # each unordered pair once
+    assert set(pairs) == dense_pairs(points, range_m)
+    dx, dy = points[a, 0] - points[b, 0], points[a, 1] - points[b, 1]
+    assert (dx * dx + dy * dy).tobytes() == d2.tobytes()
+    return pairs
+
+
+def test_pairs_match_the_dense_oracle_on_the_lattice_cases():
+    for range_m in (25.0, 0.1, 3.0):
+        for step_over_range in (1.0, 0.5, 0.25, 2 / 3):
+            for origin in ((0.0, 0.0), (-100.0, 37.5)):
+                points = lattice(range_m * step_over_range, 9, origin).positions
+                assert_pairs_match_oracle(points, range_m)
+    base = np.array([(i * 25.0, j * 25.0) for i in range(6) for j in range(6)])
+    for direction in (-np.inf, np.inf):
+        assert_pairs_match_oracle(np.nextafter(base, direction), 25.0)
+        assert_pairs_match_oracle(np.nextafter(base * 1e6, direction), 25e6)
+    rng = np.random.default_rng(3)
+    for step in (12.5, 0.1, 0.3):
+        for _ in range(10):
+            assert_pairs_match_oracle(np.round(rng.random((60, 2)) * 8) * step, 2 * step)
+
+
+def test_pairs_match_the_dense_oracle_on_random_layouts_with_coincident_points():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        points = rng.random((int(rng.integers(1, 150)), 2)) * (20.0, 60.0)
+        copies = rng.integers(0, len(points), size=len(points) // 4)
+        points = np.concatenate([points, points[copies]])[rng.permutation(len(points)
+                                                                           + copies.size)]
+        range_m = float(rng.choice([0.5, 3.0, 7.5, 100.0]))
+        assert_pairs_match_oracle(points, range_m)
+
+
+def test_pairs_of_one_node_and_of_none():
+    assert assert_pairs_match_oracle(np.zeros((1, 2)), 5.0) == []
+    a, b, d2 = _pairs_within(np.zeros((0, 2)), 5.0)
+    assert a.size == b.size == d2.size == 0
+
+
+def reference_lists(points):
+    # each node's list of the others strictly nearer than sqrt(R*R), by
+    # (distance, id), where R is build_chain's list radius; one row at a time
+    radius, ids = list_radius(points), np.arange(len(points))
+    lists = []
+    for i, (x, y) in enumerate(points):
+        dx, dy = points[:, 0] - x, points[:, 1] - y
+        d = np.sqrt(dx * dx + dy * dy)
+        near = (d < np.sqrt(radius * radius)) & (ids != i)
+        lists.append(ids[near][np.lexsort((ids[near], d[near]))].tolist())
+    return lists
+
+
+def assert_lists_match(points, expected):
+    bounds, nbrs = _neighbour_lists(points)
+    bounds, nbrs = list(bounds), list(nbrs)
+    assert bounds == np.cumsum([0] + [len(entries) for entries in expected]).tolist()
+    assert nbrs == [j for entries in expected for j in entries]
+
+
+@pytest.mark.parametrize("n", [2, 30, 100, 300, 2000])
+def test_neighbour_lists_match_a_reference_sort(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3 if n < 2000 else 1):
+        points = rng.random((n, 2)) * (100.0, 70.0)
+        assert_lists_match(points, reference_lists(points))
+
+
+def test_neighbour_lists_with_equal_distances_in_one_list():
+    # a rounded lattice: many lists hold several nodes at one distance, which
+    # the lists order by id
+    rng = np.random.default_rng(5)
+    points = np.round(rng.random((80, 2)) * 10) * 0.3
+    expected = reference_lists(points)
+    ties = 0
+    for i, entries in enumerate(expected):
+        dx, dy = (points[entries] - points[i]).T
+        d = np.sqrt(dx * dx + dy * dy)
+        ties += int((d[1:] == d[:-1]).sum())
+    assert ties > 0
+    assert_lists_match(points, expected)
+
+
+def test_neighbour_lists_of_more_nodes_than_16_bit_owner_ids_hold():
+    # above 65,536 nodes the owners are sorted as 32-bit keys; the pairs come
+    # from the grid search, which the tests above check against the oracle
+    n = 66_000
+    points = np.random.default_rng(2).random((n, 2)) * np.sqrt(n) * 10
+    radius = list_radius(points)
+    a, b, _ = _pairs_within(points, radius)
+    owner, other = np.concatenate((a, b)), np.concatenate((b, a))
+    dx, dy = (points[owner] - points[other]).T
+    d = np.sqrt(dx * dx + dy * dy)
+    near = d < np.sqrt(radius * radius)
+    order = np.lexsort((other[near], d[near], owner[near]))
+    bounds, nbrs = _neighbour_lists(points)
+    assert list(bounds) == np.searchsorted(owner[near][order], np.arange(n + 1)).tolist()
+    assert np.array_equal(np.asarray(nbrs), other[near][order])

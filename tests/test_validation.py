@@ -124,8 +124,9 @@ def test_read_placement_rejects_bad_values_with_path_and_line(line, tmp_path):
 
 def test_build_graph_rejects_nan_range_and_coordinates_spanning_past_the_float_range():
     nodes = Nodes.from_states([NodeState(0, (0.0, 0.0), 1.0), NodeState(1, (5.0, 5.0), 1.0)])
-    with pytest.raises(ValueError, match="range must be positive"):
-        build_graph(nodes, math.nan)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="range must be positive"):
+            build_graph(nodes, bad)
     far = Nodes.from_states([NodeState(0, (-1e308, 0.0), 1.0),
                              NodeState(1, (1e308, 0.0), 1.0)])
     with pytest.raises(ValueError, match="span more than the float range"):
