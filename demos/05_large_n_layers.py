@@ -28,7 +28,7 @@ from gathersim import (FieldConfig, RadioParams, build_chain, build_graph, compu
                        construct_tree, deploy, direct_round, energies_of, is_connected,
                        leach_elect, leach_round, pegasis_cdma_round, pegasis_tdma_round,
                        positions_of, tree_round_energy)
-from gathersim.baselines import CHAIN_CANDIDATES_PER_NODE, _neighbour_lists
+from gathersim.baselines import CHAIN_CANDIDATES_PER_NODE, _list_radius, _neighbour_lists
 from gathersim.network import _pairs_within
 
 LAYERS = ("deploy", "build_graph", "is_connected", "construct_tree", "leach_elect",
@@ -90,8 +90,7 @@ def range_search(n):
     fallback scans in the chain walk."""
     field = field_of(n)
     pos = positions_of(deploy(field, 3))
-    (width, height), count = pos.max(axis=0) - pos.min(axis=0), len(pos)
-    radius = 2.0 * math.sqrt(width * height / count)  # the list radius of build_chain
+    radius, count = _list_radius(pos), len(pos)
     pairs_at_range, _ = best_of_three(_pairs_within, pos, 25.0)
     pairs_at_lists, _ = best_of_three(_pairs_within, pos, radius,
                                       CHAIN_CANDIDATES_PER_NODE * count)

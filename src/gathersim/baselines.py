@@ -30,18 +30,25 @@ from .seeding import make_rng
 CHAIN_CANDIDATES_PER_NODE = 64
 
 
+def _list_radius(pos: np.ndarray) -> float:
+    """R = 2 sqrt(box area / node count), about twice the mean spacing: the
+    radius of the chain's neighbour lists; inf or nan for a span past the
+    float range."""
+    x, y = pos[:, 0], pos[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 2.0 * math.sqrt((x.max() - x.min()) * (y.max() - y.min()) / len(pos))
+
+
 def _neighbour_lists(pos: np.ndarray):
     """Per-node lists of the nodes strictly closer than sqrt(R*R), nearest first.
 
-    R = 2 sqrt(box area / node count), about twice the mean spacing. Node i's
+    R is ``_list_radius(pos)``, about twice the mean spacing. Node i's
     list is ``nbrs[bounds[i]:bounds[i + 1]]``, ordered by the float
     sqrt(dx*dx + dy*dy), then by index. All lists are empty for one node, a
     box of zero area, a span past the float range, or too many candidates.
     """
     n = len(pos)
-    x, y = pos[:, 0], pos[:, 1]
-    with np.errstate(over="ignore", invalid="ignore"):  # a span past the float range
-        radius = 2.0 * math.sqrt((x.max() - x.min()) * (y.max() - y.min()) / n)
+    radius = _list_radius(pos)
     no_lists = [0] * (n + 1), []
     if not 0.0 < radius * radius < math.inf:
         return no_lists

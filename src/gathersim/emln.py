@@ -106,11 +106,10 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
     one.
 
     A step gathers the neighbor lists of its picks, and of the nodes they
-    cover, with one gather of ``graph.neighbor_table`` rows each, or one
-    ``graph.neighbors_of`` call if some list spills past the table. The
-    table is built on first use and cached on the snapshot, so a caller
-    that grows many rounds of trees reuses one stacked graph. The sentinel
-    id T·n pads the lists, and its level of 0 makes it count as covered.
+    cover, with one ``graph.neighbors_of`` call each. Its padded table is
+    built on first use and cached on the snapshot, so a caller that grows
+    many rounds of trees reuses one stacked graph. The sentinel id T·n pads
+    the lists, and its level of 0 makes it count as covered.
     """
     tie_seeds = list(tie_seeds)
     trials = len(tie_seeds)
@@ -126,7 +125,7 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
     if not alive.any(axis=1).all():
         raise ValueError("a trial's graph has no alive node")
 
-    table, spills = graph.neighbor_table
+    neighbors_of = graph.neighbors_of
     # uncovered-neighbor counts, held as floats: count * energy is then the
     # float product that an int64 count times a float64 energy casts to; the
     # sentinel's slot, the last, takes the sentinel's debits and is never read
@@ -152,12 +151,12 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
 
     # the first step picks each row's root among its alive nodes and covers
     # it; every step then promotes its picks, covers their uncovered
-    # neighbors and picks again. Without spilled lists a gather is one take.
+    # neighbors and picks again
     roots, picked, growing, done = None, offset[:0], rows, 0
     least = -np.inf  # a row grows while its top weight is above this; any alive node may root it
     while True:
         intermediate[picked] = True
-        nb = graph.neighbors_of(picked) if spills else table.take(picked, axis=0).ravel()
+        nb = neighbors_of(picked)
         new = nb[level[nb] < 0]
         if new.size:
             floor[new] = 0.0
@@ -166,7 +165,7 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
             parent[new] = best[row]  # each growing row's pick; its other entries are not read
             level[new] = row_level[row] + 1
             # debit the uncovered-neighbor counts of the new nodes' neighbors
-            nb = graph.neighbors_of(new) if spills else table.take(new, axis=0).ravel()
+            nb = neighbors_of(new)
             np.subtract(count, np.bincount(nb, minlength=size + 1), out=count)
         floor[picked] = -np.inf
 
@@ -208,7 +207,7 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
             roots, least = best, 0.0
             floor[:] = -np.inf
             level[picked] = 0
-            nb = graph.neighbors_of(picked) if spills else table.take(picked, axis=0).ravel()
+            nb = neighbors_of(picked)
             np.subtract(count, np.bincount(nb, minlength=size + 1), out=count)
 
     return (np.where(connected, roots, -1), parent.reshape(trials, n), level_rows,
