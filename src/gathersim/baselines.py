@@ -283,10 +283,8 @@ def pegasis_cdma_block(chains, leaders) -> tuple[EnergyLedger, np.ndarray]:
 def _chain_round(block, links: AliveChain, seed) -> tuple[EnergyLedger, int]:
     """The one round of ``block`` over ``links`` whose leader ``seed`` draws, over all nodes."""
     ledger, delays = block([links], [[int(make_rng(seed).integers(links.sub.size))]])
-    spread = EnergyLedger.empty(links.node_count)
-    spread.tx[links.sub], spread.rx[links.sub], spread.fuse[links.sub] = (
-        ledger.tx[0, 0], ledger.rx[0, 0], ledger.fuse[0, 0])
-    return spread, int(delays[0, 0])
+    parts = (chain_to_nodes([links], part)[0, 0] for part in (ledger.tx, ledger.rx, ledger.fuse))
+    return EnergyLedger(*parts), int(delays[0, 0])
 
 
 def pegasis_tdma_round(chain, alive, leader_seed: int | np.random.Generator,
@@ -459,11 +457,7 @@ def leach_round(head_of, positions, sink, params: RadioParams) -> tuple[EnergyLe
         raise ValueError(f"cluster ids must be -1 or node ids below {n}")
     if not is_head[head_of[head_of >= 0]].all():
         raise ValueError("every member's head must be one of the heads")
-    heads = np.flatnonzero(is_head)
-    sink_tx = np.zeros(n)
-    sink_tx[heads] = tx_cost(params, params.packet_bits,
-                             hop_lengths(positions.take(heads, axis=0),
-                                         np.asarray(sink, dtype=float)))
+    sink_tx = direct_round(is_head, positions, sink, params)[0].tx  # the heads' sends
     ledger, delays = cluster_block(head_of[None], positions, sink_tx, params)
     return EnergyLedger(ledger.tx[0], ledger.rx[0], ledger.fuse[0]), int(delays[0])
 

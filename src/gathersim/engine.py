@@ -14,7 +14,7 @@ from .baselines import (MIN_LEACH_P, AliveChain, build_chain, chain_to_nodes, cl
 from .emln import compute_delays, construct_trees
 from .network import (FieldConfig, Nodes, NodeState, build_graph, check_integers, deploy,
                       stack_graphs)
-from .radio import RadioParams, hop_lengths, trees_round_energy, tx_cost
+from .radio import RadioParams, trees_round_energy
 from .seeding import RoundStream, derive_seed, hash_rounds
 
 STOP_RULES = ("first-death", "energy-exhausted")
@@ -137,8 +137,7 @@ class _Trial:
     being attempt ``attempt + 1`` and completed round ``completed``, as if
     all complete; or None when no gathering structure is left, upon which
     the trial ``end``s. ``memo`` is a dict the group keeps for the protocol
-    from step to step, and ``finish(memo)`` ends what it holds before the
-    group's trials report. The runner debits the block (``_debit``, together
+    from step to step. The runner debits the block (``_debit``, together
     with the group's other blocks of its shape) and the trial applies the
     outcome with ``apply``; ``abandon(row)`` says that round ``row`` of the
     last block was abandoned and nodes died, so the rounds after it were not
@@ -169,10 +168,6 @@ class _Trial:
         self.attempt = 0  # abandoned rounds consume their attempt too
         self.n_alive = int(self.alive.sum())
         self.live = self.n_alive > 0
-
-    @staticmethod
-    def finish(memo: dict) -> None:
-        pass
 
     @property
     def rows(self) -> int:
@@ -215,8 +210,6 @@ class _Trial:
 
     def report(self) -> SimulationReport:
         completed, builds_tree = self.completed, self.builds_tree
-        if builds_tree:
-            self.resolve()
         lifetime = self.first_death_at if self.first_death_at is not None else completed
         energy_arr = np.asarray(self.energy_hist, dtype=float)
         delay_arr = np.asarray(self.delay_hist, dtype=np.int64)
@@ -242,8 +235,8 @@ class _Trial:
 class _EmlnTrial(_Trial):
     """One round per block: each tree depends on the energies left by the last.
 
-    A round's delay is its tree's ``_TreeRecord``, set when the tree's queue
-    is folded: the trial's delay history holds records from round
+    A round's delay is its tree's ``_TreeRecord``, set when the tree's
+    ``queue`` is folded: the trial's delay history holds records from round
     ``resolved`` on, and ``resolve`` turns them into delays and leaf counts.
     """
 
@@ -252,7 +245,7 @@ class _EmlnTrial(_Trial):
     def __init__(self, *args):
         super().__init__(*args)
         self.block = 1
-        self.graph = self.round = None
+        self.graph = self.round = self.queue = None
         self.rounds_on_tree = self.config.rebuild_period
         self.resolved = 0
 
@@ -292,18 +285,14 @@ class _EmlnTrial(_Trial):
             debits = trees_round_energy(roots, parent, intermediate, stacked.positions, sink,
                                         radio).per_node
             records = [_TreeRecord() for _ in group]
+            queue = queues.setdefault(key[0], _TreeQueue())
             for t, (trial, root, record) in enumerate(zip(group, roots.tolist(), records)):
                 trial.round = (debits[t:t + 1], [record]) if root >= 0 else None
-                trial.rounds_on_tree = 0
-            queues.setdefault(key[0], _TreeQueue()).push(trees, records, group)
+                trial.rounds_on_tree, trial.queue = 0, queue
+            queue.push(trees, records, group)
         for trial in trials:
             trial.rounds_on_tree += 1
         return [trial.round for trial in trials]
-
-    @staticmethod
-    def finish(memo: dict) -> None:
-        for queue in memo.get("queues", {}).values():
-            queue.fold()
 
     def resolve(self) -> None:
         """Turn the records of the trial's folded rounds into its delays and leaf counts."""
@@ -311,6 +300,12 @@ class _EmlnTrial(_Trial):
         self.delay_hist[self.resolved:] = [record.delay for record in records]
         self.leaf_hist += [record.leaves for record in records]
         self.resolved = len(self.delay_hist)
+
+    def report(self) -> SimulationReport:
+        if self.queue is not None:  # the first of its trials to report folds the rest
+            self.queue.fold()
+        self.resolve()
+        return super().report()
 
     def abandon(self, row: int) -> None:
         self.graph = None
@@ -373,11 +368,8 @@ class _LeachTrial(_Trial):
         self.stream = RoundStream(self.trial_seed)
         self.served = np.zeros(len(self.alive), dtype=bool)
         self.served_before = None
-        self.sink_tx = np.zeros(len(self.alive))
-        ids = np.flatnonzero(self.alive)
-        radio = self.config.radio
-        self.sink_tx[ids] = tx_cost(radio, radio.packet_bits,
-                                    hop_lengths(self.positions.take(ids, axis=0), self.sink))
+        # a head's forward to the sink costs what a direct node's send does
+        self.sink_tx = direct_round(self.alive, self.positions, self.sink, self.config.radio)[0].tx
 
     def elect(self) -> np.ndarray:
         """The ``head_of`` rows of the elections of the trial's next block."""
@@ -498,7 +490,7 @@ def _debit(trials: list[_Trial], blocks: list) -> None:
     of 100 nodes it took 17.8 µs, against 2.4 µs for one ``np.subtract``
     over the same rows, and for ten rounds 55.6 against 29.3 µs (``timeit``,
     a busy 2-core host). Whole experiments read 1.002-1.006x faster with
-    per-round subtractions, so the one call stays.
+    per-round subtractions: too small a gain to pay for their loop.
     """
     rows, n = blocks[0][0].shape
     stack = np.empty((2, rows + 1, len(trials), n))  # [0]: energies, debits; [1]: levels
@@ -536,8 +528,6 @@ def _run_group(cells: list[tuple[SimConfig, int]]) -> list[SimulationReport]:
         for pending in shapes.values():
             _debit(*pending)
         live = [t for t in live if t.live]
-    for kind, memo in memos.items():
-        kind.finish(memo)
     return [t.report() for t in trials]
 
 

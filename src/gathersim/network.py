@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,8 +37,11 @@ class FieldConfig:
 
     def validate(self) -> None:
         check_integers(self, "node_count")
-        if not all(map(math.isfinite, (self.width, self.height, *self.sink_position))):
-            raise ValueError("field dimensions and sink position must be finite")
+        sink = self.sink_position
+        if np.shape(sink) != (2,) or not all(isinstance(c, numbers.Real) for c in sink):
+            raise ValueError(f"sink_position must be two numbers, got {sink!r}")
+        if not all(map(math.isfinite, (self.width, self.height, *sink))):
+            raise ValueError("field dimensions and sink_position must be finite")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("field dimensions must be positive")
         if self.node_count < 1:

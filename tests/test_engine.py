@@ -265,6 +265,27 @@ def test_baseline_trials_in_lockstep_match_single_trials(proto, stop_rule, monke
         assert_same_report(got, want)
 
 
+def test_fold_boundary_leaves_reports_unchanged(monkeypatch):
+    # EMLN at two node counts (two tree queues) beside LEACH, each tree used
+    # for three rounds: folding after every tree resolves a tree's later
+    # rounds after its queue has folded, and 2**40 folds only when the
+    # trials report
+    configs = [small(protocol=p, field=dataclasses.replace(SMALL.field, node_count=n), trials=4,
+                     rebuild_period=3, max_rounds=60, stop_rule="energy-exhausted")
+               for p, n in (("emln", 30), ("emln", 45), ("leach", 30))]
+
+    def reports():
+        return [r for result in run_grid(configs, keep_reports=True) for r in result.reports]
+
+    want = reports()
+    assert len(want) == 12 and sum(r.completed_rounds for r in want) > 500
+    assert any(r.lifetime < r.completed_rounds < 60 for r in want)
+    for fold_nodes in (1, 2**40):
+        monkeypatch.setattr(engine, "FOLD_NODES", fold_nodes)
+        for got, expected in zip(reports(), want, strict=True):
+            assert_same_report(got, expected)
+
+
 def test_range_grid_matches_individual_experiments():
     cfg = small(trials=2)
     rows = [r.aggregate for r in run_grid([dataclasses.replace(cfg, range_m=r)

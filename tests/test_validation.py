@@ -47,6 +47,12 @@ def test_sink_position_accepted_iff_finite(x):
     assert accepted(FieldConfig(sink_position=(50.0, x))) == ok
 
 
+@pytest.mark.parametrize("sink", [(), (50.0,), (50.0, 300.0, 0.0), "ab"])
+def test_sink_position_must_be_two_numbers(sink):
+    with pytest.raises(ValueError, match="sink_position"):
+        FieldConfig(sink_position=sink).validate()
+
+
 @over_all_floats
 def test_radio_constants_accepted_iff_finite_and_non_negative(x):
     ok = math.isfinite(x) and x >= 0
