@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dataclass_field
 from itertools import islice
 
@@ -12,7 +11,7 @@ from .baselines import (MIN_LEACH_P, AliveChain, build_chain, chain_to_nodes, cl
                         cluster_rows, direct_round, elect_heads, pegasis_cdma_block,
                         pegasis_tdma_block)
 from .emln import compute_delays, construct_trees
-from .network import (FieldConfig, Nodes, NodeState, build_graph, check_integers, deploy,
+from .network import (FieldConfig, Nodes, NodeState, build_graph, check_numbers, deploy,
                       stack_graphs)
 from .radio import RadioParams, trees_round_energy
 from .seeding import RoundStream, derive_seed, hash_rounds
@@ -44,17 +43,11 @@ class SimConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.stop_rule not in STOP_RULES:
             raise ValueError(f"unknown stop rule {self.stop_rule!r}")
-        if not (math.isfinite(self.range_m) and self.range_m > 0):
-            raise ValueError("range must be finite and positive")
-        if not (math.isfinite(self.initial_energy) and self.initial_energy >= 0):
-            raise ValueError("initial_energy must be finite and >= 0")
-        counts = ("max_rounds", "trials", "rebuild_period")
-        check_integers(self, *counts, "master_seed")
-        for name in counts:
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not MIN_LEACH_P <= self.leach_p <= 1:
-            raise ValueError(f"leach_p must be in [{MIN_LEACH_P}, 1]")
+        check_numbers(self, "range_m", gt=0)
+        check_numbers(self, "initial_energy", ge=0)
+        check_numbers(self, "max_rounds", "trials", "rebuild_period", integer=True, ge=1)
+        check_numbers(self, "master_seed", integer=True)
+        check_numbers(self, "leach_p", ge=MIN_LEACH_P, le=1)
         if self.nodes_override is not None:
             if len(self.nodes_override) != self.field.node_count:
                 raise ValueError("nodes_override must match field.node_count")

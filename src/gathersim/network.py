@@ -14,16 +14,25 @@ import numpy as np
 from .seeding import make_rng
 
 
-def check_integers(record, *names: str) -> None:
-    """Raise ValueError naming the first field of ``names`` that ``operator.index`` rejects.
-
-    Python and numpy integers pass; floats, even whole ones, do not.
-    """
+def check_numbers(record, *names: str, integer: bool = False, gt=None, ge=None, le=None) -> None:
+    """Raise a ValueError starting with the field's name unless each of ``names`` is
+    a finite ``numbers.Real`` within the bounds given: ``> gt``, ``>= ge``, ``<= le``.
+    With ``integer`` it must be a value that ``operator.index`` takes instead:
+    numpy integers pass, whole floats do not. Floats skip the slower ABC test."""
     for name in names:
+        value = getattr(record, name)
         try:
-            operator.index(getattr(record, name))
-        except TypeError:
-            raise ValueError(f"{name} must be an integer") from None
+            number = operator.index(value) if integer else value
+            ok = ((integer or isinstance(number, (float, numbers.Real)) and math.isfinite(number))
+                  and (gt is None or number > gt) and (ge is None or number >= ge)
+                  and (le is None or number <= le))
+        except (TypeError, OverflowError):
+            ok = False
+        if not ok:
+            rule = " and".join(f" {op} {bound}" for op, bound in ((">", gt), (">=", ge), ("<=", le))
+                           if bound is not None)
+            kind = "an integer" if integer else "a finite number"
+            raise ValueError(f"{name} must be {kind}{rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -36,16 +45,12 @@ class FieldConfig:
     sink_position: tuple[float, float] = (50.0, 300.0)
 
     def validate(self) -> None:
-        check_integers(self, "node_count")
+        check_numbers(self, "width", "height", gt=0)
+        check_numbers(self, "node_count", integer=True, ge=1)
         sink = self.sink_position
-        if np.shape(sink) != (2,) or not all(isinstance(c, numbers.Real) for c in sink):
-            raise ValueError(f"sink_position must be two numbers, got {sink!r}")
-        if not all(map(math.isfinite, (self.width, self.height, *sink))):
-            raise ValueError("field dimensions and sink_position must be finite")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("field dimensions must be positive")
-        if self.node_count < 1:
-            raise ValueError("node_count must be >= 1")
+        if (np.shape(sink) != (2,) or not all(isinstance(c, (float, numbers.Real)) for c in sink)
+                or not all(map(math.isfinite, sink))):
+            raise ValueError(f"sink_position must be two finite numbers, got {sink!r}")
 
 
 @dataclass(frozen=True)
@@ -345,10 +350,12 @@ def read_placement(path) -> list[NodeState]:
                 continue
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 'id x y energy'")
-            node_id = int(parts[0])
+            try:
+                node_id, x, y, energy = int(parts[0]), *map(float, parts[1:])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if node_id in entries:
                 raise ValueError(f"{path}:{lineno}: duplicate id {node_id}")
-            x, y, energy = (float(p) for p in parts[1:])
             entries[node_id] = lineno, NodeState(node_id, (x, y), energy)
     states = [entries[i][1] for i in sorted(entries)]
     try:

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .emln import GatherTree
-from .network import check_integers
+from .network import check_numbers
 
 
 @dataclass(frozen=True)
@@ -19,13 +18,8 @@ class RadioParams:
     packet_bits: int = 2000     # bits per data packet; aggregates keep this size
 
     def validate(self) -> None:
-        check_integers(self, "packet_bits")
-        if not all(map(math.isfinite, (self.e_elec, self.eps_amp, self.e_fuse))):
-            raise ValueError("radio constants must be finite")
-        if self.e_elec < 0 or self.eps_amp < 0 or self.e_fuse < 0:
-            raise ValueError("radio constants must be >= 0")
-        if self.packet_bits < 1:
-            raise ValueError("packet_bits must be >= 1")
+        check_numbers(self, "e_elec", "eps_amp", "e_fuse", ge=0)
+        check_numbers(self, "packet_bits", integer=True, ge=1)
 
 
 def tx_cost(params: RadioParams, bits: int, distance):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from gathersim import (FieldConfig, Nodes, NodeState, RadioParams, SimConfig, build_chain,
                        build_graph, direct_round, leach_elect, leach_round, pegasis_cdma_round,
                        pegasis_tdma_round, read_placement)
+from gathersim.baselines import MIN_LEACH_P
 from gathersim.cli import main
 
 
@@ -70,6 +71,27 @@ def test_initial_energy_accepted_iff_finite_and_non_negative(x):
     assert accepted(SimConfig(initial_energy=x)) == (math.isfinite(x) and x >= 0)
 
 
+# Each numeric field with more values its rule rejects: below its bound, too large
+# for a float, or for a count two floats.
+OUT_OF_BOUNDS = {
+    FieldConfig: dict(width=(0.0, 2**1024), height=(-1.0,), node_count=(0, 2.5, 2.0)),
+    RadioParams: dict(e_elec=(-1e-9,), eps_amp=(-5e-324,), e_fuse=(-1.0,),
+                      packet_bits=(0, 2.5, 2.0)),
+    SimConfig: dict(range_m=(0.0, -0.0), initial_energy=(-1.0,), max_rounds=(0, 2.5, 2.0),
+                    trials=(-1, 2.5, 2.0), rebuild_period=(0, 2.5, 2.0), master_seed=(2.5, 2.0),
+                    leach_p=(MIN_LEACH_P / 2, 1.5)),
+}
+
+
+@pytest.mark.parametrize("record, name, value", [
+    pytest.param(record, name, value, id=f"{record.__name__}.{name}={value!r:.12}")
+    for record, fields in OUT_OF_BOUNDS.items() for name, outside in fields.items()
+    for value in (None, "x", math.nan, math.inf, -math.inf, *outside)])
+def test_bad_number_raises_value_error_naming_its_field(record, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        record(**{name: value}).validate()
+
+
 @example([0, 1, 2])
 @example([0, 0, 1])
 @example([1, 0])
@@ -119,7 +141,7 @@ def test_build_graph_ignores_non_finite_dead_position():
 
 @pytest.mark.parametrize("line", [
     "1 nan 2.0 1.0", "1 2.0 inf 1.0", "1 2.0 3.0 nan", "1 -inf 3.0 1.0",
-    "1 2.0 3.0 inf", "1 2.0 3.0 -1.0"])
+    "1 2.0 3.0 inf", "1 2.0 3.0 -1.0", "1.5 3.0 4.0 1.0", "1 abc 4.0 1.0"])
 def test_read_placement_rejects_bad_values_with_path_and_line(line, tmp_path):
     path = tmp_path / "layout.txt"
     path.write_text(f"0 1.0 1.0 1.0\n\n{line}\n")
