@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -98,18 +98,18 @@ BLOCK_ENTRIES = 1 << 10
 # Trials are stepped together in groups of at most LOCKSTEP_ENTRIES nodes
 # (trials times nodes per trial, at least one trial).
 LOCKSTEP_ENTRIES = 1 << 15
-# A group's EMLN trees wait in a queue per node count until it holds
-# FOLD_NODES nodes, and their delays and leaf counts are then folded in one
-# call, which spreads the fold's fixed numpy call cost over many steps; a
-# larger queue spends more memory on the fold's temporaries than it saves.
+# A group's EMLN trees wait in its queue until it holds FOLD_NODES nodes, and
+# their delays and leaf counts are then folded in one call, which spreads the
+# fold's fixed numpy call cost over many steps; a larger queue spends more
+# memory on the fold's temporaries than it saves.
 FOLD_NODES = 1 << 13
 
 
-def _alike(trials: list, key) -> dict:
-    """The indices of ``trials`` by ``key(trial)``, in first-seen order."""
+def _alike(items: list, key) -> dict:
+    """The indices of ``items`` by ``key(item)``, in first-seen order."""
     groups: dict = {}
-    for i, trial in enumerate(trials):
-        groups.setdefault(key(trial), []).append(i)
+    for i, item in enumerate(items):
+        groups.setdefault(key(item), []).append(i)
     return groups
 
 
@@ -125,16 +125,16 @@ class _Trial:
     Each protocol's subclass is its entry of ``PROTOCOL_TRIALS``, and
     constructing one deploys the trial and prepares the protocol. The
     class's ``blocks(trials, memo)`` gives each of ``trials``, the live
-    trials of a group that run the protocol, its next block: the per-node
-    debits (rows, n) and the delays of its next ``rows`` rounds, the first
-    being attempt ``attempt + 1`` and completed round ``completed``, as if
-    all complete; or None when no gathering structure is left, upon which
-    the trial ``end``s. ``memo`` is a dict the group keeps for the protocol
-    from step to step. The runner debits the block (``_debit``, together
-    with the group's other blocks of its shape) and the trial applies the
-    outcome with ``apply``; ``abandon(row)`` says that round ``row`` of the
-    last block was abandoned and nodes died, so the rounds after it were not
-    attempted. ``live`` says whether there is a next block.
+    trials of a group (one protocol on one node count, sink and radio), its
+    next block: the per-node debits (rows, n) and the delays of its next
+    ``rows`` rounds, the first being attempt ``attempt + 1`` and completed
+    round ``completed``, as if all complete; or None when no gathering
+    structure is left, upon which the trial ``end``s. ``memo`` is a dict the
+    group keeps from step to step. The runner debits the block (``_debit``,
+    together with the group's other blocks of its row count) and the trial
+    applies the outcome with ``apply``; ``abandon(row)`` says that round
+    ``row`` of the last block was abandoned and nodes died, so the rounds
+    after it were not attempted. ``live`` says whether there is a next block.
     """
 
     builds_tree = False  # a tree protocol's reports count leaves
@@ -247,42 +247,34 @@ class _EmlnTrial(_Trial):
         """Grow the next tree of each trial whose tree is stale, and give every trial its round.
 
         A round is its tree's debits and record, or None if the graph is
-        disconnected. The stale trials with one node count, sink and radio
-        grow their trees together (``construct_trees``), however few they
-        are. ``memo["stacks"]`` keeps, per such kind of trial, the last
-        stacked graph and its members' graphs; it is stacked again only when
-        a member's graph differs. The trees go into ``memo["queues"]``, a
-        ``_TreeQueue`` per node count, which folds their delays and leaf
+        disconnected. The stale trials grow their trees together
+        (``construct_trees``), however few they are. ``memo["stack"]`` keeps
+        the last stacked graph and its members' graphs; it is stacked again
+        only when a member's graph differs. The trees go into the group's
+        ``_TreeQueue``, ``memo["queue"]``, which folds their delays and leaf
         counts later.
         """
-        stacks = memo.setdefault("stacks", {})
-        queues = memo.setdefault("queues", {})
-        alike: dict = {}
-        for trial in trials:
-            config = trial.config
-            if trial.rounds_on_tree >= config.rebuild_period:
+        stale = [t for t in trials if t.rounds_on_tree >= t.config.rebuild_period]
+        if stale:
+            for trial in stale:
                 if trial.graph is None:
-                    trial.graph = build_graph(trial.nodes, config.range_m)
-                key = (len(trial.energies), tuple(config.field.sink_position), config.radio)
-                alike.setdefault(key, []).append(trial)
-        for key, group in alike.items():
-            _, sink, radio = key
-            graphs = [t.graph for t in group]
-            members, stacked = stacks.get(key, ((), None))
+                    trial.graph = build_graph(trial.nodes, trial.config.range_m)
+            graphs = [t.graph for t in stale]
+            members, stacked = memo.get("stack", ((), None))
             if len(members) != len(graphs) or any(a is not b for a, b in zip(members, graphs)):
                 stacked = stack_graphs(graphs)
-                stacks[key] = graphs, stacked
-            seeds = [derive_seed(t.trial_seed, t.attempt + 1) for t in group]
-            trees = construct_trees(stacked, np.array([t.energies for t in group]), seeds)
+                memo["stack"] = graphs, stacked
+            seeds = [derive_seed(t.trial_seed, t.attempt + 1) for t in stale]
+            trees = construct_trees(stacked, np.array([t.energies for t in stale]), seeds)
             roots, parent, _, intermediate = trees
-            debits = trees_round_energy(roots, parent, intermediate, stacked.positions, sink,
-                                        radio).per_node
-            records = [_TreeRecord() for _ in group]
-            queue = queues.setdefault(key[0], _TreeQueue())
-            for t, (trial, root, record) in enumerate(zip(group, roots.tolist(), records)):
+            debits = trees_round_energy(roots, parent, intermediate, stacked.positions,
+                                        stale[0].sink, stale[0].config.radio).per_node
+            records = [_TreeRecord() for _ in stale]
+            queue = memo.setdefault("queue", _TreeQueue())
+            for t, (trial, root, record) in enumerate(zip(stale, roots.tolist(), records)):
                 trial.round = (debits[t:t + 1], [record]) if root >= 0 else None
                 trial.rounds_on_tree, trial.queue = 0, queue
-            queue.push(trees, records, group)
+            queue.push(trees, records, stale)
         for trial in trials:
             trial.rounds_on_tree += 1
         return [trial.round for trial in trials]
@@ -312,7 +304,7 @@ class _TreeRecord:
 
 
 class _TreeQueue:
-    """A group's EMLN trees of one node count whose delays and leaf counts wait.
+    """A group's EMLN trees whose delays and leaf counts wait.
 
     ``push`` queues one ``construct_trees`` output with each row's record
     and trial, and folds once the queue holds FOLD_NODES nodes. ``fold``
@@ -393,7 +385,7 @@ class _ChainTrial(_Trial):
     """Leaders drawn trial by trial, then the blocks' ledgers in closed form by ``ledgers``.
 
     A group's trials hash their round seeds together, and the trials whose
-    alive chains have one size (and whose blocks one shape) take one
+    alive chains have one size (and whose blocks one row count) take one
     ``ledgers`` call over their stacked chains. A trial with no alive node
     has no chain.
     """
@@ -415,8 +407,7 @@ class _ChainTrial(_Trial):
             leaders.append(trial.stream.integers(trial.attempt + 1, trial.rows,
                                                  trial.links.sub.size))
         out: list = [None] * len(trials)
-        for group in _alike(trials, lambda t: (t.links.sub.size, t.rows, len(t.alive),
-                                               t.config.radio)).values():
+        for group in _alike(trials, lambda t: (t.links.sub.size, t.rows)).values():
             chains = [trials[i].links for i in group]
             ledger, delays = cls.ledgers(chains, [leaders[i] for i in group])
             per_position = ledger.per_node
@@ -469,7 +460,7 @@ PROTOCOL_TRIALS = {
 PROTOCOLS = tuple(PROTOCOL_TRIALS)
 
 
-def _debit(trials: list[_Trial], blocks: list) -> None:
+def _debit(trials: tuple[_Trial, ...], blocks: tuple) -> None:
     """Debit each trial's block, all of one shape (rows, n), and have each trial apply its own.
 
     The energies and debits are stacked into one C-ordered (rows + 1, T, n)
@@ -478,12 +469,9 @@ def _debit(trials: list[_Trial], blocks: list) -> None:
     debiting round by round, and one ``np.add.reduce`` over the last axis
     every round's debit and residual totals (row sums of another layout can
     differ in the last bit). A trial's first round in which an alive node
-    cannot pay is abandoned. On numpy 2.4.6 the accumulate does not run its
-    inner loop over a round's T·n nodes at once: for one round of 10 trials
-    of 100 nodes it took 17.8 µs, against 2.4 µs for one ``np.subtract``
-    over the same rows, and for ten rounds 55.6 against 29.3 µs (``timeit``,
-    a busy 2-core host). Whole experiments read 1.002-1.006x faster with
-    per-round subtractions: too small a gain to pay for their loop.
+    cannot pay is abandoned. Whole experiments read only 1.002-1.006x
+    faster with per-round subtractions (README, "Trials in lockstep"): too
+    small a gain to pay for their loop.
     """
     rows, n = blocks[0][0].shape
     stack = np.empty((2, rows + 1, len(trials), n))  # [0]: energies, debits; [1]: levels
@@ -501,55 +489,53 @@ def _debit(trials: list[_Trial], blocks: list) -> None:
 def _run_group(cells: list[tuple[SimConfig, int]]) -> list[SimulationReport]:
     """Step the trials of (config, trial seed) cells together until every one has ended.
 
-    A step asks each protocol for the next blocks of all its live trials
-    (one ``blocks`` call each) and debits the blocks of each shape together.
+    The cells run one protocol on one node count, sink and radio. A step
+    asks the protocol for the next blocks of all live trials in one
+    ``blocks`` call and debits the blocks of each row count together.
     """
-    trials = [PROTOCOL_TRIALS[config.protocol](config, seed) for config, seed in cells]
-    memos: dict = {}
+    kind = PROTOCOL_TRIALS[cells[0][0].protocol]
+    trials = [kind(config, seed) for config, seed in cells]
+    memo: dict = {}
     live = [t for t in trials if t.live]
     while live:
-        shapes: dict = {}
-        for kind, group in _alike(live, type).items():
-            mates = [live[i] for i in group]
-            for trial, block in zip(mates, kind.blocks(mates, memos.setdefault(kind, {}))):
-                if block is None:
-                    trial.end()
-                else:
-                    pending = shapes.setdefault(block[0].shape, ([], []))
-                    pending[0].append(trial)
-                    pending[1].append(block)
-        for pending in shapes.values():
-            _debit(*pending)
+        pending: dict = {}
+        for trial, block in zip(live, kind.blocks(live, memo)):
+            if block is None:
+                trial.end()
+            else:
+                pending.setdefault(len(block[0]), []).append((trial, block))
+        for pairs in pending.values():
+            _debit(*zip(*pairs))
         live = [t for t in live if t.live]
     return [t.report() for t in trials]
 
 
-def _run_cells(cells: list[tuple[SimConfig, int]]) -> list[SimulationReport]:
-    """The cells' reports, in order, stepped in groups of at most LOCKSTEP_ENTRIES nodes."""
-    reports, group, entries = [], [], 0
-    for cell in cells:
-        if group and entries + cell[0].field.node_count > LOCKSTEP_ENTRIES:
-            reports += _run_group(group)
-            group, entries = [], 0
-        group.append(cell)
-        entries += cell[0].field.node_count
-    return reports + _run_group(group)
-
-
 def _run(cells: list[tuple[SimConfig, int]], workers: int) -> list[SimulationReport]:
-    """``_run_cells`` over ``workers`` processes, each taking every workers-th cell."""
-    workers = min(workers, len(cells))  # a pool may start all its workers at once
-    if workers <= 1:
-        return _run_cells(cells)
-    # imported here: the pool's modules take about 2 MB that a serial run never uses
-    from concurrent.futures import ProcessPoolExecutor
+    """The cells' reports, in order, their lockstep groups run by ``workers`` processes.
 
-    reports: list = [None] * len(cells)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(_run_cells, [cells[i::workers] for i in range(workers)])
-        for i, part in enumerate(parts):
-            reports[i::workers] = part
-    return reports
+    A group takes the next cells of one protocol, node count, sink and radio:
+    at most LOCKSTEP_ENTRIES nodes (at least one cell), and at most a
+    ``workers``-th of that kind's cells, so that every worker gets groups.
+    """
+    workers = max(1, min(workers, len(cells)))  # a pool may start all its workers at once
+    groups = []
+    kinds = _alike(cells, lambda cell: (cell[0].protocol, cell[0].field.node_count,
+                                        tuple(cell[0].field.sink_position), cell[0].radio))
+    for kind in kinds.values():
+        size = max(1, min(LOCKSTEP_ENTRIES // cells[kind[0]][0].field.node_count,
+                          -(-len(kind) // workers)))
+        groups += [kind[i:i + size] for i in range(0, len(kind), size)]
+    tasks = [[cells[i] for i in group] for group in groups]
+    if workers == 1:
+        parts = map(_run_group, tasks)
+    else:
+        # imported here: the pool's modules take about 2 MB that a serial run never uses
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_group, tasks))
+    reports = dict(zip(chain.from_iterable(groups), chain.from_iterable(parts)))
+    return [reports[i] for i in range(len(cells))]
 
 
 def run_trial(config: SimConfig, trial_seed: int) -> SimulationReport:
@@ -567,18 +553,18 @@ def run_trial(config: SimConfig, trial_seed: int) -> SimulationReport:
     the energies and the block's debits gives the energies after each
     round, the same floats as debiting round by round, and the first round
     some alive node cannot pay is the abandoned one. The runner debits the
-    blocks of one shape of all the trials it steps together in one such
+    blocks of one row count of all the trials it steps together in one such
     call (``_debit``).
 
     A tree-protocol trial whose graph is disconnected in round 1 runs no
     rounds and is flagged ``connected=False``; aggregation excludes it from
     everything except the connectivity fraction.
 
-    This is the runner's one-cell case: ``run_grid`` steps many trials
+    This is the runner's group of one: ``run_grid`` steps many trials
     together and gives the same reports.
     """
     config.validate()
-    return _run_cells([(config, trial_seed)])[0]
+    return _run_group([(config, trial_seed)])[0]
 
 
 @dataclass(frozen=True)
@@ -645,10 +631,11 @@ def run_grid(configs: list[SimConfig], workers: int = 1,
     Trial i of a config uses seed derive_seed(master_seed, i), so any subset
     of trials reproduces identically, and configs that differ only in
     protocol or range see identical deployments. All the configs' trials
-    are the runner's cells, stepped together (``run_trial`` gives each one's
-    report alone). Each config's reduction runs in ascending trial order
-    whatever the execution order or degree of parallelism, keeping
-    aggregates bit-stable. Disconnected trials count only toward the
+    are the runner's cells, stepped in groups of one protocol on one node
+    count, sink and radio (``run_trial`` gives each one's report alone).
+    Each config's reduction runs in ascending trial order whatever the
+    execution order or degree of parallelism, keeping aggregates
+    bit-stable. Disconnected trials count only toward the
     connectivity fraction. Returns one result per config, in order.
     """
     for config in configs:

@@ -48,8 +48,12 @@ class FieldConfig:
         check_numbers(self, "width", "height", gt=0)
         check_numbers(self, "node_count", integer=True, ge=1)
         sink = self.sink_position
-        if (np.shape(sink) != (2,) or not all(isinstance(c, (float, numbers.Real)) for c in sink)
-                or not all(map(math.isfinite, sink))):
+        try:  # an integer too large for a float overflows math.isfinite
+            ok = np.shape(sink) == (2,) and all(isinstance(c, (float, numbers.Real))
+                                                and math.isfinite(c) for c in sink)
+        except OverflowError:
+            ok = False
+        if not ok:
             raise ValueError(f"sink_position must be two finite numbers, got {sink!r}")
 
 

@@ -215,6 +215,50 @@ def test_worker_pool_never_outnumbers_the_trials(monkeypatch):
     assert asked == [2, 2]
 
 
+def test_a_group_holds_one_kind_and_every_worker_gets_groups(monkeypatch):
+    # the runner splits the cells once: a lockstep group runs one protocol on
+    # one node count, sink and radio, and the pool maps over such groups, at
+    # most a workers-th of a kind's cells each
+    kinds, tasks = [], []
+    run_group = engine._run_group
+
+    def recording_run_group(cells):
+        kinds.append({(config.protocol, config.field.node_count,
+                       tuple(config.field.sink_position), config.radio) for config, _ in cells})
+        return run_group(cells)
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, groups, chunksize=1):
+            groups = list(groups)
+            tasks.append([len(group) for group in groups])
+            return map(fn, groups)
+
+    monkeypatch.setattr(engine, "_run_group", recording_run_group)
+    configs = [small(protocol=p, field=dataclasses.replace(SMALL.field, node_count=n))
+               for p in ("emln", "leach") for n in (20, 30)]
+    grid = run_grid(configs, workers=1, keep_reports=True)
+    assert len(kinds) == 4 and all(len(kind) == 1 for kind in kinds)
+    for result, config in zip(grid, configs, strict=True):
+        solo = run_experiment(config, keep_reports=True)
+        assert repr(result.aggregate) == repr(solo.aggregate)
+        for got, want in zip(result.reports, solo.reports, strict=True):
+            assert_same_report(got, want)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    config = small(protocol="direct", trials=10)
+    assert run_experiment(config, workers=2).aggregate == run_experiment(config).aggregate
+    assert tasks == [[5, 5]]
+    assert all(len(kind) == 1 for kind in kinds)
+
+
 def test_connectivity_fraction_counts_disconnected_trials(monkeypatch):
     cfg = small(range_m=2.0, trials=4)
     agg = run_experiment(cfg).aggregate

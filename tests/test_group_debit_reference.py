@@ -1,8 +1,9 @@
-"""Groups of trials whose blocks differ in shape, against the per-round loop.
+"""Grids whose blocks differ in row count, against the per-round loop.
 
 A lockstep step debits the blocks of every live trial of a group, one call
-per block shape (rows, n). A grid of every protocol mixes shapes in one group:
-at 100 nodes the EMLN trials' blocks hold one round and the baselines' ten
+per row count; a group runs one protocol, so its blocks differ in rows only
+at a trial's ``max_rounds`` cap. In a grid of every protocol at 100 nodes
+the EMLN trials' blocks hold one round and the baselines' ten
 (``BLOCK_ENTRIES // 100``), and at 600 nodes every block holds one round.
 Each report must be the per-round loop's of tests/reference_engine.py byte
 for byte, and each aggregate the one the loop's reports give.
@@ -33,6 +34,8 @@ def assert_compared_protocols_match(config: SimConfig):
 
 
 def test_one_and_ten_row_blocks_share_a_group():
+    # the EMLN trials' one-row blocks and the baselines' ten-row blocks share
+    # one grid, each protocol's trials stepped in groups of their own
     assert engine.BLOCK_ENTRIES // 100 == 10
     assert_compared_protocols_match(SimConfig(initial_energy=0.03, trials=2, master_seed=5))
 
@@ -47,7 +50,8 @@ def test_every_block_has_one_row_at_600_nodes():
 @pytest.mark.parametrize("max_rounds", [9, 10, 11])
 def test_deaths_and_rebuilds_with_caps_around_a_block(max_rounds):
     # the baselines' 10-row blocks end one short of, at and one past the cap;
-    # past it their last block has one row, the shape of the EMLN blocks
+    # near it the capped blocks of trials that deaths have put out of step
+    # differ in row count within one step of a group
     assert_compared_protocols_match(SimConfig(initial_energy=0.02, trials=2, rebuild_period=3,
                                               stop_rule="energy-exhausted",
                                               max_rounds=max_rounds, master_seed=max_rounds))

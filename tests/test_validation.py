@@ -48,7 +48,8 @@ def test_sink_position_accepted_iff_finite(x):
     assert accepted(FieldConfig(sink_position=(50.0, x))) == ok
 
 
-@pytest.mark.parametrize("sink", [(), (50.0,), (50.0, 300.0, 0.0), "ab"])
+@pytest.mark.parametrize("sink", [(), (50.0,), (50.0, 300.0, 0.0), "ab", (10**400, 0.0),
+                                  (0.0, -10**400)])
 def test_sink_position_must_be_two_numbers(sink):
     with pytest.raises(ValueError, match="sink_position"):
         FieldConfig(sink_position=sink).validate()
