@@ -91,11 +91,14 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
     ``graph`` is block diagonal over T·n nodes, node v of trial t being
     t·n + v (``stack_graphs``); ``energies`` is (T, n) and ``tie_seeds``
     holds T seeds. Each step weighs every row at once and promotes, in each
-    row still growing, the greedy pick that ``construct_tree`` describes: the
-    row's maximum-weight candidate, lowest id first, or one of its tied
-    maxima drawn from ``make_rng(tie_seeds[t])``, built when row t first
-    ties. Each row applies the zero-top and disconnected rules on its own,
-    so row t is the tree of trial t's graph, energies and seed alone.
+    row whose top weight is above 0, the greedy pick that ``construct_tree``
+    describes: the row's maximum-weight candidate, lowest id first, or one
+    of its tied maxima drawn from ``make_rng(tie_seeds[t])``, built when row
+    t first ties. A row with no positive weight is complete, disconnected or
+    under the zero-top rule. Its state does not change while other rows
+    grow, so those rules run only at a step where no row grows, and a
+    zero-top row advances only at such steps. Row t is still the tree of
+    trial t's graph, energies and seed alone.
 
     Returns ``(roots, parent, level, intermediate)``: the roots (T,), -1 for
     a disconnected trial, whose row then holds a partial tree, and the
@@ -103,7 +106,8 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
     ``GatherTree(roots[t], parent[t], level[t], intermediate[t])``. A step
     makes the same few dozen numpy calls whatever T is, so where their
     overhead is the cost, as at 100 nodes, many trees cost little more than
-    one.
+    one. A one-row call runs the same greedy with its pick and top weight as
+    Python scalars, without the per-row arrays.
 
     A step gathers the neighbor lists of its picks, and of the nodes they
     cover, with one ``graph.neighbors_of`` call each. Its padded table is
@@ -137,80 +141,103 @@ def construct_trees(graph: NetworkSnapshot, energies, tie_seeds) -> tuple[np.nda
     level[size] = 0
     level_rows = level[:size].reshape(trials, n)
     intermediate = np.zeros(size, dtype=bool)
-    # 0.0 for a candidate (for the root pick, alive; then covered and not yet
-    # intermediate), -inf otherwise: added to a weight >= 0, 0.0 keeps its bits
+    # 0.0 for a candidate (for the root pick, alive; then covered), -inf
+    # otherwise: added to a weight >= 0, 0.0 keeps its bits. A promoted node
+    # keeps its 0.0: its count is 0 from then on, so its weight never beats a
+    # top above 0, and the zero-top rule masks it
     floor = np.where(graph.alive, 0.0, -np.inf)
     floor_rows = floor.reshape(trials, n)
     weights = np.empty((trials, n))
-    rows = np.arange(trials)
-    offset = rows * n
-    rngs: list = [None] * trials  # tie-break generators, built only when a row ties
-    connected = np.ones(trials, dtype=bool)
-    finished = np.zeros(trials, dtype=bool)  # complete or disconnected
-    row_level = np.zeros(trials, dtype=np.int64)
-
-    # the first step picks each row's root among its alive nodes and covers
-    # it; every step then promotes its picks, covers their uncovered
-    # neighbors and picks again
-    roots, picked, growing, done = None, offset[:0], rows, 0
     least = -np.inf  # a row grows while its top weight is above this; any alive node may root it
-    while True:
-        intermediate[picked] = True
-        nb = neighbors_of(picked)
-        new = nb[level[nb] < 0]
-        if new.size:
-            floor[new] = 0.0
-            row_level[growing] = level[picked]
-            row = new // n
-            parent[new] = best[row]  # each growing row's pick; its other entries are not read
-            level[new] = row_level[row] + 1
-            # debit the uncovered-neighbor counts of the new nodes' neighbors
-            nb = neighbors_of(new)
-            np.subtract(count, np.bincount(nb, minlength=size + 1), out=count)
-        floor[picked] = -np.inf
 
-        # each row's max-weight candidate (lowest id first) and its weight, -inf for none
-        np.multiply(count_rows, energies, out=weights)
-        np.add(weights, floor_rows, out=weights)
-        best = weights.argmax(axis=1)
-        top = weights[rows, best]
-        grows = top > least
-        growing = grows.nonzero()[0]
-        if growing.size + done < trials:
-            # rows with no positive weight: complete, disconnected or under the zero-top rule
-            quiet = (~grows & ~finished).nonzero()[0]
-            uncovered = (alive[quiet] & (level_rows[quiet] < 0)).any(axis=1)
-            for t in quiet[uncovered & (top[quiet] == 0)].tolist():
-                row_weights = weights[t]
-                row_weights[count_rows[t] == 0] = -np.inf
-                best[t] = row_weights.argmax()
-                top[t] = row_weights[best[t]]
-            revived = uncovered & (top[quiet] >= 0)
-            grows[quiet[revived]] = True
-            ending = quiet[~revived]
-            connected[ending] = ~uncovered[~revived]
-            finished[ending] = True
-            done += ending.size
-            growing = grows.nonzero()[0]
-        if not growing.size:
-            break
-        # a growing row has tied maxima exactly when its last maximum is not
-        # its first, best; draw its pick among them
-        last = n - 1 - weights[:, ::-1].argmax(axis=1)
-        for t in growing[last[growing] != best[growing]].tolist():
-            tied = (weights[t] == top[t]).nonzero()[0]
-            if rngs[t] is None:
-                rngs[t] = make_rng(tie_seeds[t])
-            best[t] = tied[rngs[t].integers(tied.size)]
-        picked = offset[growing] + best[growing]
-        if roots is None:
-            roots, least = best, 0.0
-            floor[:] = -np.inf
-            level[picked] = 0
+    # each step picks, the first step a root among the alive nodes, then
+    # promotes the pick and covers its uncovered neighbors
+    if trials == 1:
+        weights, counts, rng, root = weights[0], count_rows[0], None, None
+        pick = np.empty(1, dtype=np.int64)  # the id that neighbors_of gathers for
+        while True:
+            np.multiply(counts, energies[0], out=weights)
+            np.add(weights, floor, out=weights)
+            best = int(weights.argmax())
+            top = weights[best]
+            if not top > least:  # complete, disconnected or under the zero-top rule
+                if top < 0 or not (alive & (level_rows < 0)).any():
+                    break
+                weights[counts == 0] = -np.inf
+                best = int(weights.argmax())
+                top = weights[best]
+                if top < 0:
+                    break
+            if weights[best + 1:].max(initial=-np.inf) == top:  # a later maximum: a tie
+                tied = (weights == top).nonzero()[0]
+                rng = rng or make_rng(tie_seeds[0])
+                best = int(tied[rng.integers(tied.size)])
+            pick[0] = best
+            nb = neighbors_of(pick)
+            if root is None:
+                root, least = best, 0.0
+                floor[:] = -np.inf
+                level[best] = 0
+                np.subtract.at(count, nb, 1.0)  # costs by the list, not by n as bincount does
+            intermediate[best] = True
+            new = nb[level[nb] < 0]
+            if new.size:
+                floor[new] = 0.0
+                parent[new] = best
+                level[new] = level[best] + 1
+                np.subtract.at(count, neighbors_of(new), 1.0)
+        roots = np.array([root])
+    else:
+        rows = np.arange(trials)
+        offset = rows * n
+        rngs: list = [None] * trials  # tie-break generators, built only when a row ties
+        row_level = np.zeros(trials, dtype=np.int64)
+        roots = None
+        while True:
+            # each row's max-weight candidate (lowest id first) and its weight, -inf for none
+            np.multiply(count_rows, energies, out=weights)
+            np.add(weights, floor_rows, out=weights)
+            best = weights.argmax(axis=1)
+            top = weights[rows, best]
+            growing = (top > least).nonzero()[0]
+            if not growing.size:  # apply the zero-top rule; the other rows are done
+                uncovered = (alive & (level_rows < 0)).any(axis=1)
+                for t in (uncovered & (top == 0)).nonzero()[0].tolist():
+                    row_weights = weights[t]
+                    row_weights[count_rows[t] == 0] = -np.inf
+                    best[t] = row_weights.argmax()
+                    top[t] = row_weights[best[t]]
+                growing = (uncovered & (top >= 0)).nonzero()[0]
+                if not growing.size:
+                    break
+            # a growing row has tied maxima exactly when its last maximum is not
+            # its first, best; draw its pick among them
+            last = n - 1 - weights[:, ::-1].argmax(axis=1)
+            for t in growing[last[growing] != best[growing]].tolist():
+                tied = (weights[t] == top[t]).nonzero()[0]
+                if rngs[t] is None:
+                    rngs[t] = make_rng(tie_seeds[t])
+                best[t] = tied[rngs[t].integers(tied.size)]
+            picked = offset[growing] + best[growing]
             nb = neighbors_of(picked)
-            np.subtract(count, np.bincount(nb, minlength=size + 1), out=count)
+            if roots is None:
+                roots, least = best, 0.0
+                floor[:] = -np.inf
+                level[picked] = 0
+                np.subtract(count, np.bincount(nb, minlength=size + 1), out=count)
+            intermediate[picked] = True
+            new = nb[level[nb] < 0]
+            if new.size:
+                floor[new] = 0.0
+                row_level[growing] = level[picked]
+                row = new // n
+                parent[new] = best[row]  # each growing row's pick; its other entries are not read
+                level[new] = row_level[row] + 1
+                # debit the uncovered-neighbor counts of the new nodes' neighbors
+                np.subtract(count, np.bincount(neighbors_of(new), minlength=size + 1), out=count)
 
-    return (np.where(connected, roots, -1), parent.reshape(trials, n), level_rows,
+    uncovered = (alive & (level_rows < 0)).any(axis=1)
+    return (np.where(uncovered, -1, roots), parent.reshape(trials, n), level_rows,
             intermediate.reshape(trials, n))
 
 

@@ -48,10 +48,10 @@ class FieldConfig:
         check_numbers(self, "width", "height", gt=0)
         check_numbers(self, "node_count", integer=True, ge=1)
         sink = self.sink_position
-        try:  # an integer too large for a float overflows math.isfinite
+        try:  # np.shape rejects a ragged sequence; math.isfinite an int too large for a float
             ok = np.shape(sink) == (2,) and all(isinstance(c, (float, numbers.Real))
                                                 and math.isfinite(c) for c in sink)
-        except OverflowError:
+        except (ValueError, OverflowError):
             ok = False
         if not ok:
             raise ValueError(f"sink_position must be two finite numbers, got {sink!r}")

@@ -11,12 +11,14 @@ equal and with random energies, and two small graphs whose only tied maxima
 are the first and the last id, at the root pick and at a later promotion.
 ``construct_trees``, ``compute_delays`` and ``trees_round_energy`` take the
 same inputs stacked, 1, 3 or 10 trials at a time, and each row must be the
-reference's tree, delay and ledger. One ``compute_delays`` call over the
+reference's tree, delay and ledger, also in a stack that mixes an
+all-zero-energy row, a disconnected row and two random rows, whose stalls
+wait for a step where no row grows. One ``compute_delays`` call over the
 stacked rows of random trees of 1 to 40 nodes and many heights, as the
-engine folds a queue of steps, must give each tree's reference delay. A
-stack of clumped layouts, whose longest neighbor lists spill past the
-width of ``neighbor_table``, must give the reference's trees too, and the
-CLI's default graphs must not spill.
+engine folds a queue of steps, must give each tree's reference delay.
+Clumped layouts, whose longest neighbor lists spill past the width of
+``neighbor_table``, must give the reference's trees too, stacked and
+alone, and the CLI's default graphs must not spill.
 """
 
 import numpy as np
@@ -221,6 +223,42 @@ def test_lockstep_rows_match_reference(trials, mode):
     assert connected > 0 and disconnected > 0
 
 
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (1, 2, 3, 0), (3, 2, 0, 1)])
+def test_stalling_rows_in_one_stack_match_reference(order):
+    """A zero-top row, a disconnected row and two random rows grow in one stack.
+
+    The all-zero-energy row meets the zero-top rule at every step after its
+    root, and the disconnected row stalls for good once its part is covered.
+    A row with no positive weight advances only at a step where no row grows,
+    so the zero-top row waits while the random rows grow; each row must still
+    be the reference's tree of its own graph, energies and seed.
+    """
+    n = 100
+    kinds = [("random", 25.0), ("none", 25.0), ("random", 12.0), ("random", 30.0)]
+    for first in (0, 10, 20):
+        graphs, energies, seeds = [], [], []
+        for t in order:
+            mode, range_m = kinds[t]
+            graphs.append(random_geometric_snapshot(first + t, n, range_m))
+            energies.append(energies_for(mode, n, first + t))
+            seeds.append(derive_seed(first + t, 1))
+        roots, parent, level, intermediate = construct_trees(stack_graphs(graphs),
+                                                             np.array(energies), seeds)
+        outcomes = []
+        for t, graph in enumerate(graphs):
+            want = ref.construct_tree(graph, energies[t], seeds[t])
+            outcomes.append((kinds[order[t]][0], want is None))
+            if want is None:
+                assert roots[t] == -1
+                continue
+            assert roots[t] == want.root
+            assert parent[t].tobytes() == want.parent.tobytes()
+            assert level[t].tobytes() == want.level.tobytes()
+            assert intermediate[t].tolist() == [v in want.intermediate_set for v in range(n)]
+        assert sorted(outcomes) == [("none", False), ("random", False), ("random", False),
+                                    ("random", True)]
+
+
 def tree_of(parents: list[int]) -> GatherTree:
     """The tree rooted at 0 with these parents; the root and every parent are intermediate."""
     parent = np.array(parents, dtype=np.int64)
@@ -337,6 +375,10 @@ def test_clumped_stack_spills_and_rows_match_reference(mode):
         assert level[t].tobytes() == want.level.tobytes()
         assert intermediate[t].tolist() == [v in want.intermediate_set for v in range(1000)]
     assert connected == 2
+    # each graph spills alone too, and grows through the one-row loop
+    for t, graph in enumerate(graphs):
+        assert assert_table_holds_the_lists(graph)
+        assert_same_round(graph, energies[t], seeds[t])
 
 
 def test_cli_default_graphs_do_not_spill():

@@ -49,7 +49,7 @@ def test_sink_position_accepted_iff_finite(x):
 
 
 @pytest.mark.parametrize("sink", [(), (50.0,), (50.0, 300.0, 0.0), "ab", (10**400, 0.0),
-                                  (0.0, -10**400)])
+                                  (0.0, -10**400), ((1.0, 2.0), 3.0), [[1.0], [2.0, 3.0]]])
 def test_sink_position_must_be_two_numbers(sink):
     with pytest.raises(ValueError, match="sink_position"):
         FieldConfig(sink_position=sink).validate()
