@@ -2,11 +2,12 @@
 """Time trials run one by one against trials run in lockstep, EMLN and baselines.
 
 ``construct_tree`` is the one-row case of ``construct_trees``: one call
-grows one tree. The engine grows the trees of the trials that need one in
-the same step together, with one ``construct_trees`` call over their
-stacked graphs, however few they are. A lockstep step makes about as many
-numpy calls for one tree as for ten, so this script shows what T trees cost
-as T one-row calls ("separate") and as one T-row call ("lockstep"). For
+grows one tree, through the loop that keeps its pick as a Python int. The
+engine grows the trees of the trials that need one in the same step
+together, with one ``construct_trees`` call over their stacked graphs,
+however few they are. A lockstep step makes about as many numpy calls for
+one tree as for ten, so this script shows what T trees cost as T one-row
+calls ("separate") and as one T-row call ("lockstep"). For
 T = 1, 2, 3, 4, 6, 10 and 48 trials of 100 nodes (default density, range
 25 m) with mid-lifetime residual energies, it checks that every row of the
 T-row call is the tree of the one-row call, and prints the time per tree of
