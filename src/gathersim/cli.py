@@ -166,32 +166,35 @@ def per_round_rows(reports: list[SimulationReport]):
 
 
 def render(rows, columns, fmt: str) -> str:
-    """Render rows as CSV (header + shortest-round-trip floats) or JSON (null for NaN).
+    """Rows as CSV (a header, None as an empty cell, floats numpy's included as their
+    shortest round-trip text) or JSON (null for NaN)."""
+    buf = io.StringIO()
+    _write(buf, rows, columns, fmt)
+    return buf.getvalue()
 
-    ``csv`` writes None as an empty cell and any float, numpy's included,
-    as its shortest round-trip text.
-    """
+
+def _write(fh, rows, columns, fmt: str) -> None:
+    """Write ``render``'s text to ``fh``, CSV rows one by one as ``rows`` gives them."""
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(rows)
-        return buf.getvalue()
-    if fmt == "json":  # JSON has no NaN or infinity: such a float is written as null
+    elif fmt == "json":  # JSON has no NaN or infinity: such a float is written as null
         records = [{key: None if isinstance(v, float) and not math.isfinite(v) else v
                     for key, v in zip(columns, row)} for row in rows]
-        return json.dumps(records, indent=2) + "\n"
-    raise UsageError(f"unknown format {fmt!r}")
+        fh.write(json.dumps(records, indent=2) + "\n")
+    else:
+        raise UsageError(f"unknown format {fmt!r}")
 
 
 def emit_results(rows, columns, fmt: str = "csv", out=None) -> None:
-    """Write rendered rows to ``out`` or stdout."""
-    text = render(rows, columns, fmt)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+    """Write rendered rows to ``out`` or stdout, as they come."""
+    fh = sys.stdout if out is None else open(out, "w", newline="")
+    try:
+        _write(fh, rows, columns, fmt)
+    finally:
+        if out is not None:
+            fh.close()
 
 
 def main(argv=None) -> int:
@@ -210,7 +213,7 @@ def main(argv=None) -> int:
     try:
         results = run_grid(configs, workers=args.workers, keep_reports=args.per_round)
         if args.per_round:
-            rows, columns = list(per_round_rows(results[0].reports)), PER_ROUND_COLUMNS
+            rows, columns = per_round_rows(results[0].reports), PER_ROUND_COLUMNS
         else:
             rows, columns = [aggregate_row(r.aggregate) for r in results], AGGREGATE_COLUMNS
         emit_results(rows, columns, fmt=args.format, out=args.out)

@@ -14,7 +14,7 @@ from .emln import compute_delays, construct_trees
 from .network import (FieldConfig, Nodes, NodeState, build_graph, check_numbers, deploy,
                       stack_graphs)
 from .radio import RadioParams, trees_round_energy
-from .seeding import RoundStream, derive_seed, hash_rounds
+from .seeding import RoundStream, derive_seed, derive_seeds, hash_rounds
 
 STOP_RULES = ("first-death", "energy-exhausted")
 
@@ -99,9 +99,8 @@ BLOCK_ENTRIES = 1 << 10
 # (trials times nodes per trial, at least one trial).
 LOCKSTEP_ENTRIES = 1 << 15
 # A group's EMLN trees wait in its queue until it holds FOLD_NODES nodes, and
-# their delays and leaf counts are then folded in one call, which spreads the
-# fold's fixed numpy call cost over many steps; a larger queue spends more
-# memory on the fold's temporaries than it saves.
+# their delays and leaf counts are then folded in one call; a larger queue
+# only spends memory: a fold costs about 25 ns per node at any size.
 FOLD_NODES = 1 << 13
 
 
@@ -119,177 +118,182 @@ def _hash_streams(trials: list) -> None:
                 [t.rows for t in trials])
 
 
-class _Trial:
-    """One cell of the runner: a trial's node state, protocol state and histories.
+def _parts(blocks: list) -> list:
+    """Per-trial blocks, each ``(debits, delays)`` or None, as ``blocks`` parts of one row count."""
+    by_rows = _alike([i for i, block in enumerate(blocks) if block is not None],
+                     lambda i: len(blocks[i][0]))
+    return [(np.array(ids), np.array([blocks[i][0] for i in ids]),
+             np.array([blocks[i][1] for i in ids])) for ids in by_rows.values()]
 
-    Each protocol's subclass is its entry of ``PROTOCOL_TRIALS``, and
-    constructing one deploys the trial and prepares the protocol. The
-    class's ``blocks(trials, memo)`` gives each of ``trials``, the live
-    trials of a group (one protocol on one node count, sink and radio), its
-    next block: the per-node debits (rows, n) and the delays of its next
-    ``rows`` rounds, the first being attempt ``attempt + 1`` and completed
-    round ``completed``, as if all complete; or None when no gathering
-    structure is left, upon which the trial ``end``s. ``memo`` is a dict the
-    group keeps from step to step. The runner debits the block (``_debit``,
-    together with the group's other blocks of its row count) and the trial
-    applies the outcome with ``apply``; ``abandon(row)`` says that round
-    ``row`` of the last block was abandoned and nodes died, so the rounds
-    after it were not attempted. ``live`` says whether there is a next block.
+
+class _Group:
+    """A lockstep group's trials and the arrays that hold their state, row i for trial i.
+
+    (T, n) ``energies`` and ``alive``, whose rows the trials' ``Nodes`` view;
+    (T,) ``completed`` rounds, ``abandoned`` rounds and ``n_alive``; and
+    (T, capacity) histories, round r at [i, r], grown by doubling: debit
+    and residual totals, alive counts, delays and (trees) leaf counts, -1
+    where unwritten. Reports slice them. ``memo`` is the ``blocks`` dict.
+    """
+
+    def __init__(self, cells: list[tuple[SimConfig, int]]):
+        kind, n = PROTOCOL_TRIALS[cells[0][0].protocol], cells[0][0].field.node_count
+        self.energies, self.alive = np.empty((len(cells), n)), np.empty((len(cells), n), bool)
+        self.completed = np.zeros(len(cells), dtype=np.int64)
+        self.abandoned = np.zeros(len(cells), dtype=np.int64)  # each consumed an attempt
+        self.memo: dict = {}
+        self.trials = [kind(self, i, *cell) for i, cell in enumerate(cells)]
+        self.initial = np.add.reduce(self.energies, axis=1)  # each row's 1-D sum
+        self.n_alive = np.count_nonzero(self.alive, axis=1)
+        self.seeds = np.array([seed % 2**64 for _, seed in cells], dtype=np.uint64)
+        self.least_cap = min(config.max_rounds for config, _ in cells)
+        self.histories = [("spent", float), ("residual", float), ("alive_counts", np.int64),
+                          ("delays", np.int64)] + [("leaves", np.int64)] * kind.builds_tree
+        self.capacity = 0
+        self.reserve(BLOCK_ROUNDS)
+
+    def reserve(self, rounds: int) -> None:
+        """Make room for ``rounds`` rounds per trial, at least doubling the histories."""
+        if rounds > self.capacity:
+            capacity = max(rounds, 2 * self.capacity)
+            for name, dtype in self.histories:  # one history at a time: the old one is freed
+                grown = np.full((len(self.trials), capacity), -1, dtype=dtype)
+                if self.capacity:
+                    grown[:, :self.capacity] = getattr(self, name)
+                setattr(self, name, grown)
+            self.capacity = capacity
+
+
+class _Trial:
+    """One cell of the runner: a trial's protocol state, its node state a row of its group's.
+
+    Each protocol's subclass is its entry of ``PROTOCOL_TRIALS``; one
+    deploys the trial into row ``index`` of its ``_Group``. The class's
+    ``blocks(trials, memo)`` gives the live trials of a group their next
+    blocks, the debits and delays of each one's next ``rows`` rounds (from
+    attempt ``attempt + 1``) as if all complete, in parts ``(positions,
+    debits, delays)``: k trials' positions in ``trials``, their (k, rows, n)
+    debits and (k, rows) delays, None where a tree queue writes them. A
+    trial in no part has no structure left to gather over and ``end``s. A
+    trial that cannot pay for a round ``fail``s, and its ``abandon(row)``
+    hears that round ``row`` of the last block was abandoned.
     """
 
     builds_tree = False  # a tree protocol's reports count leaves
+    first_death_at: int | None = None
+    connected = running = True
+    completed = property(lambda self: int(self.group.completed[self.index]))
+    attempt = property(lambda self: self.completed + int(self.group.abandoned[self.index]))
+    rows = property(lambda self: min(self.block, self.config.max_rounds - self.completed))
+    live = property(lambda self: self.running and self.completed < self.config.max_rounds)
 
-    def __init__(self, config: SimConfig, trial_seed: int):
+    def __init__(self, group: _Group, index: int, config: SimConfig, trial_seed: int):
         if config.nodes_override is not None:
             nodes = Nodes.from_states(config.nodes_override)
         else:
             nodes = deploy(config.field, derive_seed(trial_seed, 0), config.initial_energy)
-        self.config, self.trial_seed, self.nodes = config, trial_seed, nodes
-        # views: the round loop debits energies and clears alive flags in place
-        self.positions, self.energies, self.alive = nodes.positions, nodes.energies, nodes.alive
+        group.energies[index], group.alive[index] = nodes.energies, nodes.alive
+        # views: the runner debits energies and clears alive flags in the group's rows
+        self.nodes = Nodes(nodes.positions, group.energies[index], group.alive[index])
+        self.group, self.index, self.config, self.trial_seed = group, index, config, trial_seed
+        self.positions, self.energies, self.alive = (self.nodes.positions, self.nodes.energies,
+                                                     self.nodes.alive)
         self.sink = np.asarray(config.field.sink_position, dtype=float)
         self.block = max(1, min(BLOCK_ROUNDS, BLOCK_ENTRIES // len(self.alive)))
-        self.initial_total = float(self.energies.sum())
-        self.connected = True
-        self.energy_hist: list[float] = []
-        self.delay_hist: list[int] = []
-        self.alive_hist: list[int] = []
-        self.residual_hist: list[float] = []
-        self.leaf_hist: list[int] = []
-        self.first_death_at: int | None = None
-        self.completed = 0
-        self.attempt = 0  # abandoned rounds consume their attempt too
-        self.n_alive = int(self.alive.sum())
-        self.live = self.n_alive > 0
-
-    @property
-    def rows(self) -> int:
-        """The number of rounds in the trial's next block."""
-        return min(self.block, self.config.max_rounds - self.completed)
+        self.running = bool(self.alive.any())
 
     def end(self) -> None:
         """End the trial: its protocol found no structure to gather over."""
-        if self.completed == 0:
-            self.connected = False
-        self.live = False
+        self.connected, self.running = self.completed > 0, False
 
-    def apply(self, block, done: int, spent: list, residual: list, levels, dying) -> None:
-        """Take the first ``done`` rounds of ``block``, and abandon the next if there is one.
+    def fail(self, row: int, dying: np.ndarray) -> None:
+        """Abandon round ``row`` of the last block: no debits are applied, the ``dying`` die."""
+        self.group.abandoned[self.index] += 1
+        if self.first_death_at is None:
+            self.first_death_at = self.completed
+        if self.config.stop_rule == "first-death":
+            self.running = False
+            return
+        self.alive[dying] = False
+        self.group.n_alive[self.index] = n_alive = np.count_nonzero(self.alive)
+        self.abandon(row)
+        self.running = n_alive > 0
 
-        ``spent`` and ``residual`` are the block's per-round debit and
-        residual totals, ``levels`` the energies after round ``done`` and
-        ``dying`` the (rows, n) flags of the nodes that could not pay.
-        """
-        config = self.config
-        self.energy_hist += spent[:done]
-        self.residual_hist += residual[:done]
-        self.delay_hist.extend(block[1][:done])
-        self.alive_hist += [self.n_alive] * done
-        self.energies[:] = levels
-        self.completed += done
-        self.attempt += done
-        if done < len(spent):
-            # abandon the round: no debits are applied, the broke nodes die
-            self.attempt += 1
-            if self.first_death_at is None:
-                self.first_death_at = self.completed
-            if config.stop_rule == "first-death":
-                self.live = False
-                return
-            self.alive[dying[done]] = False
-            self.n_alive = int(self.alive.sum())
-            self.abandon(done)
-        self.live = self.completed < config.max_rounds and self.n_alive > 0
-
-    def report(self) -> SimulationReport:
-        completed, builds_tree = self.completed, self.builds_tree
+    def report(self) -> SimulationReport:  # its arrays are views of the group's rows
+        group, i, completed, builds_tree = self.group, self.index, self.completed, self.builds_tree
         lifetime = self.first_death_at if self.first_death_at is not None else completed
-        energy_arr = np.asarray(self.energy_hist, dtype=float)
-        delay_arr = np.asarray(self.delay_hist, dtype=np.int64)
-        leaf_arr = np.asarray(self.leaf_hist, dtype=np.int64) if builds_tree else None
+        energy, delay = group.spent[i, :completed], group.delays[i, :completed]
+        leaves = group.leaves[i, :completed] if builds_tree else None
         return SimulationReport(
-            protocol=self.config.protocol,
-            connected=self.connected,
-            lifetime=lifetime,
-            energy_per_round=energy_arr,
-            delay_per_round=delay_arr,
-            alive_per_round=np.asarray(self.alive_hist, dtype=np.int64),
-            residual_total_per_round=np.asarray(self.residual_hist, dtype=float),
-            initial_total=self.initial_total,
-            final_energies=self.energies,
-            leaf_per_round=leaf_arr,
-            mean_energy_per_round=_lifetime_mean(energy_arr, lifetime),
-            mean_delay_per_round=_lifetime_mean(delay_arr, lifetime),
-            mean_energy_delay=_lifetime_mean(energy_arr * delay_arr, lifetime),
-            mean_leaf_count=_lifetime_mean(leaf_arr, lifetime) if builds_tree else None,
-        )
+            self.config.protocol, self.connected, lifetime, energy, delay,
+            group.alive_counts[i, :completed], group.residual[i, :completed],
+            float(group.initial[i]), self.energies, leaves, _lifetime_mean(energy, lifetime),
+            _lifetime_mean(delay, lifetime), _lifetime_mean(energy * delay, lifetime),
+            _lifetime_mean(leaves, lifetime) if builds_tree else None)
 
 
 class _EmlnTrial(_Trial):
     """One round per block: each tree depends on the energies left by the last.
 
-    A round's delay is its tree's ``_TreeRecord``, set when the tree's
-    ``queue`` is folded: the trial's delay history holds records from round
-    ``resolved`` on, and ``resolve`` turns them into delays and leaf counts.
+    A tree serves ``rebuild_period`` rounds. The group's ``_TreeQueue``
+    writes its delay and leaf count at the round it was grown for; a report
+    gives the later rounds on it, which hold -1, the values before them.
     """
 
     builds_tree = True
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.block = 1
-        self.graph = self.round = self.queue = None
+        self.block, self.graph, self.debits = 1, None, None
         self.rounds_on_tree = self.config.rebuild_period
-        self.resolved = 0
+        memo = self.group.memo  # the group's queue, and whether some tree serves many rounds
+        memo["queue"] = memo.get("queue") or _TreeQueue(self.group)
+        memo["reuse"] = memo.get("reuse", False) or self.rounds_on_tree > 1
 
     @staticmethod
     def blocks(trials: list, memo: dict) -> list:
-        """Grow the next tree of each trial whose tree is stale, and give every trial its round.
+        """Grow the trees of the trials whose tree is stale together, and give each its round.
 
-        A round is its tree's debits and record, or None if the graph is
-        disconnected. The stale trials grow their trees together
-        (``construct_trees``), however few they are. ``memo["stack"]`` keeps
-        the last stacked graph and its members' graphs; it is stacked again
-        only when a member's graph differs. The trees go into the group's
-        ``_TreeQueue``, ``memo["queue"]``, which folds their delays and leaf
-        counts later.
+        A round is its tree's debits, none on a disconnected graph; when
+        every trial grew a connected tree, ``trees_round_energy``'s (T, n)
+        debits are the one part as they are. ``memo["stack"]`` keeps the
+        stacked graph, its members' graphs and group indices until a
+        member's graph differs. The trees go into ``memo["queue"]``.
         """
-        stale = [t for t in trials if t.rounds_on_tree >= t.config.rebuild_period]
-        if stale:
-            for trial in stale:
-                if trial.graph is None:
-                    trial.graph = build_graph(trial.nodes, trial.config.range_m)
-            graphs = [t.graph for t in stale]
-            members, stacked = memo.get("stack", ((), None))
-            if len(members) != len(graphs) or any(a is not b for a, b in zip(members, graphs)):
-                stacked = stack_graphs(graphs)
-                memo["stack"] = graphs, stacked
-            seeds = [derive_seed(t.trial_seed, t.attempt + 1) for t in stale]
-            trees = construct_trees(stacked, np.array([t.energies for t in stale]), seeds)
-            roots, parent, _, intermediate = trees
-            debits = trees_round_energy(roots, parent, intermediate, stacked.positions,
-                                        stale[0].sink, stale[0].config.radio).per_node
-            records = [_TreeRecord() for _ in stale]
-            queue = memo.setdefault("queue", _TreeQueue())
-            for t, (trial, root, record) in enumerate(zip(stale, roots.tolist(), records)):
-                trial.round = (debits[t:t + 1], [record]) if root >= 0 else None
-                trial.rounds_on_tree, trial.queue = 0, queue
-            queue.push(trees, records, stale)
+        stale = []
         for trial in trials:
             trial.rounds_on_tree += 1
-        return [trial.round for trial in trials]
-
-    def resolve(self) -> None:
-        """Turn the records of the trial's folded rounds into its delays and leaf counts."""
-        records = self.delay_hist[self.resolved:]
-        self.delay_hist[self.resolved:] = [record.delay for record in records]
-        self.leaf_hist += [record.leaves for record in records]
-        self.resolved = len(self.delay_hist)
+            if trial.rounds_on_tree > trial.config.rebuild_period:
+                trial.rounds_on_tree = 1
+                stale.append(trial)
+                if trial.graph is None:
+                    trial.graph = build_graph(trial.nodes, trial.config.range_m)
+        if stale:
+            graphs, group = [t.graph for t in stale], stale[0].group
+            members, stacked, index = memo.get("stack", ((), None, None))
+            if len(members) != len(graphs) or any(a is not b for a, b in zip(members, graphs)):
+                stacked, index = stack_graphs(graphs), np.array([t.index for t in stale])
+                memo["stack"] = graphs, stacked, index
+            attempts = group.completed[index] + group.abandoned[index] + 1
+            trees = construct_trees(stacked, group.energies[index],
+                                    derive_seeds(group.seeds[index], attempts))
+            roots, parent, _, intermediate = trees
+            debits = trees_round_energy(roots, parent, intermediate, stacked.positions,
+                                        stale[0].sink, stale[0].config.radio).per_node[:, None]
+            memo["queue"].push(trees, index)
+            if len(stale) == len(trials) and not memo["reuse"] and roots.min() >= 0:
+                return [(np.arange(len(trials)), debits, None)]
+            for trial, row, root in zip(stale, debits, roots.tolist()):
+                trial.debits = row if root >= 0 else None
+        ready = [p for p, trial in enumerate(trials) if trial.debits is not None]
+        return [(np.array(ready), np.array([trials[p].debits for p in ready]), None)] if ready else []
 
     def report(self) -> SimulationReport:
-        if self.queue is not None:  # the first of its trials to report folds the rest
-            self.queue.fold()
-        self.resolve()
+        self.group.memo["queue"].fold()  # the first of the group's trials to report folds all
+        if self.config.rebuild_period > 1:
+            n = self.completed
+            for rounds in (self.group.delays[self.index, :n], self.group.leaves[self.index, :n]):
+                rounds[:] = rounds[np.maximum.accumulate(np.where(rounds >= 0, np.arange(n), 0))]
         return super().report()
 
     def abandon(self, row: int) -> None:
@@ -297,29 +301,23 @@ class _EmlnTrial(_Trial):
         self.rounds_on_tree = self.config.rebuild_period
 
 
-class _TreeRecord:
-    """The delay and leaf count of a queued EMLN tree, set when its queue is folded."""
-
-    __slots__ = ("delay", "leaves")
-
-
 class _TreeQueue:
     """A group's EMLN trees whose delays and leaf counts wait.
 
-    ``push`` queues one ``construct_trees`` output with each row's record
-    and trial, and folds once the queue holds FOLD_NODES nodes. ``fold``
-    stacks the queued rows for one ``compute_delays`` call and one leaf
-    count, sets every record, has each trial of the queue resolve its
-    histories and empties the queue.
+    ``push`` queues one ``construct_trees`` output with each row's trial
+    (group index) and round (its ``completed``), and folds at FOLD_NODES
+    nodes. ``fold`` runs one ``compute_delays`` call and one leaf count
+    over the queued rows and writes both histories at each (trial, round)
+    in one write each; of a round's trees, an abandoned one's and the
+    next's, the later is written.
     """
 
-    def __init__(self):
-        self.trees, self.records, self.trials, self.nodes = [], [], [], 0
+    def __init__(self, group: _Group):
+        self.group, self.trees, self.targets, self.nodes = group, [], [], 0
 
-    def push(self, trees: tuple, records: list, trials: list) -> None:
+    def push(self, trees: tuple, index: np.ndarray) -> None:
         self.trees.append(trees)
-        self.records += records
-        self.trials += trials
+        self.targets.append((index, self.group.completed[index]))
         self.nodes += trees[1].size
         if self.nodes >= FOLD_NODES:
             self.fold()
@@ -327,17 +325,16 @@ class _TreeQueue:
     def fold(self) -> None:
         if not self.trees:
             return
-        trees, records, trials = self.trees, self.records, self.trials
-        self.trees, self.records, self.trials, self.nodes = [], [], [], 0
-        roots, parent, level, intermediate = map(np.concatenate, zip(*trees))
-        del trees  # copied: free the queued rows before the fold's temporaries
-        leaves = (np.count_nonzero(level >= 0, axis=1)
-                  - np.count_nonzero(intermediate, axis=1)).tolist()
-        delays = compute_delays(roots, parent, level).tolist()
-        for record, delay, count in zip(records, delays, leaves):
-            record.delay, record.leaves = delay, count
-        for trial in dict.fromkeys(trials):
-            trial.resolve()
+        roots, parent, level, intermediate = map(np.concatenate, zip(*self.trees))
+        trials, rounds = map(np.concatenate, zip(*self.targets))
+        self.trees, self.targets, self.nodes = [], [], 0
+        leaves = np.count_nonzero(level >= 0, axis=1) - np.count_nonzero(intermediate, axis=1)
+        delays = compute_delays(roots, parent, level)
+        keys = trials * self.group.capacity + rounds
+        _, last = np.unique(keys[::-1], return_index=True)  # each (trial, round)'s last tree
+        last = keys.size - 1 - last
+        at = trials[last], rounds[last]
+        self.group.delays[at], self.group.leaves[at] = delays[last], leaves[last]
 
 
 class _LeachTrial(_Trial):
@@ -358,12 +355,12 @@ class _LeachTrial(_Trial):
 
     def elect(self) -> np.ndarray:
         """The ``head_of`` rows of the elections of the trial's next block."""
-        attempt, rows = self.attempt + 1, self.rows
+        attempt, rows, completed = self.attempt + 1, self.rows, self.completed
         self.served_before = np.empty((rows, len(self.alive)), dtype=bool)
         heads = []
         for row in range(rows):
             self.served_before[row] = self.served
-            heads.append(elect_heads(self.alive, self.served, self.completed + row,
+            heads.append(elect_heads(self.alive, self.served, completed + row,
                                      self.config.leach_p, self.stream(attempt + row)))
         return cluster_rows(self.positions, self.alive, heads)
 
@@ -374,8 +371,8 @@ class _LeachTrial(_Trial):
         for trial in trials:
             ledger, delays = cluster_block(trial.elect(), trial.positions, trial.sink_tx,
                                            trial.config.radio)
-            out.append((ledger.per_node, delays.tolist()))
-        return out
+            out.append((ledger.per_node, delays))
+        return _parts(out)
 
     def abandon(self, row: int) -> None:
         self.served = self.served_before[row].copy()  # the abandoned election does not count
@@ -386,8 +383,8 @@ class _ChainTrial(_Trial):
 
     A group's trials hash their round seeds together, and the trials whose
     alive chains have one size (and whose blocks one row count) take one
-    ``ledgers`` call over their stacked chains. A trial with no alive node
-    has no chain.
+    ``ledgers`` call over their stacked chains, which gives their part. A
+    trial with no alive node has no chain.
     """
 
     def __init__(self, *args):
@@ -406,16 +403,14 @@ class _ChainTrial(_Trial):
                                          trial.config.radio)
             leaders.append(trial.stream.integers(trial.attempt + 1, trial.rows,
                                                  trial.links.sub.size))
-        out: list = [None] * len(trials)
+        parts = []
         for group in _alike(trials, lambda t: (t.links.sub.size, t.rows)).values():
             chains = [trials[i].links for i in group]
             ledger, delays = cls.ledgers(chains, [leaders[i] for i in group])
             per_position = ledger.per_node
             del ledger  # peak memory: its (T, rows, m) parts need not outlive their sum
-            debits = chain_to_nodes(chains, per_position)
-            for i, trial_debits, trial_delays in zip(group, debits, delays.tolist()):
-                out[i] = trial_debits, trial_delays
-        return out
+            parts.append((np.array(group), chain_to_nodes(chains, per_position), delays))
+        return parts
 
     def abandon(self, row: int) -> None:
         self.links = None
@@ -444,7 +439,7 @@ class _DirectTrial(_Trial):
                 trial.debit = ledger.per_node
             out.append((np.broadcast_to(trial.debit, (trial.rows, len(trial.debit))),
                         [trial.delay] * trial.rows))
-        return out
+        return _parts(out)
 
     def abandon(self, row: int) -> None:
         self.debit = None
@@ -460,54 +455,74 @@ PROTOCOL_TRIALS = {
 PROTOCOLS = tuple(PROTOCOL_TRIALS)
 
 
-def _debit(trials: tuple[_Trial, ...], blocks: tuple) -> None:
-    """Debit each trial's block, all of one shape (rows, n), and have each trial apply its own.
+def _debit(group: _Group, members: np.ndarray, debits: np.ndarray, delays) -> bool:
+    """Debit the (k, rows, n) blocks of the group's trials ``members``; True if one failed.
 
-    The energies and debits are stacked into one C-ordered (rows + 1, T, n)
-    array, round by round: one ``np.subtract.accumulate`` down the rounds
-    gives every trial's energies after each round, the same floats as
-    debiting round by round, and one ``np.add.reduce`` over the last axis
-    every round's debit and residual totals (row sums of another layout can
-    differ in the last bit). A trial's first round in which an alive node
-    cannot pay is abandoned. Whole experiments read only 1.002-1.006x
-    faster with per-round subtractions (README, "Trials in lockstep"): too
-    small a gain to pay for their loop.
+    One ``np.subtract`` (one round) or ``np.subtract.accumulate`` of the
+    gathered energies gives the levels after each round, the floats of a
+    round-by-round loop; an alive node's level below zero abandons the
+    round. ``np.add.reduce`` over the contiguous node axis gives the debit
+    and residual totals with the bits of 1-D sums. Each history takes all
+    members' rows in one write; rows past a trial's completed ones are
+    rewritten by its next block or lie past its end. Only a trial that
+    fails a round runs Python of its own.
     """
-    rows, n = blocks[0][0].shape
-    stack = np.empty((2, rows + 1, len(trials), n))  # [0]: energies, debits; [1]: levels
-    stack[0, 0] = [t.energies for t in trials]
-    stack[0, 1:].transpose(1, 0, 2)[...] = [block[0] for block in blocks]
-    levels = np.subtract.accumulate(stack[0], axis=0, out=stack[1])
-    dying = (levels[:-1] < stack[0, 1:]) & np.array([t.alive for t in trials])
-    broke = dying.any(axis=2)
-    done = np.where(broke.any(axis=0), broke.argmax(axis=0), rows).tolist()
-    spent, residual = np.add.reduce(stack[:, 1:], axis=3).transpose(0, 2, 1).tolist()
-    for t, trial in enumerate(trials):
-        trial.apply(blocks[t], done[t], spent[t], residual[t], levels[done[t], t], dying[:, t])
+    rows = debits.shape[1]
+    energies, start = group.energies[members], group.completed[members]
+    if rows == 1:
+        levels = energies[:, None] - debits
+    else:
+        levels = np.subtract.accumulate(np.concatenate((energies[:, None], debits), axis=1),
+                                        axis=1)[:, 1:]
+    dying = levels < 0
+    dying &= group.alive[members, None]
+    last = int(start.max()) + rows
+    if last >= group.capacity:
+        group.reserve(last + 1)  # and one more round, which a tree queue may write
+    at = members[:, None], start[:, None] + np.arange(rows)
+    group.spent[at] = np.add.reduce(debits, axis=2)
+    group.residual[at] = np.add.reduce(levels, axis=2)
+    group.alive_counts[at] = group.n_alive[members, None]
+    if delays is not None:
+        group.delays[at] = delays
+    failed = dying.any()
+    if not failed:
+        group.energies[members] = levels[:, -1]
+        group.completed[members] = start + rows
+    else:
+        broke = dying.any(axis=2)
+        done = np.where(broke.any(axis=1), broke.argmax(axis=1), rows)
+        group.energies[members] = np.concatenate((energies[:, None], levels),
+                                                 axis=1)[np.arange(len(members)), done]
+        group.completed[members] = start + done
+        for p in np.flatnonzero(done < rows).tolist():
+            group.trials[members[p]].fail(int(done[p]), dying[p, done[p]])
+    return bool(failed) or last >= group.least_cap  # near a cap, trials may have ended
 
 
 def _run_group(cells: list[tuple[SimConfig, int]]) -> list[SimulationReport]:
-    """Step the trials of (config, trial seed) cells together until every one has ended.
+    """Step the trials of (config, trial seed) cells, a ``_Group``, until every one has ended.
 
     The cells run one protocol on one node count, sink and radio. A step
-    asks the protocol for the next blocks of all live trials in one
-    ``blocks`` call and debits the blocks of each row count together.
+    makes one ``blocks`` call for all live trials and debits each part; the
+    live trials are listed again only after a step that may have ended one.
     """
-    kind = PROTOCOL_TRIALS[cells[0][0].protocol]
-    trials = [kind(config, seed) for config, seed in cells]
-    memo: dict = {}
-    live = [t for t in trials if t.live]
-    while live:
-        pending: dict = {}
-        for trial, block in zip(live, kind.blocks(live, memo)):
-            if block is None:
-                trial.end()
-            else:
-                pending.setdefault(len(block[0]), []).append((trial, block))
-        for pairs in pending.values():
-            _debit(*zip(*pairs))
-        live = [t for t in live if t.live]
-    return [t.report() for t in trials]
+    group = _Group(cells)
+    kind = type(group.trials[0])
+    trials = [t for t in group.trials if t.live]
+    while trials:
+        index = np.array([t.index for t in trials])
+        changed = False
+        while not changed:
+            parts = kind.blocks(trials, group.memo)
+            for positions, debits, delays in parts:
+                changed |= _debit(group, index[positions], debits, delays)
+            if sum(len(part[0]) for part in parts) < len(trials):  # the rest have no structure
+                for p in set(range(len(trials))).difference(*(part[0].tolist() for part in parts)):
+                    trials[p].end()
+                changed = True
+        trials = [t for t in trials if t.live]
+    return [t.report() for t in group.trials]
 
 
 def _run(cells: list[tuple[SimConfig, int]], workers: int) -> list[SimulationReport]:
@@ -543,25 +558,13 @@ def run_trial(config: SimConfig, trial_seed: int) -> SimulationReport:
 
     A round counts as completed only if every participant can pay its
     debit. A round in which any node would be driven below zero is
-    abandoned without applying debits: the nodes that could not pay are
-    declared dead there, which under the default first-death rule ends the
-    trial; under energy-exhausted the survivors carry on (the tree or
-    election structures are rebuilt without the dead) until nobody is left,
-    the gathering structure disconnects, or ``max_rounds`` is reached.
-
-    Rounds are debited a block at a time: ``np.subtract.accumulate`` over
-    the energies and the block's debits gives the energies after each
-    round, the same floats as debiting round by round, and the first round
-    some alive node cannot pay is the abandoned one. The runner debits the
-    blocks of one row count of all the trials it steps together in one such
-    call (``_debit``).
-
-    A tree-protocol trial whose graph is disconnected in round 1 runs no
-    rounds and is flagged ``connected=False``; aggregation excludes it from
-    everything except the connectivity fraction.
-
-    This is the runner's group of one: ``run_grid`` steps many trials
-    together and gives the same reports.
+    abandoned without debits, and the nodes that could not pay die there:
+    under first-death that ends the trial; under energy-exhausted the
+    survivors carry on, their structures rebuilt, until nobody is left, the
+    structure disconnects, or ``max_rounds`` is reached. A trial whose
+    structure is missing in round 1 runs no rounds and is flagged
+    ``connected=False``; aggregation counts it only in the connectivity
+    fraction. This is the runner's group of one (``run_grid``).
     """
     config.validate()
     return _run_group([(config, trial_seed)])[0]
@@ -601,27 +604,15 @@ def _aggregate(config: SimConfig, reports: list[SimulationReport]) -> Experiment
         mean_energy = float(np.mean([r.mean_energy_per_round for r in usable]))
         mean_delay = float(np.mean([r.mean_delay_per_round for r in usable]))
         mean_ed = float(np.mean([r.mean_energy_delay for r in usable]))
-        if builds_tree:
-            leaf_fraction = float(np.mean([r.mean_leaf_count for r in usable])
-                                  / config.field.node_count)
-        else:
-            leaf_fraction = None
+        leaf_fraction = (float(np.mean([r.mean_leaf_count for r in usable])
+                               / config.field.node_count) if builds_tree else None)
     else:
         mean_lifetime = sd_lifetime = mean_energy = mean_delay = mean_ed = float("nan")
         leaf_fraction = float("nan") if builds_tree else None
 
-    return ExperimentAggregate(
-        protocol=config.protocol,
-        range_m=config.range_m,
-        trials=config.trials,
-        connectivity=connectivity,
-        mean_lifetime=mean_lifetime,
-        sd_lifetime=sd_lifetime,
-        mean_energy_per_round=mean_energy,
-        mean_delay_per_round=mean_delay,
-        mean_energy_delay=mean_ed,
-        mean_leaf_fraction=leaf_fraction,
-    )
+    return ExperimentAggregate(config.protocol, config.range_m, config.trials, connectivity,
+                               mean_lifetime, sd_lifetime, mean_energy, mean_delay, mean_ed,
+                               leaf_fraction)
 
 
 def run_grid(configs: list[SimConfig], workers: int = 1,

@@ -330,6 +330,23 @@ def test_criterion_10_oracle_equivalence(emln_experiments, baseline_experiments)
     check(10, subchecks)
 
 
+def test_criterion_12_energy_balance(emln_experiments, baseline_experiments):
+    # the abstract's claim that EMLN-DG balances the energy level across the
+    # nodes, read as: at the first death it leaves the least of the network's
+    # initial energy unspent; an ordering, no band
+    results = {"emln": emln_experiments[25.0], **baseline_experiments}
+    unspent = {p: np.array([r.final_energies.sum() / r.initial_total for r in result.reports
+                            if r.connected]) for p, result in results.items()}
+    for protocol, fractions in unspent.items():
+        print(f"[criterion 12] {protocol}: unspent fraction at first death "
+              f"{fractions.mean():.3f} (sd {fractions.std(ddof=1):.3f}, "
+              f"{fractions.min():.3f}-{fractions.max():.3f}, {fractions.size} trials)")
+    means = {p: fractions.mean() for p, fractions in unspent.items()}
+    check(12, [("EMLN leaves the smallest unspent fraction of the five protocols",
+                min(means, key=means.get) == "emln",
+                ", ".join(f"{p} {m:.3f}" for p, m in means.items()))])
+
+
 def test_criterion_11_byte_identical_csv(tmp_path):
     args = ["--nodes", "60", "--trials", "3", "--max-rounds", "60", "--seed", "7"]
     # the child imports the same gathersim as this process, installed or not

@@ -7,6 +7,7 @@ a stub ``bench/run.py`` that prints fixed lines.
 """
 
 import ast
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -101,3 +102,32 @@ def test_the_tool_imports_nothing_from_gathersim():
         elif isinstance(node, ast.ImportFrom):
             imported.add(node.module or "")
     assert not any(name.split(".")[0] == "gathersim" for name in imported)
+
+
+def test_run_command_runs_the_tree_through_a_wrapper(tmp_path):
+    package = tmp_path / "src" / "gathersim"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "__main__.py").write_text("import sys\nprint(' '.join(sys.argv[1:]))\n")
+    run = bench_pairs.run_command(tmp_path, ["--trials", "3"])
+    assert run["sha256"] == hashlib.sha256(b"--trials 3\n").hexdigest()
+    assert run["wall_s"] > 0 and run["peak_rss_mb"] > 0
+    (package / "__main__.py").write_text("raise SystemExit(2)\n")
+    with pytest.raises(RuntimeError, match="exited with 2"):
+        bench_pairs.run_command(tmp_path, [])
+
+
+def test_command_pairs_whose_outputs_differ_fail():
+    runs = []
+    for pair, (base, change) in enumerate([(50.0, 40.0), (52.0, 41.0), (51.0, 42.0)]):
+        for side, rss in (("base", base), ("change", change)):
+            sha = "b" if side == "change" and pair == 1 else "a"
+            runs.append({"command": "emln-192", "pair": pair, "side": side, "sha256": sha,
+                         "wall_s": 2.0, "peak_rss_mb": rss})
+    entry = bench_pairs.summarize_commands(runs, 0.05)["emln-192"]
+    assert entry["argv"] == bench_pairs.COMMANDS["emln-192"]
+    assert (entry["pairs"], entry["failed_pairs"], entry["bound"]) == (3, [1], 0.05)
+    rss = entry["metrics"]["peak_rss_mb"]
+    assert (rss["base_median"], rss["change_median"], rss["wins"]) == (51.0, 41.0, 3)
+    assert rss["bound"] == 0.05 and rss["verdict"] == "within bound"  # three pairs: no gain
+    assert entry["metrics"]["wall_s"]["wins"] == 0

@@ -266,7 +266,7 @@ def test_connectivity_fraction_counts_disconnected_trials(monkeypatch):
     assert np.isnan(agg.mean_lifetime)
     assert np.isnan(agg.mean_leaf_fraction)
     # a baseline that finds no structure to gather over has no leaf fraction at all
-    monkeypatch.setattr(engine._DirectTrial, "blocks", lambda trials, memo: [None] * len(trials))
+    monkeypatch.setattr(engine._DirectTrial, "blocks", lambda trials, memo: [])
     agg = run_experiment(small(protocol="direct", trials=4)).aggregate
     assert agg.connectivity == 0.0
     assert np.isnan(agg.mean_lifetime)
@@ -364,3 +364,19 @@ def test_empty_grid_runs_nothing():
 def test_leaf_fraction_only_for_tree_protocol():
     assert run_experiment(small(trials=2)).aggregate.mean_leaf_fraction is not None
     assert run_experiment(small(trials=2, protocol="direct")).aggregate.mean_leaf_fraction is None
+
+
+def test_no_two_reports_share_an_array():
+    # trials end at different steps: deaths under energy-exhausted, a tree
+    # reused for three rounds and a cap, in EMLN and a baseline at once
+    configs = [small(protocol=p, initial_energy=0.03, trials=4, rebuild_period=3,
+                     max_rounds=80, stop_rule="energy-exhausted") for p in ("emln", "leach")]
+    reports = [r for result in run_grid(configs, keep_reports=True) for r in result.reports]
+    assert len({r.completed_rounds for r in reports}) > 2
+    assert any(r.completed_rounds == 80 for r in reports)
+    arrays = [(i, value) for i, report in enumerate(reports)
+              for value in vars(report).values() if isinstance(value, np.ndarray)]
+    for i, a in arrays:
+        for j, b in arrays:
+            assert i == j or not np.shares_memory(a, b)
+

@@ -19,6 +19,18 @@ medians, the pairs the change won (ties count for neither side), and a
 verdict against the bound ``BENCHMARK.json`` gives that metric, with no
 bound of its own. It imports nothing from gathersim, so it runs any
 revision's benchmark.
+
+With ``--command NAME`` (repeatable) it runs, instead, entries of
+``COMMANDS``: ``python3 -m gathersim ARGS`` in each tree, in alternating
+pairs as above, each run in a fresh wrapper process that records its wall
+time, the peak RSS of the command (``RUSAGE_CHILDREN``) and the sha256 of
+its output. A pair whose two outputs differ counts as failed. The summary
+goes under ``commands``, each metric judged against ``--bound``, which is
+written next to its verdict. An existing ``--out`` file keeps its other
+keys, so that one file can hold both modes.
+
+    python3 tools/bench_pairs.py --base HEAD~1 --out BENCH_31.json \\
+        --command emln-192 --command sweep-48 --pairs 3 --bound 0.05
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -36,6 +49,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SAME = ("bench", "BENCHMARK.json")  # must be identical in both trees
+# the standard commands (--command NAME): arguments of ``python3 -m gathersim``
+COMMANDS = {
+    "emln-192": ["--trials", "192"],
+    "sweep-48": ["--sweep", "15,20,25,30,35,40,45,50", "--trials", "48"],
+    "aggregate-48": ["--trials", "48"],
+    "per-round-48": ["--trials", "48", "--per-round"],
+}
+COMMAND_METRICS = {"wall_s": "lower", "peak_rss_mb": "lower"}
+# one run of a command in a fresh process: argv[1:] is the command line
+WRAPPER = """import hashlib, json, resource, subprocess, sys, time
+start = time.perf_counter()
+proc = subprocess.run(sys.argv[1:], stdout=subprocess.PIPE)
+print(json.dumps({"returncode": proc.returncode, "wall_s": time.perf_counter() - start,
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
+                  "sha256": hashlib.sha256(proc.stdout).hexdigest()}))
+"""
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -109,6 +138,40 @@ def summarize(runs: list[dict], declared: dict) -> dict:
     return summary
 
 
+def summarize_commands(runs: list[dict], bound: float) -> dict:
+    """Per command: the pairs, the failed pairs (outputs differ) and each metric judged.
+
+    ``runs`` are records with "command", "pair", "side", "sha256" and each
+    metric of ``COMMAND_METRICS``; a pair counts only when both sides ran.
+    """
+    summary = {}
+    for command in dict.fromkeys(run["command"] for run in runs):
+        sides: dict = {"base": {}, "change": {}}
+        for run in runs:
+            if run["command"] == command:
+                sides[run["side"]][run["pair"]] = run
+        pairs = sorted(sides["base"].keys() & sides["change"].keys())
+        failed = [p for p in pairs if sides["base"][p]["sha256"] != sides["change"][p]["sha256"]]
+        summary[command] = {"argv": COMMANDS.get(command), "pairs": len(pairs),
+                            "failed_pairs": failed, "bound": bound, "metrics": {
+            name: judge([sides["base"][p][name] for p in pairs],
+                        [sides["change"][p][name] for p in pairs], better, bound)
+            for name, better in COMMAND_METRICS.items()} if pairs else {}}
+    return summary
+
+
+def run_command(tree: Path, args: list[str]) -> dict:
+    """One ``python3 -m gathersim ARGS`` run in ``tree``, through a fresh ``WRAPPER`` process."""
+    proc = subprocess.run([sys.executable, "-c", WRAPPER, sys.executable, "-m", "gathersim",
+                           *args], cwd=tree, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(tree / "src")})
+    result = json.loads(proc.stdout) if proc.returncode == 0 else {"returncode": proc.returncode}
+    if result["returncode"] != 0:
+        raise RuntimeError(f"gathersim {' '.join(args)} in {tree} exited with "
+                           f"{result['returncode']}:\n{proc.stderr.strip()}")
+    return {name: result[name] for name in ("wall_s", "peak_rss_mb", "sha256")}
+
+
 def git(*args: str, binary: bool = False):
     out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True).stdout
     return out if binary else out.decode().strip()
@@ -139,6 +202,10 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=1, help="the first pair's seed")
+    parser.add_argument("--command", action="append", choices=COMMANDS,
+                        help="run these standard commands instead of the benchmark")
+    parser.add_argument("--bound", type=float, default=0.05,
+                        help="the bound each command metric is judged against")
     args = parser.parse_args(argv)
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -149,17 +216,31 @@ def main(argv=None) -> int:
         print(f"bench_pairs: {', '.join(SAME)} differ from {args.base}; the two sides "
               "would not run the same benchmark", file=sys.stderr)
         return 2
-    record = {"base": base_sha, "change": git("rev-parse", "HEAD"),
-              "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
-              "command": "python3 bench/run.py --workload W --seed S --seconds X --trace 0",
-              "seconds": args.seconds, "pairs": args.pairs, "first_seed": args.seed,
-              "order": "base first in even pairs, change first in odd pairs", "runs": []}
+    record = json.loads(args.out.read_text()) if args.out.exists() else {}
+    record.update({"base": base_sha, "change": git("rev-parse", "HEAD"),
+                   "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+                   "order": "base first in even pairs, change first in odd pairs"})
+    if args.command:
+        record.update(command_pairs=args.pairs, command_runs=[])
+    else:
+        record.update({"command": "python3 bench/run.py --workload W --seed S --seconds X "
+                       "--trace 0", "seconds": args.seconds, "pairs": args.pairs,
+                       "first_seed": args.seed, "runs": []})
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         with tarfile.open(fileobj=io.BytesIO(git("archive", base_sha, binary=True))) as tar:
             tar.extractall(scratch, filter="data")
         trees = {"base": scratch, "change": ROOT}
-        for workload in workloads:
+        for command in args.command or ():
+            for pair in range(args.pairs):
+                order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+                for side in order:
+                    run = run_command(trees[side], COMMANDS[command])
+                    record["command_runs"].append(dict(run, command=command, pair=pair,
+                                                       side=side))
+                    print(f"{command} pair {pair} {side}: {run['wall_s']:.2f} s, "
+                          f"{run['peak_rss_mb']:.1f} MB", flush=True)
+        for workload in [] if args.command else workloads:
             for pair in range(args.pairs):
                 seed = args.seed + pair
                 order = ("base", "change") if pair % 2 == 0 else ("change", "base")
@@ -172,9 +253,16 @@ def main(argv=None) -> int:
                           flush=True)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-    record["summary"] = summarize(record["runs"], declared)
+    if args.command:
+        record["commands"] = summarize_commands(record["command_runs"], args.bound)
+    else:
+        record["summary"] = summarize(record["runs"], declared)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
-    for workload, entry in record["summary"].items():
+    for command, entry in record.get("commands", {}).items() if args.command else ():
+        for name, m in entry["metrics"].items():
+            print(f"{command} {name}: {m['base_median']:.6g} -> {m['change_median']:.6g}, "
+                  f"{len(entry['failed_pairs'])} failed pairs, {m['verdict']}")
+    for workload, entry in record["summary"].items() if not args.command else ():
         for name, m in entry["metrics"].items():
             print(f"{workload} {name}: {m['base_median']:.6g} -> {m['change_median']:.6g} "
                   f"(base IQR {m['base_iqr']:.3g}), {m['wins']}/{m['pairs']} better, "
