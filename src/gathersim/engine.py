@@ -14,7 +14,7 @@ from .emln import compute_delays, construct_trees
 from .network import (FieldConfig, Nodes, NodeState, build_graph, check_numbers, deploy,
                       stack_graphs)
 from .radio import RadioParams, trees_round_energy
-from .seeding import RoundStream, derive_seed, derive_seeds, hash_rounds
+from .seeding import RoundStream, derive_seed, hash_rounds
 
 STOP_RULES = ("first-death", "energy-exhausted")
 
@@ -145,7 +145,6 @@ class _Group:
         self.trials = [kind(self, i, *cell) for i, cell in enumerate(cells)]
         self.initial = np.add.reduce(self.energies, axis=1)  # each row's 1-D sum
         self.n_alive = np.count_nonzero(self.alive, axis=1)
-        self.seeds = np.array([seed % 2**64 for _, seed in cells], dtype=np.uint64)
         self.least_cap = min(config.max_rounds for config, _ in cells)
         self.histories = [("spent", float), ("residual", float), ("alive_counts", np.int64),
                           ("delays", np.int64)] + [("leaves", np.int64)] * kind.builds_tree
@@ -258,25 +257,29 @@ class _EmlnTrial(_Trial):
         every trial grew a connected tree, ``trees_round_energy``'s (T, n)
         debits are the one part as they are. ``memo["stack"]`` keeps the
         stacked graph, its members' graphs and group indices until a
-        member's graph differs. The trees go into ``memo["queue"]``.
+        member's graph differs. The trees go into ``memo["queue"]``. Without
+        ``memo["reuse"]``, every tree serves one round and every trial is stale.
         """
-        stale = []
-        for trial in trials:
+        stale = [] if memo["reuse"] else trials
+        for trial in trials if memo["reuse"] else ():
             trial.rounds_on_tree += 1
             if trial.rounds_on_tree > trial.config.rebuild_period:
                 trial.rounds_on_tree = 1
                 stale.append(trial)
-                if trial.graph is None:
-                    trial.graph = build_graph(trial.nodes, trial.config.range_m)
         if stale:
             graphs, group = [t.graph for t in stale], stale[0].group
-            members, stacked, index = memo.get("stack", ((), None, None))
+            if None in graphs:  # first, and after a death
+                graphs = [t.graph or build_graph(t.nodes, t.config.range_m) for t in stale]
+                for trial, graph in zip(stale, graphs):
+                    trial.graph = graph
+            members, stacked, index, seeds = memo.get("stack", ((), None, None, None))
             if len(members) != len(graphs) or any(a is not b for a, b in zip(members, graphs)):
                 stacked, index = stack_graphs(graphs), np.array([t.index for t in stale])
-                memo["stack"] = graphs, stacked, index
-            attempts = group.completed[index] + group.abandoned[index] + 1
+                memo["stack"] = graphs, stacked, index, [t.trial_seed for t in stale]
+                seeds = memo["stack"][3]
+            attempts = (group.completed[index] + group.abandoned[index]).tolist()
             trees = construct_trees(stacked, group.energies[index],
-                                    derive_seeds(group.seeds[index], attempts))
+                                    [derive_seed(s, a + 1) for s, a in zip(seeds, attempts)])
             roots, parent, _, intermediate = trees
             debits = trees_round_energy(roots, parent, intermediate, stacked.positions,
                                         stale[0].sink, stale[0].config.radio).per_node[:, None]

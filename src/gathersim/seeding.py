@@ -52,11 +52,6 @@ def derive_seed(seed: int, index: int) -> int:
     return splitmix64((seed + (index + 1) * _GOLDEN) & _MASK64)
 
 
-def derive_seeds(seeds: np.ndarray, indices: np.ndarray) -> list[int]:
-    """``derive_seed`` of each uint64 seed of ``seeds`` and int of ``indices``, in one pass."""
-    return splitmix64(seeds + (indices.astype(np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN)).tolist()
-
-
 def make_rng(seed: int | np.random.Generator) -> np.random.Generator:
     """PCG64 generator for a 64-bit seed; a Generator is returned unchanged."""
     if isinstance(seed, np.random.Generator):
