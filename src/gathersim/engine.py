@@ -112,10 +112,14 @@ def _alike(items: list, key) -> dict:
     return groups
 
 
-def _hash_streams(trials: list) -> None:
-    """Hash the round seeds of every trial's next block in one call (``hash_rounds``)."""
-    hash_rounds([t.stream for t in trials], [t.attempt + 1 for t in trials],
-                [t.rows for t in trials])
+def _next_blocks(trials: list) -> tuple[list, list, list]:
+    """Each trial's completed rounds, and its next block's first attempt and row count."""
+    group, index = trials[0].group, [t.index for t in trials]
+    completed = group.completed[index]
+    attempts = (completed + group.abandoned[index] + 1).tolist()
+    completed = completed.tolist()
+    return completed, attempts, [min(t.block, t.config.max_rounds - done)
+                                 for t, done in zip(trials, completed)]
 
 
 def _parts(blocks: list) -> list:
@@ -168,22 +172,19 @@ class _Trial:
 
     Each protocol's subclass is its entry of ``PROTOCOL_TRIALS``; one
     deploys the trial into row ``index`` of its ``_Group``. The class's
-    ``blocks(trials, memo)`` gives the live trials of a group their next
-    blocks, the debits and delays of each one's next ``rows`` rounds (from
-    attempt ``attempt + 1``) as if all complete, in parts ``(positions,
-    debits, delays)``: k trials' positions in ``trials``, their (k, rows, n)
-    debits and (k, rows) delays, None where a tree queue writes them. A
-    trial in no part has no structure left to gather over and ``end``s. A
-    trial that cannot pay for a round ``fail``s, and its ``abandon(row)``
-    hears that round ``row`` of the last block was abandoned.
+    ``blocks(trials, memo)`` gives a group's live trials the debits and
+    delays of their next blocks (``_next_blocks``) as if all complete, in
+    parts ``(positions, debits, delays)``: k trials' positions in
+    ``trials``, their (k, rows, n) debits and (k, rows) delays, None where
+    a tree queue writes them. A trial in no part has no structure left and
+    ``end``s. A trial that cannot pay for a round ``fail``s, and its
+    ``abandon(row)`` hears that round ``row`` of its last block was abandoned.
     """
 
     builds_tree = False  # a tree protocol's reports count leaves
     first_death_at: int | None = None
     connected = running = True
     completed = property(lambda self: int(self.group.completed[self.index]))
-    attempt = property(lambda self: self.completed + int(self.group.abandoned[self.index]))
-    rows = property(lambda self: min(self.block, self.config.max_rounds - self.completed))
     live = property(lambda self: self.running and self.completed < self.config.max_rounds)
 
     def __init__(self, group: _Group, index: int, config: SimConfig, trial_seed: int):
@@ -289,7 +290,8 @@ class _EmlnTrial(_Trial):
             for trial, row, root in zip(stale, debits, roots.tolist()):
                 trial.debits = row if root >= 0 else None
         ready = [p for p, trial in enumerate(trials) if trial.debits is not None]
-        return [(np.array(ready), np.array([trials[p].debits for p in ready]), None)] if ready else []
+        return ([(np.array(ready), np.array([trials[p].debits for p in ready]), None)]
+                if ready else [])
 
     def report(self) -> SimulationReport:
         self.group.memo["queue"].fold()  # the first of the group's trials to report folds all
@@ -356,9 +358,8 @@ class _LeachTrial(_Trial):
         # a head's forward to the sink costs what a direct node's send does
         self.sink_tx = direct_round(self.alive, self.positions, self.sink, self.config.radio)[0].tx
 
-    def elect(self) -> np.ndarray:
+    def elect(self, completed: int, attempt: int, rows: int) -> np.ndarray:
         """The ``head_of`` rows of the elections of the trial's next block."""
-        attempt, rows, completed = self.attempt + 1, self.rows, self.completed
         self.served_before = np.empty((rows, len(self.alive)), dtype=bool)
         heads = []
         for row in range(rows):
@@ -369,10 +370,11 @@ class _LeachTrial(_Trial):
 
     @staticmethod
     def blocks(trials: list, memo: dict) -> list:
-        _hash_streams(trials)
+        steps = _next_blocks(trials)
+        hash_rounds([t.stream for t in trials], *steps[1:])
         out = []
-        for trial in trials:
-            ledger, delays = cluster_block(trial.elect(), trial.positions, trial.sink_tx,
+        for trial, *step in zip(trials, *steps):
+            ledger, delays = cluster_block(trial.elect(*step), trial.positions, trial.sink_tx,
                                            trial.config.radio)
             out.append((ledger.per_node, delays))
         return _parts(out)
@@ -398,16 +400,17 @@ class _ChainTrial(_Trial):
 
     @classmethod
     def blocks(cls, trials: list, memo: dict) -> list:
-        _hash_streams(trials)
+        _, attempts, rows = _next_blocks(trials)
+        hash_rounds([t.stream for t in trials], attempts, rows)
         leaders = []
-        for trial in trials:
+        for trial, attempt, count in zip(trials, attempts, rows):
             if trial.links is None:
                 trial.links = AliveChain(trial.chain, trial.alive, trial.positions, trial.sink,
                                          trial.config.radio)
-            leaders.append(trial.stream.integers(trial.attempt + 1, trial.rows,
-                                                 trial.links.sub.size))
+            leaders.append(trial.stream.integers(attempt, count, trial.links.sub.size))
         parts = []
-        for group in _alike(trials, lambda t: (t.links.sub.size, t.rows)).values():
+        for group in _alike(list(zip(trials, rows)),
+                            lambda step: (step[0].links.sub.size, step[1])).values():
             chains = [trials[i].links for i in group]
             ledger, delays = cls.ledgers(chains, [leaders[i] for i in group])
             per_position = ledger.per_node
@@ -435,13 +438,13 @@ class _DirectTrial(_Trial):
     @staticmethod
     def blocks(trials: list, memo: dict) -> list:
         out = []
-        for trial in trials:
+        for trial, rows in zip(trials, _next_blocks(trials)[2]):
             if trial.debit is None:
                 ledger, trial.delay = direct_round(trial.alive, trial.positions, trial.sink,
                                                    trial.config.radio)
                 trial.debit = ledger.per_node
-            out.append((np.broadcast_to(trial.debit, (trial.rows, len(trial.debit))),
-                        [trial.delay] * trial.rows))
+            out.append((np.broadcast_to(trial.debit, (rows, len(trial.debit))),
+                        [trial.delay] * rows))
         return _parts(out)
 
     def abandon(self, row: int) -> None:
@@ -474,9 +477,9 @@ def _debit(group: _Group, members: np.ndarray, debits: np.ndarray, delays) -> bo
     energies, start = group.energies[members], group.completed[members]
     if rows == 1:
         levels = energies[:, None] - debits
-    else:
-        levels = np.subtract.accumulate(np.concatenate((energies[:, None], debits), axis=1),
-                                        axis=1)[:, 1:]
+    else:  # round-major, where the accumulate runs about 1.35 times as fast
+        stack = np.concatenate((energies[None], debits.transpose(1, 0, 2)))
+        levels = np.subtract.accumulate(stack, axis=0)[1:].transpose(1, 0, 2)
     dying = levels < 0
     dying &= group.alive[members, None]
     last = int(start.max()) + rows

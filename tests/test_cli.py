@@ -12,7 +12,8 @@ import pytest
 from conftest import read_aggregate_csv
 import gathersim
 from gathersim import PROTOCOLS, NodeState, cli, parse_config, run_grid
-from gathersim.cli import AGGREGATE_COLUMNS, PER_ROUND_COLUMNS, aggregate_row, main, render
+from gathersim.cli import (AGGREGATE_COLUMNS, PER_ROUND_COLUMNS, aggregate_row, main,
+                           per_round_rows, render)
 from gathersim.engine import FieldConfig, SimConfig
 
 
@@ -175,6 +176,23 @@ def test_csv_writes_floats_as_shortest_round_trip_text():
     rows = [["emln", np.float64(0.1), 0.1 + 0.2, float("nan"), np.int64(3), None]]
     text = render(rows, AGGREGATE_COLUMNS[:6], "csv")
     assert text.splitlines()[1] == "emln,0.1,0.30000000000000004,nan,3,"
+
+
+def test_streamed_per_round_csv_is_the_rendered_text(tmp_path, capsys):
+    # rows are written as they are rendered, to --out and to stdout, with
+    # the bytes of one render of every row
+    args = ["--trials", "3", "--initial-energy", "0.03", "--seed", "4",
+            "--per-round"]
+    config, _, _ = parse_config(args)
+    reports = run_grid([config], keep_reports=True)[0].reports
+    want = render(list(per_round_rows(reports)), PER_ROUND_COLUMNS, "csv").encode()
+    assert want.count(b"\n") > 100
+    out = tmp_path / "rounds.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == want
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out.encode() == want
 
 
 def test_aggregate_roundtrip(tmp_path):
