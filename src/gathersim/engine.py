@@ -131,14 +131,10 @@ def _parts(blocks: list) -> list:
 
 
 class _Group:
-    """A lockstep group's trials and the arrays that hold their state, row i for trial i.
-
-    (T, n) ``energies`` and ``alive``, whose rows the trials' ``Nodes`` view;
-    (T,) ``completed`` rounds, ``abandoned`` rounds and ``n_alive``; and
-    (T, capacity) histories, round r at [i, r], grown by doubling: debit
-    and residual totals, alive counts, delays and (trees) leaf counts, -1
-    where unwritten. Reports slice them. ``memo`` is the ``blocks`` dict.
-    """
+    """A lockstep group's trials and their state's arrays, row i for trial i: (T, n)
+    ``energies`` and ``alive``, which the trials' ``Nodes`` view; (T,) round
+    counts ``completed`` and ``abandoned`` and ``n_alive``; (T, capacity)
+    histories, round r at [i, r], grown by doubling, -1 where unwritten."""
 
     def __init__(self, cells: list[tuple[SimConfig, int]]):
         kind, n = PROTOCOL_TRIALS[cells[0][0].protocol], cells[0][0].field.node_count
@@ -307,14 +303,11 @@ class _EmlnTrial(_Trial):
 
 
 class _TreeQueue:
-    """A group's EMLN trees whose delays and leaf counts wait.
+    """A group's EMLN trees, each with its trial and round, folded at FOLD_NODES nodes.
 
-    ``push`` queues one ``construct_trees`` output with each row's trial
-    (group index) and round (its ``completed``), and folds at FOLD_NODES
-    nodes. ``fold`` runs one ``compute_delays`` call and one leaf count
-    over the queued rows and writes both histories at each (trial, round)
-    in one write each; of a round's trees, an abandoned one's and the
-    next's, the later is written.
+    ``fold`` writes one ``compute_delays`` call's delays and one leaf count
+    at each tree's (trial, round); of a round's trees, an abandoned one's
+    and the next's, the later is written.
     """
 
     def __init__(self, group: _Group):
@@ -464,14 +457,12 @@ PROTOCOLS = tuple(PROTOCOL_TRIALS)
 def _debit(group: _Group, members: np.ndarray, debits: np.ndarray, delays) -> bool:
     """Debit the (k, rows, n) blocks of the group's trials ``members``; True if one failed.
 
-    One ``np.subtract`` (one round) or ``np.subtract.accumulate`` of the
-    gathered energies gives the levels after each round, the floats of a
-    round-by-round loop; an alive node's level below zero abandons the
-    round. ``np.add.reduce`` over the contiguous node axis gives the debit
-    and residual totals with the bits of 1-D sums. Each history takes all
-    members' rows in one write; rows past a trial's completed ones are
-    rewritten by its next block or lie past its end. Only a trial that
-    fails a round runs Python of its own.
+    ``np.subtract`` (one round) or ``np.subtract.accumulate`` gives the
+    levels after each round, the floats of a round-by-round loop; an alive
+    node's level below zero abandons the round. ``np.add.reduce`` over the
+    node axis gives the totals with the bits of 1-D sums. Each history takes
+    all members' rows in one write (rows past a trial's end are rewritten
+    or unread). Only a trial that fails a round runs Python of its own.
     """
     rows = debits.shape[1]
     energies, start = group.energies[members], group.completed[members]
