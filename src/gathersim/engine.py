@@ -519,7 +519,9 @@ def _run_group(cells: list[tuple[SimConfig, int]]) -> list[SimulationReport]:
                     trials[p].end()
                 changed = True
         trials = [t for t in trials if t.live]
-    return [t.report() for t in group.trials]
+    reports = [t.report() for t in group.trials]
+    group.trials, group.memo = [], {}  # break the trial-group cycles: free the group now
+    return reports
 
 
 def _run(cells: list[tuple[SimConfig, int]], workers: int) -> list[SimulationReport]:
