@@ -134,7 +134,8 @@ class _Group:
     """A lockstep group's trials and their state's arrays, row i for trial i: (T, n)
     ``energies`` and ``alive``, which the trials' ``Nodes`` view; (T,) round
     counts ``completed`` and ``abandoned`` and ``n_alive``; (T, capacity)
-    histories, round r at [i, r], grown by doubling, -1 where unwritten."""
+    histories, round r at [i, r], grown by doubling and filled only as rounds
+    complete; with ``reuse``, -1 marks the rounds on a reused tree."""
 
     def __init__(self, cells: list[tuple[SimConfig, int]]):
         kind, n = PROTOCOL_TRIALS[cells[0][0].protocol], cells[0][0].field.node_count
@@ -146,6 +147,7 @@ class _Group:
         self.initial = np.add.reduce(self.energies, axis=1)  # each row's 1-D sum
         self.n_alive = np.count_nonzero(self.alive, axis=1)
         self.least_cap = min(config.max_rounds for config, _ in cells)
+        self.reuse = kind.builds_tree and any(config.rebuild_period > 1 for config, _ in cells)
         self.histories = [("spent", float), ("residual", float), ("alive_counts", np.int64),
                           ("delays", np.int64)] + [("leaves", np.int64)] * kind.builds_tree
         self.capacity = 0
@@ -156,7 +158,9 @@ class _Group:
         if rounds > self.capacity:
             capacity = max(rounds, 2 * self.capacity)
             for name, dtype in self.histories:  # one history at a time: the old one is freed
-                grown = np.full((len(self.trials), capacity), -1, dtype=dtype)
+                grown = np.empty((len(self.trials), capacity), dtype=dtype)
+                if self.reuse:
+                    grown.fill(-1)
                 if self.capacity:
                     grown[:, :self.capacity] = getattr(self, name)
                 setattr(self, name, grown)
@@ -242,9 +246,7 @@ class _EmlnTrial(_Trial):
         super().__init__(*args)
         self.block, self.graph, self.debits = 1, None, None
         self.rounds_on_tree = self.config.rebuild_period
-        memo = self.group.memo  # the group's queue, and whether some tree serves many rounds
-        memo["queue"] = memo.get("queue") or _TreeQueue(self.group)
-        memo["reuse"] = memo.get("reuse", False) or self.rounds_on_tree > 1
+        self.group.memo["queue"] = self.group.memo.get("queue") or _TreeQueue(self.group)
 
     @staticmethod
     def blocks(trials: list, memo: dict) -> list:
@@ -255,10 +257,11 @@ class _EmlnTrial(_Trial):
         debits are the one part as they are. ``memo["stack"]`` keeps the
         stacked graph, its members' graphs and group indices until a
         member's graph differs. The trees go into ``memo["queue"]``. Without
-        ``memo["reuse"]``, every tree serves one round and every trial is stale.
+        the group's ``reuse``, every tree serves one round and every trial is stale.
         """
-        stale = [] if memo["reuse"] else trials
-        for trial in trials if memo["reuse"] else ():
+        reuse = trials[0].group.reuse
+        stale = [] if reuse else trials
+        for trial in trials if reuse else ():
             trial.rounds_on_tree += 1
             if trial.rounds_on_tree > trial.config.rebuild_period:
                 trial.rounds_on_tree = 1
@@ -281,7 +284,7 @@ class _EmlnTrial(_Trial):
             debits = trees_round_energy(roots, parent, intermediate, stacked.positions,
                                         stale[0].sink, stale[0].config.radio).per_node[:, None]
             memo["queue"].push(trees, index)
-            if len(stale) == len(trials) and not memo["reuse"] and roots.min() >= 0:
+            if len(stale) == len(trials) and not reuse and roots.min() >= 0:
                 return [(np.arange(len(trials)), debits, None)]
             for trial, row, root in zip(stale, debits, roots.tolist()):
                 trial.debits = row if root >= 0 else None
