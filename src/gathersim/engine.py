@@ -193,11 +193,10 @@ class _Trial:
         else:
             nodes = deploy(config.field, derive_seed(trial_seed, 0), config.initial_energy)
         group.energies[index], group.alive[index] = nodes.energies, nodes.alive
-        # views: the runner debits energies and clears alive flags in the group's rows
-        self.nodes = Nodes(nodes.positions, group.energies[index], group.alive[index])
         self.group, self.index, self.config, self.trial_seed = group, index, config, trial_seed
-        self.positions, self.energies, self.alive = (self.nodes.positions, self.nodes.energies,
-                                                     self.nodes.alive)
+        # views: the runner debits energies and clears alive flags in the group's rows
+        self.positions, self.energies, self.alive = (nodes.positions, group.energies[index],
+                                                     group.alive[index])
         self.sink = np.asarray(config.field.sink_position, dtype=float)
         self.block = max(1, min(BLOCK_ROUNDS, BLOCK_ENTRIES // len(self.alive)))
         self.running = bool(self.alive.any())
@@ -269,7 +268,8 @@ class _EmlnTrial(_Trial):
         if stale:
             graphs, group = [t.graph for t in stale], stale[0].group
             if None in graphs:  # first, and after a death
-                graphs = [t.graph or build_graph(t.nodes, t.config.range_m) for t in stale]
+                graphs = [t.graph or build_graph(Nodes(t.positions, t.energies, t.alive),
+                                                 t.config.range_m) for t in stale]
                 for trial, graph in zip(stale, graphs):
                     trial.graph = graph
             members, stacked, index, seeds = memo.get("stack", ((), None, None, None))
