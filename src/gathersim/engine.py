@@ -132,7 +132,7 @@ def _parts(blocks: list) -> list:
 
 class _Group:
     """A lockstep group's trials and their state's arrays, row i for trial i: (T, n)
-    ``energies`` and ``alive``, which the trials' ``Nodes`` view; (T,) round
+    ``energies`` and ``alive``, whose rows the trials view; (T,) round
     counts ``completed`` and ``abandoned`` and ``n_alive``; (T, capacity)
     histories, round r at [i, r], grown by doubling and filled only as rounds
     complete; with ``reuse``, -1 marks the rounds on a reused tree."""
