@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from itertools import chain, islice
 
@@ -13,7 +14,7 @@ from .baselines import (MIN_LEACH_P, AliveChain, build_chain, chain_to_nodes, cl
 from .emln import compute_delays, construct_trees
 from .network import (FieldConfig, Nodes, NodeState, build_graph, check_numbers, deploy,
                       stack_graphs)
-from .radio import RadioParams, trees_round_energy
+from .radio import RadioParams, trees_round_energy, tx_cost
 from .seeding import RoundStream, derive_seed, hash_rounds
 
 STOP_RULES = ("first-death", "energy-exhausted")
@@ -52,6 +53,16 @@ class SimConfig:
             if len(self.nodes_override) != self.field.node_count:
                 raise ValueError("nodes_override must match field.node_count")
             Nodes.from_states(self.nodes_override)
+        field, radio, n = self.field, self.radio, self.field.node_count
+        (x, y), bits = field.sink_position, radio.packet_bits
+        try:  # each node sends across the box of field and sink, receives and fuses n packets
+            span = math.hypot(max(field.width, x) - min(0, x), max(field.height, y) - min(0, y))
+            debit = n * (tx_cost(radio, bits, span) + n * bits * (radio.e_elec + radio.e_fuse))
+        except OverflowError:
+            debit = math.inf
+        if not math.isfinite(debit):
+            raise ValueError("node_count, width, height, sink_position, packet_bits, e_elec, "
+                             "eps_amp and e_fuse allow a round debit that is not a finite number")
 
 
 @dataclass
@@ -134,8 +145,8 @@ class _Group:
     """A lockstep group's trials and their state's arrays, row i for trial i: (T, n)
     ``energies`` and ``alive``, whose rows the trials view; (T,) round
     counts ``completed`` and ``abandoned`` and ``n_alive``; (T, capacity)
-    histories, round r at [i, r], grown by doubling and filled only as rounds
-    complete; with ``reuse``, -1 marks the rounds on a reused tree."""
+    ``histories``, round r at [i, r], grown by doubling and filled only as
+    rounds complete. An EMLN round's ``delays`` cell holds its tree's number."""
 
     def __init__(self, cells: list[tuple[SimConfig, int]]):
         kind, n = PROTOCOL_TRIALS[cells[0][0].protocol], cells[0][0].field.node_count
@@ -146,10 +157,9 @@ class _Group:
         self.trials = [kind(self, i, *cell) for i, cell in enumerate(cells)]
         self.initial = np.add.reduce(self.energies, axis=1)  # each row's 1-D sum
         self.n_alive = np.count_nonzero(self.alive, axis=1)
-        self.least_cap = min(config.max_rounds for config, _ in cells)
         self.reuse = kind.builds_tree and any(config.rebuild_period > 1 for config, _ in cells)
-        self.histories = [("spent", float), ("residual", float), ("alive_counts", np.int64),
-                          ("delays", np.int64)] + [("leaves", np.int64)] * kind.builds_tree
+        self.histories = (("spent", float), ("residual", float), ("alive_counts", np.int64),
+                          ("delays", np.int64))
         self.capacity = 0
         self.reserve(BLOCK_ROUNDS)
 
@@ -159,8 +169,6 @@ class _Group:
             capacity = max(rounds, 2 * self.capacity)
             for name, dtype in self.histories:  # one history at a time: the old one is freed
                 grown = np.empty((len(self.trials), capacity), dtype=dtype)
-                if self.reuse:
-                    grown.fill(-1)
                 if self.capacity:
                     grown[:, :self.capacity] = getattr(self, name)
                 setattr(self, name, grown)
@@ -175,10 +183,11 @@ class _Trial:
     ``blocks(trials, memo)`` gives a group's live trials the debits and
     delays of their next blocks (``_next_blocks``) as if all complete, in
     parts ``(positions, debits, delays)``: k trials' positions in
-    ``trials``, their (k, rows, n) debits and (k, rows) delays, None where
-    a tree queue writes them. A trial in no part has no structure left and
-    ``end``s. A trial that cannot pay for a round ``fail``s, and its
-    ``abandon(row)`` hears that round ``row`` of its last block was abandoned.
+    ``trials``, their (k, rows, n) debits and (k, rows) delays (for EMLN,
+    the numbers of the rounds' trees in the group's ``_TreeQueue``). A
+    trial in no part has no structure left and ``end``s. A trial that
+    cannot pay for a round ``fail``s, and its ``abandon(row)`` hears that
+    round ``row`` of its last block was abandoned.
     """
 
     builds_tree = False  # a tree protocol's reports count leaves
@@ -218,45 +227,47 @@ class _Trial:
         self.abandon(row)
         self.running = n_alive > 0
 
-    def report(self) -> SimulationReport:  # its arrays are views of the group's rows
-        group, i, completed, builds_tree = self.group, self.index, self.completed, self.builds_tree
+    def report(self) -> SimulationReport:  # a baseline's arrays are views of the group's rows
+        group, i, completed = self.group, self.index, self.completed
         lifetime = self.first_death_at if self.first_death_at is not None else completed
-        energy, delay = group.spent[i, :completed], group.delays[i, :completed]
-        leaves = group.leaves[i, :completed] if builds_tree else None
+        energy, delay, leaves = group.spent[i, :completed], group.delays[i, :completed], None
+        if self.builds_tree:  # the delay history holds the numbers of the rounds' trees
+            delay, leaves = group.memo["queue"].lookup(delay)
         return SimulationReport(
             self.config.protocol, self.connected, lifetime, energy, delay,
             group.alive_counts[i, :completed], group.residual[i, :completed],
             float(group.initial[i]), self.energies, leaves, _lifetime_mean(energy, lifetime),
             _lifetime_mean(delay, lifetime), _lifetime_mean(energy * delay, lifetime),
-            _lifetime_mean(leaves, lifetime) if builds_tree else None)
+            None if leaves is None else _lifetime_mean(leaves, lifetime))
 
 
 class _EmlnTrial(_Trial):
     """One round per block: each tree depends on the energies left by the last.
 
     A tree serves ``rebuild_period`` rounds. The group's ``_TreeQueue``
-    writes its delay and leaf count at the round it was grown for; a report
-    gives the later rounds on it, which hold -1, the values before them.
+    numbers the trees, each round's delay history holds its tree's number,
+    and a report looks up its rounds' delays and leaf counts by number.
     """
 
     builds_tree = True
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.block, self.graph, self.debits = 1, None, None
+        self.block, self.graph, self.debits, self.tree = 1, None, None, None
         self.rounds_on_tree = self.config.rebuild_period
-        self.group.memo["queue"] = self.group.memo.get("queue") or _TreeQueue(self.group)
+        self.group.memo.setdefault("queue", _TreeQueue())
 
     @staticmethod
     def blocks(trials: list, memo: dict) -> list:
         """Grow the trees of the trials whose tree is stale together, and give each its round.
 
-        A round is its tree's debits, none on a disconnected graph; when
-        every trial grew a connected tree, ``trees_round_energy``'s (T, n)
-        debits are the one part as they are. ``memo["stack"]`` keeps the
-        stacked graph, its members' graphs and group indices until a
-        member's graph differs. The trees go into ``memo["queue"]``. Without
-        the group's ``reuse``, every tree serves one round and every trial is stale.
+        A round is its tree's debits and number, none on a disconnected
+        graph; when every trial grew a connected tree, ``trees_round_energy``'s
+        (T, n) debits and the trees' numbers are the one part as they are.
+        ``memo["stack"]`` keeps the stacked graph, its members' graphs and
+        group indices until a member's graph differs. The trees go into
+        ``memo["queue"]``, which numbers them. Without the group's
+        ``reuse``, every tree serves one round and every trial is stale.
         """
         reuse = trials[0].group.reuse
         stale = [] if reuse else trials
@@ -283,22 +294,14 @@ class _EmlnTrial(_Trial):
             roots, parent, _, intermediate = trees
             debits = trees_round_energy(roots, parent, intermediate, stacked.positions,
                                         stale[0].sink, stale[0].config.radio).per_node[:, None]
-            memo["queue"].push(trees, index)
+            numbers = memo["queue"].push(trees)
             if len(stale) == len(trials) and not reuse and roots.min() >= 0:
-                return [(np.arange(len(trials)), debits, None)]
-            for trial, row, root in zip(stale, debits, roots.tolist()):
-                trial.debits = row if root >= 0 else None
+                return [(np.arange(len(trials)), debits, numbers[:, None])]
+            for trial, row, root, number in zip(stale, debits, roots.tolist(), numbers.tolist()):
+                trial.debits, trial.tree = row if root >= 0 else None, number
         ready = [p for p, trial in enumerate(trials) if trial.debits is not None]
-        return ([(np.array(ready), np.array([trials[p].debits for p in ready]), None)]
-                if ready else [])
-
-    def report(self) -> SimulationReport:
-        self.group.memo["queue"].fold()  # the first of the group's trials to report folds all
-        if self.config.rebuild_period > 1:
-            n = self.completed
-            for rounds in (self.group.delays[self.index, :n], self.group.leaves[self.index, :n]):
-                rounds[:] = rounds[np.maximum.accumulate(np.where(rounds >= 0, np.arange(n), 0))]
-        return super().report()
+        return ([(np.array(ready), np.array([trials[p].debits for p in ready]),
+                  np.array([[trials[p].tree] for p in ready]))] if ready else [])
 
     def abandon(self, row: int) -> None:
         self.graph = None
@@ -306,36 +309,40 @@ class _EmlnTrial(_Trial):
 
 
 class _TreeQueue:
-    """A group's EMLN trees, each with its trial and round, folded at FOLD_NODES nodes.
+    """A group's EMLN trees, numbered in push order, folded at FOLD_NODES nodes.
 
-    ``fold`` writes one ``compute_delays`` call's delays and one leaf count
-    at each tree's (trial, round); of a round's trees, an abandoned one's
-    and the next's, the later is written.
+    ``fold`` appends one ``compute_delays`` call's delays and the trees'
+    leaf counts to ``values`` as one (2, trees) int32 array (both are below
+    n); ``lookup`` gives them by tree number.
     """
 
-    def __init__(self, group: _Group):
-        self.group, self.trees, self.targets, self.nodes = group, [], [], 0
+    def __init__(self):
+        self.trees, self.nodes, self.count = [], 0, 0
+        self.values = [np.empty((2, 0), dtype=np.int32)]
 
-    def push(self, trees: tuple, index: np.ndarray) -> None:
+    def push(self, trees: tuple) -> np.ndarray:
+        """Queue one ``construct_trees`` output; its trees' numbers."""
         self.trees.append(trees)
-        self.targets.append((index, self.group.completed[index]))
         self.nodes += trees[1].size
+        first, self.count = self.count, self.count + len(trees[0])
         if self.nodes >= FOLD_NODES:
             self.fold()
+        return np.arange(first, self.count)
 
     def fold(self) -> None:
-        if not self.trees:
-            return
-        roots, parent, level, intermediate = map(np.concatenate, zip(*self.trees))
-        trials, rounds = map(np.concatenate, zip(*self.targets))
-        self.trees, self.targets, self.nodes = [], [], 0
-        leaves = np.count_nonzero(level >= 0, axis=1) - np.count_nonzero(intermediate, axis=1)
-        delays = compute_delays(roots, parent, level)
-        keys = trials * self.group.capacity + rounds
-        _, last = np.unique(keys[::-1], return_index=True)  # each (trial, round)'s last tree
-        last = keys.size - 1 - last
-        at = trials[last], rounds[last]
-        self.group.delays[at], self.group.leaves[at] = delays[last], leaves[last]
+        if self.trees:
+            roots, parent, level, intermediate = map(np.concatenate, zip(*self.trees))
+            self.trees, self.nodes = [], 0
+            leaves = np.count_nonzero(level >= 0, axis=1) - np.count_nonzero(intermediate, axis=1)
+            self.values.append(np.array((compute_delays(roots, parent, level), leaves), np.int32))
+
+    def lookup(self, trees: np.ndarray) -> np.ndarray:
+        """The (2, len(trees)) int64 delays and leaf counts of the trees numbered
+        ``trees``; the first call, at the group's first report, folds the rest."""
+        self.fold()
+        if len(self.values) > 1:
+            self.values = [np.concatenate(self.values, axis=1)]
+        return self.values[0].take(trees, axis=1).astype(np.int64)
 
 
 class _LeachTrial(_Trial):
@@ -457,8 +464,8 @@ PROTOCOL_TRIALS = {
 PROTOCOLS = tuple(PROTOCOL_TRIALS)
 
 
-def _debit(group: _Group, members: np.ndarray, debits: np.ndarray, delays) -> bool:
-    """Debit the (k, rows, n) blocks of the group's trials ``members``; True if one failed.
+def _debit(group: _Group, members: np.ndarray, debits: np.ndarray, delays) -> None:
+    """Debit the (k, rows, n) blocks of the group's trials ``members`` and write their histories.
 
     ``np.subtract`` (one round) or ``np.subtract.accumulate`` gives the
     levels after each round, the floats of a round-by-round loop; an alive
@@ -476,28 +483,23 @@ def _debit(group: _Group, members: np.ndarray, debits: np.ndarray, delays) -> bo
         levels = np.subtract.accumulate(stack, axis=0)[1:].transpose(1, 0, 2)
     dying = levels < 0
     dying &= group.alive[members, None]
-    last = int(start.max()) + rows
-    if last >= group.capacity:
-        group.reserve(last + 1)  # and one more round, which a tree queue may write
+    group.reserve(int(start.max()) + rows)
     at = members[:, None], start[:, None] + np.arange(rows)
     group.spent[at] = np.add.reduce(debits, axis=2)
     group.residual[at] = np.add.reduce(levels, axis=2)
     group.alive_counts[at] = group.n_alive[members, None]
-    if delays is not None:
-        group.delays[at] = delays
-    failed = dying.any()
-    if not failed:
+    group.delays[at] = delays
+    if not dying.any():
         group.energies[members] = levels[:, -1]
         group.completed[members] = start + rows
-    else:
-        broke = dying.any(axis=2)
-        done = np.where(broke.any(axis=1), broke.argmax(axis=1), rows)
-        group.energies[members] = np.concatenate((energies[:, None], levels),
-                                                 axis=1)[np.arange(len(members)), done]
-        group.completed[members] = start + done
-        for p in np.flatnonzero(done < rows).tolist():
-            group.trials[members[p]].fail(int(done[p]), dying[p, done[p]])
-    return bool(failed) or last >= group.least_cap  # near a cap, trials may have ended
+        return
+    broke = dying.any(axis=2)
+    done = np.where(broke.any(axis=1), broke.argmax(axis=1), rows)
+    group.energies[members] = np.concatenate((energies[:, None], levels),
+                                             axis=1)[np.arange(len(members)), done]
+    group.completed[members] = start + done
+    for p in np.flatnonzero(done < rows).tolist():
+        group.trials[members[p]].fail(int(done[p]), dying[p, done[p]])
 
 
 def _run_group(cells: list[tuple[SimConfig, int]]) -> list[SimulationReport]:
@@ -505,22 +507,19 @@ def _run_group(cells: list[tuple[SimConfig, int]]) -> list[SimulationReport]:
 
     The cells run one protocol on one node count, sink and radio. A step
     makes one ``blocks`` call for all live trials and debits each part; the
-    live trials are listed again only after a step that may have ended one.
+    live trials are listed again after every step.
     """
     group = _Group(cells)
     kind = type(group.trials[0])
     trials = [t for t in group.trials if t.live]
     while trials:
         index = np.array([t.index for t in trials])
-        changed = False
-        while not changed:
-            parts = kind.blocks(trials, group.memo)
-            for positions, debits, delays in parts:
-                changed |= _debit(group, index[positions], debits, delays)
-            if sum(len(part[0]) for part in parts) < len(trials):  # the rest have no structure
-                for p in set(range(len(trials))).difference(*(part[0].tolist() for part in parts)):
-                    trials[p].end()
-                changed = True
+        parts = kind.blocks(trials, group.memo)
+        for positions, debits, delays in parts:
+            _debit(group, index[positions], debits, delays)
+        if sum(len(part[0]) for part in parts) < len(trials):  # the rest have no structure
+            for p in set(range(len(trials))).difference(*(part[0].tolist() for part in parts)):
+                trials[p].end()
         trials = [t for t in trials if t.live]
     reports = [t.report() for t in group.trials]
     group.trials, group.memo = [], {}  # break the trial-group cycles: free the group now

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from gathersim.cli import parse_config
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(spec)
@@ -131,3 +133,8 @@ def test_command_pairs_whose_outputs_differ_fail():
     assert (rss["base_median"], rss["change_median"], rss["wins"]) == (51.0, 41.0, 3)
     assert rss["bound"] == 0.05 and rss["verdict"] == "within bound"  # three pairs: no gain
     assert entry["metrics"]["wall_s"]["wins"] == 0
+
+
+@pytest.mark.parametrize("name", sorted(bench_pairs.COMMANDS))
+def test_every_standard_command_parses(name):
+    parse_config(bench_pairs.COMMANDS[name])  # raises on a bad flag or value

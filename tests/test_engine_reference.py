@@ -155,6 +155,17 @@ def test_tree_rounds_folded_in_batches_match_the_per_round_loop(monkeypatch):
         assert_same_report(got, ref.run_trial(config, derive_seed(config.master_seed, trial)))
 
 
+def test_mixed_rebuild_periods_in_one_group_match_the_per_round_loop():
+    # the group key is protocol, node count, sink and radio, so these configs
+    # share one group: trials that reuse a tree step beside trials that grow one
+    configs = [dataclasses.replace(TREE_CONFIG, trials=2, rebuild_period=period,
+                                   stop_rule=stop_rule, master_seed=period)
+               for period in (1, 2, 5) for stop_rule in STOP_RULES]
+    for config, result in zip(configs, engine.run_grid(configs, keep_reports=True), strict=True):
+        for trial, got in enumerate(result.reports):
+            assert_same_report(got, ref.run_trial(config, derive_seed(config.master_seed, trial)))
+
+
 def test_range_grid_trees_grown_together_match_one_by_one():
     # a grid steps every range's trials together, so its lockstep trees
     # stack graphs of two ranges; an experiment per range stacks one range's

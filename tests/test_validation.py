@@ -6,12 +6,17 @@ it; the explicit examples make sure the non-finite ones are always tried.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import gathersim
 from gathersim import (FieldConfig, Nodes, NodeState, RadioParams, SimConfig, build_chain,
                        build_graph, direct_round, leach_elect, leach_round, pegasis_cdma_round,
                        pegasis_tdma_round, read_placement)
@@ -112,6 +117,21 @@ def test_cli_rejects_non_finite_input_with_exit_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("gathersim: error:")
+
+
+@pytest.mark.parametrize("argv", [["--packet-bits", "1" + "0" * 400], ["--sink-x", "1e200"],
+                                  ["--eps-amp", "1e300", "--protocol", "leach"]])
+def test_cli_rejects_costs_that_overflow_with_exit_2(argv):
+    # finite inputs whose round debit is not a finite float: a usage error,
+    # with no traceback and no numpy warning
+    src = str(Path(gathersim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "gathersim", *argv, "--trials", "1"],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("gathersim: error: node_count, width")
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 @over_all_floats

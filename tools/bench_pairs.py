@@ -55,6 +55,10 @@ COMMANDS = {
     "sweep-48": ["--sweep", "15,20,25,30,35,40,45,50", "--trials", "48"],
     "aggregate-48": ["--trials", "48"],
     "per-round-48": ["--trials", "48", "--per-round"],
+    "rebuild-3": ["--rebuild-period", "3", "--trials", "48", "--per-round"],
+    "exhausted-emln": ["--stop-rule", "energy-exhausted", "--initial-energy", "0.03",
+                       "--per-round"],
+    "grid-3x24": ["--sweep", "20,25,30", "--trials", "24"],
 }
 COMMAND_METRICS = {"wall_s": "lower", "peak_rss_mb": "lower"}
 # one run of a command in a fresh process: argv[1:] is the command line
