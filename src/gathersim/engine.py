@@ -312,13 +312,12 @@ class _TreeQueue:
     """A group's EMLN trees, numbered in push order, folded at FOLD_NODES nodes.
 
     ``fold`` appends one ``compute_delays`` call's delays and the trees'
-    leaf counts to ``values`` as one (2, trees) int32 array (both are below
-    n); ``lookup`` gives them by tree number.
+    leaf counts to ``values``, (2, trees) in the smallest unsigned type that
+    holds n (both are at most n); ``lookup`` gives them by tree number.
     """
 
     def __init__(self):
-        self.trees, self.nodes, self.count = [], 0, 0
-        self.values = [np.empty((2, 0), dtype=np.int32)]
+        self.trees, self.nodes, self.count, self.values = [], 0, 0, [np.empty((2, 0), np.uint8)]
 
     def push(self, trees: tuple) -> np.ndarray:
         """Queue one ``construct_trees`` output; its trees' numbers."""
@@ -334,7 +333,8 @@ class _TreeQueue:
             roots, parent, level, intermediate = map(np.concatenate, zip(*self.trees))
             self.trees, self.nodes = [], 0
             leaves = np.count_nonzero(level >= 0, axis=1) - np.count_nonzero(intermediate, axis=1)
-            self.values.append(np.array((compute_delays(roots, parent, level), leaves), np.int32))
+            self.values.append(np.array((compute_delays(roots, parent, level), leaves),
+                                        np.min_scalar_type(parent.shape[1])))
 
     def lookup(self, trees: np.ndarray) -> np.ndarray:
         """The (2, len(trees)) int64 delays and leaf counts of the trees numbered
